@@ -76,6 +76,14 @@ def _parse_grid(spec: str):
     return _parse_axis(parts[0]), _parse_axis(parts[1])
 
 
+def _check_rectangle(flag, u0, u1, v0, v1):
+    finite = all(math.isfinite(t) for t in (u0, u1, v0, v1))
+    if not (finite and u0 < u1 and v0 < v1):
+        raise UsageError(f"{flag} needs finite u0 < u1 and v0 < v1, "
+                         f"got {u0:g} {u1:g} {v0:g} {v1:g}")
+    return u0, u1, v0, v1
+
+
 def _parse_params(items):
     params = {}
     for item in items or []:
@@ -124,8 +132,8 @@ def _chart_from_args(args):
         raise UsageError("give a family name or --graph EXPR")
     expr = calc.parse_graph_expr(args.graph)
     space = zoo.space_for(args.space)
-    u0, u1, v0, v1 = args.graph_domain
-    chart = calc.SurfaceChart((u0, u1, v0, v1), calc.GraphEvaluator(expr), space)
+    domain = _check_rectangle("--graph-domain", *args.graph_domain)
+    chart = calc.SurfaceChart(domain, calc.GraphEvaluator(expr), space)
     return chart, None
 
 
@@ -417,7 +425,7 @@ def _cmd_weierstrass_build(args):
         u0, u1, v0, v1 = (float(t) for t in args.domain.split(":"))
     except ValueError:
         raise UsageError(f"--domain {args.domain!r} must be u0:u1:v0:v1") from None
-    domain = (u0, u1, v0, v1)
+    domain = _check_rectangle("--domain", u0, u1, v0, v1)
     n = args.grid
     g = _complex_field_from_spec(args.g, domain, n,
                                  weierstrass.ROLE_NORMAL_MAP)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import ambient as amb
 from . import calculus as calc
@@ -551,6 +550,8 @@ def fit_isometry(points: np.ndarray, height_fn, thetas=(math.pi / 2, -math.pi / 
     translation (a, b) by least squares and reports the largest vertical gap,
     an upper bound for the point-to-surface distance.
     """
+    from scipy.optimize import least_squares
+
     pts = np.asarray(points, dtype=float)
 
     def gaps(params, theta):

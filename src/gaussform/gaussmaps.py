@@ -80,7 +80,13 @@ def stereo_project(eta, space: amb.AmbientSpace):
     if defect > QUADRIC_TOL:
         raise QuadricViolation(f"normal misses its quadric by {defect:.3e}")
     e1, e2, e3 = float(eta[0]), float(eta[1]), float(eta[2])
-    denom = 1.0 - e3
+    if e3 > 0.0:
+        # 1 - e3 cancels near the pole; the quadric gives it without the
+        # cancellation: 1 - e3 = +-(e1^2 + e2^2)/(1 + e3), + on the sphere.
+        sign = 1.0 if space.kind is amb.Kind.HYPERBOLIC else -1.0
+        denom = sign * (e1 * e1 + e2 * e2) / (1.0 + e3)
+    else:
+        denom = 1.0 - e3
     if abs(denom) < POLE_TOL:
         return INFINITY
     return complex(e1, e2) / denom

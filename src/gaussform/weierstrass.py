@@ -20,9 +20,9 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.integrate import solve_ivp
-from scipy.sparse.linalg import splu
+# scipy is imported inside the functions that need it (here and in
+# duality.fit_isometry): it takes longer to import than numpy and the package
+# together, and most commands neither solve nor fit.
 
 from .errors import (ConstraintViolation, DegenerateInput, EmptyOutput,
                      NonRealHeight, OutsideDomain, SingularSystem,
@@ -73,6 +73,9 @@ class ComplexField:
         """Sample fn(z complex) on domain = (u0, u1, v0, v1) with (nu, nv) nodes."""
         u0, u1, v0, v1 = domain
         nu, nv = shape
+        if nu < 2 or nv < 2:
+            raise ConstraintViolation(
+                f"grid {nu}x{nv} needs at least 2 nodes per axis")
         du = (u1 - u0) / (nu - 1)
         dv = (v1 - v0) / (nv - 1)
         us = u0 + du * np.arange(nu)
@@ -176,6 +179,8 @@ def solve_far_map(g: ComplexField, boundary, case: int = CASE_HOLOMORPHIC,
     if nu < 3 or nv < 3:
         raise ConstraintViolation("grid needs at least one interior node")
     validate_normal_field(g, case, standoff)
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
 
     z = g.z_grid()
     if callable(boundary):
@@ -374,6 +379,7 @@ def radial_profile(s_span, f0=1.0, slope=-0.15, rtol=1e-12):
     lo, hi = float(s_span[0]), float(s_span[1])
     if lo <= 1.0:
         raise ConstraintViolation("profile domain must satisfy s > 1")
+    from scipy.integrate import solve_ivp
 
     def rhs(s, y):
         f, fp = y

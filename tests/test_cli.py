@@ -251,3 +251,31 @@ class TestDeterminism:
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
+
+
+class TestBadInputsExitTwo:
+    def test_weierstrass_single_node_grid(self, capsys):
+        code, _, err = run_cli(capsys, "weierstrass", "build",
+                               "--g", "builtin:z", "--case", "1",
+                               "--domain", "1.5:2.5:0.1:0.9", "--grid", "1",
+                               "--boundary", "builtin:radial")
+        assert code == 2
+        assert "ConstraintViolation" in err
+
+    def test_weierstrass_reversed_domain(self, capsys):
+        code, out, err = run_cli(capsys, "weierstrass", "build",
+                                 "--g", "builtin:z", "--case", "1",
+                                 "--domain", "2.5:1.5:0.1:0.9", "--grid", "9",
+                                 "--boundary", "builtin:radial")
+        assert code == 2
+        assert out == ""
+        assert "--domain" in err
+
+    @pytest.mark.parametrize("bounds", [("1", "-1", "-1", "1"),
+                                        ("-1", "inf", "-1", "1")])
+    def test_check_bad_graph_domain(self, capsys, bounds):
+        code, out, err = run_cli(capsys, "check", "forms", "--graph", "1+u^2/8",
+                                 "--graph-domain", *bounds)
+        assert code == 2
+        assert out == ""
+        assert "--graph-domain" in err
