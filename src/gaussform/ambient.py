@@ -79,10 +79,6 @@ class AmbientSpace:
     def eps(self):
         return np.array(self.signature, dtype=float)
 
-    def flat_product(self, a, b):
-        """Sign-weighted flat product sum_A eps_A a_A b_A."""
-        return float(np.sum(self.eps * np.asarray(a) * np.asarray(b)))
-
 
 def hyperbolic_space(dim=3):
     return AmbientSpace(Kind.HYPERBOLIC, dim)
@@ -208,6 +204,22 @@ def to_half_space(space: AmbientSpace, point: MinkowskiPoint) -> HalfSpacePoint:
     return HalfSpacePoint((x1 / d, x2 / d, 1.0 / d))
 
 
+def minkowski_coords(space: AmbientSpace, x, sheet_sign=1) -> list:
+    """Half-space coordinates x -> the four Minkowski coordinates, unchecked.
+
+    Plain arithmetic only, so it runs on floats and on calculus jets alike;
+    ``sheet_sign`` (the sign of X0 - X3) picks the de Sitter branch.
+    """
+    x1, x2, x3 = x
+    q = x1 * x1 + x2 * x2
+    if space.kind is Kind.HYPERBOLIC:
+        return [(q + x3 * x3 + 1.0) / (2.0 * x3), x1 / x3, x2 / x3,
+                (q + x3 * x3 - 1.0) / (2.0 * x3)]
+    s = 1.0 if sheet_sign >= 0 else -1.0
+    return [s * (q - x3 * x3 + 1.0) / (2.0 * x3), x1 / x3, x2 / x3,
+            s * (q - x3 * x3 - 1.0) / (2.0 * x3)]
+
+
 def to_minkowski(space: AmbientSpace, p: HalfSpacePoint, sheet_sign=1) -> MinkowskiPoint:
     """Half-space chart -> Minkowski model.
 
@@ -217,31 +229,11 @@ def to_minkowski(space: AmbientSpace, p: HalfSpacePoint, sheet_sign=1) -> Minkow
     if space.dim != 3:
         raise ValueError("Minkowski-model conversion is defined for dim 3")
     p.require_valid()
-    x1, x2, x3 = p.coords
-    q = x1 * x1 + x2 * x2
-    if space.kind is Kind.HYPERBOLIC:
-        point = MinkowskiPoint(
-            ((q + x3 * x3 + 1.0) / (2.0 * x3), x1 / x3, x2 / x3,
-             (q + x3 * x3 - 1.0) / (2.0 * x3)),
-            Quadric.H)
-    else:
-        s = 1.0 if sheet_sign >= 0 else -1.0
-        point = MinkowskiPoint(
-            (s * (q - x3 * x3 + 1.0) / (2.0 * x3), x1 / x3, x2 / x3,
-             s * (q - x3 * x3 - 1.0) / (2.0 * x3)),
-            Quadric.DS)
+    quadric = Quadric.H if space.kind is Kind.HYPERBOLIC else Quadric.DS
+    point = MinkowskiPoint(minkowski_coords(space, p.coords, sheet_sign), quadric)
     if point.quadric_residual() > QUADRIC_PRODUCE_TOL * max(1.0, np.abs(point.coords).max()**2):
         raise QuadricViolation("conversion failed to land on the quadric")
     return point
-
-
-def model_convert(space: AmbientSpace, point, sheet_sign=1):
-    """Convert between the half-space chart and the Minkowski model (either way)."""
-    if isinstance(point, HalfSpacePoint):
-        return to_minkowski(space, point, sheet_sign)
-    if isinstance(point, MinkowskiPoint):
-        return to_half_space(space, point)
-    raise TypeError(f"cannot convert {type(point).__name__}")
 
 
 def isometry_shift(p: HalfSpacePoint, theta: float, a: float, b: float) -> HalfSpacePoint:

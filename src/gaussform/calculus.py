@@ -263,21 +263,22 @@ class GraphExpr:
     """Parsed expression over the variables u and v."""
 
     ast: object
+    constants: tuple = ()     # sorted (name, value) pairs of the extra constants
 
     def __str__(self):
         return unparse(self.ast)
 
     def __call__(self, u, v):
-        return evaluate(self.ast, u, v)
+        return evaluate(self.ast, u, v, dict(self.constants))
 
     def jet(self, u, v):
         """Value, gradient (2,), Hessian (2, 2) at (u, v), exact to rounding."""
-        j = _jet_eval(self.ast, u, v)
+        j = _jet_eval(self.ast, u, v, dict(self.constants))
         return j.val, j.g.copy(), j.h.copy()
 
     def derivative(self, var: str) -> "GraphExpr":
         """Symbolic partial derivative (unsimplified tree)."""
-        return GraphExpr(derivative(self.ast, var))
+        return GraphExpr(derivative(self.ast, var), self.constants)
 
 
 def parse_graph_expr(text: str, extra_constants=()) -> GraphExpr:
@@ -286,9 +287,9 @@ def parse_graph_expr(text: str, extra_constants=()) -> GraphExpr:
     ``extra_constants`` maps additional identifier names to values (the CLI
     uses it to allow the imaginary unit in complex field expressions).
     """
-    constants = dict(CONSTANTS)
-    constants.update(extra_constants)
-    return GraphExpr(_Parser(text, constants).parse())
+    extra = dict(extra_constants)
+    tree = _Parser(text, {**CONSTANTS, **extra}).parse()
+    return GraphExpr(tree, tuple(sorted(extra.items())))
 
 
 def contains_var(node, name: str) -> bool:
@@ -367,6 +368,14 @@ _COMPLEX_FUNCS = {
 _EXTRA_CONSTANT_VALUES = {"i": 1j}
 
 
+def _constant(name, constants):
+    if name in CONSTANTS:
+        return CONSTANTS[name]
+    if constants and name in constants:
+        return constants[name]
+    return _EXTRA_CONSTANT_VALUES[name]
+
+
 def evaluate(node, u, v, constants=None):
     """Evaluate a tree at (u, v); complex arguments switch to complex arithmetic."""
     is_complex = isinstance(u, complex) or isinstance(v, complex)
@@ -377,11 +386,7 @@ def evaluate(node, u, v, constants=None):
         if isinstance(n, Var):
             return u if n.name == "u" else v
         if isinstance(n, Const):
-            if n.name in CONSTANTS:
-                return CONSTANTS[n.name]
-            if constants and n.name in constants:
-                return constants[n.name]
-            return _EXTRA_CONSTANT_VALUES[n.name]
+            return _constant(n.name, constants)
         if isinstance(n, Neg):
             return -rec(n.arg)
         if isinstance(n, Call):
@@ -444,6 +449,9 @@ class _Jet:
         g = np.zeros(2)
         g[index] = 1.0
         return _Jet(val, g)
+
+    def __float__(self):
+        return self.val
 
     def _lift(self, other):
         return other if isinstance(other, _Jet) else _Jet(other)
@@ -561,14 +569,17 @@ def _jet_call(fn, x: _Jet) -> _Jet:
     raise TypeError(f"unknown function {fn!r}")
 
 
-def _jet_eval(node, u, v) -> _Jet:
+def _jet_eval(node, u, v, constants=None) -> _Jet:
     def rec(n):
         if isinstance(n, Num):
             return _Jet(n.value)
         if isinstance(n, Var):
             return _Jet.variable(u, 0) if n.name == "u" else _Jet.variable(v, 1)
         if isinstance(n, Const):
-            return _Jet(CONSTANTS.get(n.name, _EXTRA_CONSTANT_VALUES.get(n.name, 0.0)))
+            value = _constant(n.name, constants)
+            if isinstance(value, complex):
+                raise DomainError(f"constant {n.name!r} is complex; jets are real")
+            return _Jet(value)
         if isinstance(n, Neg):
             return -rec(n.arg)
         if isinstance(n, Call):
@@ -619,6 +630,11 @@ def scalar_jet(node, u, v) -> "_Jet":
     """Second-order jet of an expression tree; supports plain arithmetic, so
     closed-form pipelines can be differentiated by running them on jets."""
     return _jet_eval(node, u, v)
+
+
+def first_order_jet(val, grad) -> "_Jet":
+    """Jet with a zero Hessian: plain arithmetic on it gives exact first derivatives."""
+    return _Jet(val, np.array(grad, dtype=float))
 
 
 def jet_sqrt(x):
@@ -738,6 +754,12 @@ class SurfaceChart:
     @property
     def kind(self):
         return self.evaluator.kind
+
+    def orientation_at(self, p):
+        """The orientation override at parameter p, callables resolved."""
+        if callable(self.orientation):
+            return self.orientation(float(p[0]), float(p[1]))
+        return self.orientation
 
     def contains(self, u, v, margin=0.0):
         u0, u1, v0, v1 = self.domain

@@ -3,11 +3,12 @@
 The unit normal of a surface, parallel translated to the origin of Minkowski
 4-space, lands on the opposite quadric: de Sitter for sources in hyperbolic
 space and vice versa (time-like de Sitter surfaces stay on the de Sitter
-quadric).  This module computes that dual point, its exact first derivatives
-(through the closed-form normal derivative, so double polarity can be checked
-at full precision), the curvature and volume transfer laws, the graph-level
-duality between the two fully nonlinear graph PDEs, and the isometry fitting
-used to match dual families.
+quadric).  This module computes that dual point through one polar-map code
+path that runs on floats and on jets (so the dual chart has exact
+derivatives and double polarity can be checked at full precision), the
+curvature and volume transfer laws, the graph-level duality between the two
+fully nonlinear graph PDEs, and the isometry fitting used to match dual
+families.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import calculus as calc
 from . import forms
 from . import zoo
 from .errors import (BranchPoint, CausalityViolation, EquatorialNormal,
-                     NonPositiveHeight, OrientationUndefined, WrongCausalClass)
+                     NonPositiveHeight, WrongCausalClass)
 
 H3_TO_DS3 = "h3-to-ds3"
 DS3_TO_H3 = "ds3-to-h3"
@@ -78,27 +79,8 @@ def curvature_transfer(curvature: float, direction: str) -> float:
 
 
 # --------------------------------------------------------------------------
-# Minkowski lift of point and normal, with exact first derivatives
+# The polar map, written once for floats and jets
 # --------------------------------------------------------------------------
-
-def minkowski_jacobian(space: amb.AmbientSpace, x, sheet_sign=1) -> np.ndarray:
-    """d(Minkowski)/d(half-space) as a 4x3 matrix at half-space coords x."""
-    x1, x2, x3 = (float(c) for c in x)
-    q = x1 * x1 + x2 * x2
-    j = np.zeros((4, 3))
-    if space.kind is amb.Kind.HYPERBOLIC:
-        j[0] = [x1 / x3, x2 / x3, (x3 * x3 - q - 1.0) / (2.0 * x3 * x3)]
-        j[3] = [x1 / x3, x2 / x3, (x3 * x3 - q + 1.0) / (2.0 * x3 * x3)]
-    else:
-        s = 1.0 if sheet_sign >= 0 else -1.0
-        j[0] = [s * x1 / x3, s * x2 / x3,
-                -s * (q + x3 * x3 + 1.0) / (2.0 * x3 * x3)]
-        j[3] = [s * x1 / x3, s * x2 / x3,
-                -s * (q + x3 * x3 - 1.0) / (2.0 * x3 * x3)]
-    j[1] = [1.0 / x3, 0.0, -x1 / (x3 * x3)]
-    j[2] = [0.0, 1.0 / x3, -x2 / (x3 * x3)]
-    return j
-
 
 def minkowski_normal(space: amb.AmbientSpace, x, eta, sheet_sign=1):
     """Minkowski coordinates of the surface point and its unit normal.
@@ -107,34 +89,37 @@ def minkowski_normal(space: amb.AmbientSpace, x, eta, sheet_sign=1):
     the polar point on the opposite quadric.
     """
     X = amb.to_minkowski(space, amb.HalfSpacePoint(tuple(x)), sheet_sign).array()
-    return X, _normal_from_lift(X, eta)
+    return X, np.array(_normal_from_lift(X, eta))
 
 
 def _normal_from_lift(X, eta):
-    eta1, eta2, eta3 = (float(c) for c in eta)
+    eta1, eta2, eta3 = eta
     w = X[3] - X[0]
     v1 = eta1 - X[1] * eta3
     v2 = eta2 - X[2] * eta3
     d = eta3 * w                      # V0 - V3
     s = ((X[0] + X[3]) * d - 2.0 * (X[1] * v1 + X[2] * v2)) / w
-    return np.array([(s + d) / 2.0, v1, v2, (s - d) / 2.0])
+    return [0.5 * (s + d), v1, v2, 0.5 * (s - d)]
 
 
-def _normal_lift_derivative(X, dX, eta, deta):
-    """Derivative of the lifted normal along the surface parameters."""
-    w = X[3] - X[0]
-    dw = dX[3] - dX[0]
-    v1 = eta[0] - X[1] * eta[2]
-    v2 = eta[1] - X[2] * eta[2]
-    dv1 = deta[0] - dX[1] * eta[2] - X[1] * deta[2]
-    dv2 = deta[1] - dX[2] * eta[2] - X[2] * deta[2]
-    d = eta[2] * w
-    dd = deta[2] * w + eta[2] * dw
-    num = (X[0] + X[3]) * d - 2.0 * (X[1] * v1 + X[2] * v2)
-    dnum = ((dX[0] + dX[3]) * d + (X[0] + X[3]) * dd
-            - 2.0 * (dX[1] * v1 + X[1] * dv1 + dX[2] * v2 + X[2] * dv2))
-    ds = (dnum * w - num * dw) / (w * w)
-    return np.array([(ds + dd) / 2.0, dv1, dv2, (ds - dd) / 2.0])
+def _require_off_equator(eta):
+    if abs(float(eta[2])) < EQUATORIAL_TOL:
+        raise EquatorialNormal("dual point would land on the degenerate set")
+
+
+def _dual_point(space: amb.AmbientSpace, X, eta):
+    """Lifted normal V on the dual quadric and its half-space chart position.
+
+    X is the Minkowski lift of the source point and eta the oriented normal
+    frame components.  Plain arithmetic on floats or calculus jets, so running
+    it on jets differentiates the polar map.  Returns (V, pos) as lists.
+    """
+    V = _normal_from_lift(X, eta)
+    if transfer_direction(space) == DS3_TO_H3 and float(V[0]) < 0.0:
+        V = [-c for c in V]           # pick the upper sheet of the hyperboloid
+    d = V[0] - V[3]
+    sd = math.copysign(1.0, float(d))
+    return V, [V[1] / (sd * d), V[2] / (sd * d), 1.0 / (sd * d)]
 
 
 # --------------------------------------------------------------------------
@@ -161,38 +146,6 @@ class PolarPoint:
         return self.dual_curvature
 
 
-def _polar_pieces(bundle: forms.FormBundle, jet: calc.Jet2, sheet_sign):
-    """X, dX, V, dV for the dual point, all exact from the bundle."""
-    space = bundle.space
-    eta = bundle.eta
-    if abs(eta[2]) < EQUATORIAL_TOL:
-        raise EquatorialNormal("dual point would land on the degenerate set")
-    X, V = minkowski_normal(space, jet.x, eta, sheet_sign)
-    J = minkowski_jacobian(space, jet.x, sheet_sign)
-    dX = J @ jet.du                   # (4, 2)
-    dV = np.stack([_normal_lift_derivative(X, dX[:, k], eta, bundle.eta_du[:, k])
-                   for k in range(jet.du.shape[1])], axis=1)
-    target = dual_space(space)
-    if target.kind is amb.Kind.HYPERBOLIC and V[0] < 0.0:
-        V, dV = -V, -dV               # pick the upper sheet of the hyperboloid
-    return X, dX, V, dV, target
-
-
-def _half_space_of(V, dV=None):
-    """Project a quadric point (and optionally its derivative) to the chart."""
-    d = V[0] - V[3]
-    sd = math.copysign(1.0, d)
-    pos = np.array([V[1] / (sd * d), V[2] / (sd * d), 1.0 / (sd * d)])
-    if dV is None:
-        return pos, None
-    dd = dV[0] - dV[3]
-    dpos = np.empty((3, dV.shape[1]))
-    dpos[0] = dV[1] / (sd * d) - V[1] * dd / (sd * d * d)
-    dpos[1] = dV[2] / (sd * d) - V[2] * dd / (sd * d * d)
-    dpos[2] = -dd / (sd * d * d)
-    return pos, dpos
-
-
 def polar_variety(chart: calc.SurfaceChart, p, sheet_sign=1) -> PolarPoint:
     """Polar point of the surface at parameter p, with curvature transfer.
 
@@ -201,12 +154,10 @@ def polar_variety(chart: calc.SurfaceChart, p, sheet_sign=1) -> PolarPoint:
     there.
     """
     jet = calc.jet2_eval(chart, p)
-    orientation = chart.orientation
-    if callable(orientation):
-        orientation = orientation(float(p[0]), float(p[1]))
-    bundle = forms.fundamental_forms(jet, chart.ambient, orientation)
-    X, _, V, _, target = _polar_pieces(bundle, jet, sheet_sign)
-    pos, _ = _half_space_of(V)
+    bundle = forms.fundamental_forms(jet, chart.ambient, chart.orientation_at(p))
+    _require_off_equator(bundle.eta)
+    X = amb.minkowski_coords(chart.ambient, jet.x, sheet_sign)
+    V, pos = _dual_point(chart.ambient, X, bundle.eta)
     if not pos[2] > 0.0:
         raise NonPositiveHeight("dual point left the upper half-space")
 
@@ -220,8 +171,7 @@ def polar_variety(chart: calc.SurfaceChart, p, sheet_sign=1) -> PolarPoint:
 
     src_quadric = amb.Quadric.H if chart.ambient.kind is amb.Kind.HYPERBOLIC \
         else amb.Quadric.DS
-    dst_quadric = amb.Quadric.DS if target.kind is amb.Kind.DE_SITTER \
-        else amb.Quadric.H
+    dst_quadric = amb.Quadric.H if direction == DS3_TO_H3 else amb.Quadric.DS
     return PolarPoint(
         position=amb.HalfSpacePoint(tuple(pos)),
         minkowski=amb.MinkowskiPoint(tuple(V), dst_quadric),
@@ -248,10 +198,6 @@ def _exact_polar_jet_fn(chart: calc.SurfaceChart, sheet_sign):
     dv_asts = tuple(calc.derivative(a, "v") for a in asts)
     space = chart.ambient
     eps = space.signature
-    target = dual_space(space)
-    hyper_source = space.kind is amb.Kind.HYPERBOLIC
-    hyper_target = target.kind is amb.Kind.HYPERBOLIC
-    s_sheet = 1.0 if sheet_sign >= 0 else -1.0
 
     def jet_fn(u, v):
         x = [calc.scalar_jet(a, u, v) for a in asts]
@@ -266,72 +212,30 @@ def _exact_polar_jet_fn(chart: calc.SurfaceChart, sheet_sign):
             raise WrongCausalClass(
                 "normal scalar square has the wrong sign for the declared class")
         eta = [c / calc.jet_sqrt(space.normal_sign * nn) for c in nd]
-        orientation = chart.orientation
-        if callable(orientation):
-            orientation = orientation(u, v)
-        if orientation is None or isinstance(orientation, (int, float)):
-            want = 1.0 if orientation is None else float(orientation)
-            if abs(eta[2].val) < EQUATORIAL_TOL:
-                raise EquatorialNormal("dual point would land on the degenerate set")
-            sigma = 1.0 if math.copysign(1.0, eta[2].val) == math.copysign(1.0, want) \
-                else -1.0
-        else:
-            ref = np.asarray(orientation, dtype=float)
-            dot = sum(float(ref[a]) * eta[a].val for a in range(3))
-            if abs(dot) <= 1e-12:
-                raise OrientationUndefined("reference vector orthogonal to normal")
-            sigma = math.copysign(1.0, dot)
+        _require_off_equator(eta)
+        sigma = forms.orientation_sign(eta, chart.orientation_at((u, v)))
         eta = [sigma * c for c in eta]
-        if abs(eta[2].val) < EQUATORIAL_TOL:
-            raise EquatorialNormal("dual point would land on the degenerate set")
-
-        x1, x2, x3 = x
-        q = x1 * x1 + x2 * x2
-        if hyper_source:
-            X0 = (q + x3 * x3 + 1.0) / (2.0 * x3)
-            X3 = (q + x3 * x3 - 1.0) / (2.0 * x3)
-        else:
-            X0 = s_sheet * (q - x3 * x3 + 1.0) / (2.0 * x3)
-            X3 = s_sheet * (q - x3 * x3 - 1.0) / (2.0 * x3)
-        X1, X2 = x1 / x3, x2 / x3
-
-        wdiff = X3 - X0
-        v1 = eta[0] - X1 * eta[2]
-        v2 = eta[1] - X2 * eta[2]
-        d = eta[2] * wdiff
-        s = ((X0 + X3) * d - 2.0 * (X1 * v1 + X2 * v2)) / wdiff
-        v0 = 0.5 * (s + d)
-        v3 = 0.5 * (s - d)
-        if hyper_target and v0.val < 0.0:
-            v0, v1, v2, v3 = -v0, -v1, -v2, -v3
-        diff = v0 - v3
-        sd = math.copysign(1.0, diff.val)
-        p1 = v1 / (sd * diff)
-        p2 = v2 / (sd * diff)
-        p3 = 1.0 / (sd * diff)
-        pos = np.array([p1.val, p2.val, p3.val])
-        dpos = np.stack([p1.g, p2.g, p3.g])
-        duu = np.stack([p1.h, p2.h, p3.h])
-        return pos, dpos, duu
+        _, pos = _dual_point(space, amb.minkowski_coords(space, x, sheet_sign), eta)
+        return (np.array([c.val for c in pos]), np.stack([c.g for c in pos]),
+                np.stack([c.h for c in pos]))
 
     return jet_fn
 
 
 def _fd_polar_jet_fn(chart: calc.SurfaceChart, sheet_sign):
     """Fallback for charts without expression trees: exact first derivatives
-    through the closed-form normal derivative, fourth-order differences of
-    those for the second order."""
+    by running the polar map on first-order jets of the point and normal,
+    fourth-order differences of those for the second order."""
+    space = chart.ambient
 
     def first_order(u, v):
         jet = calc.jet2_eval(chart, (u, v))
-        orientation = chart.orientation
-        if callable(orientation):
-            orientation = orientation(u, v)
-        bundle = forms.fundamental_forms(jet, chart.ambient, orientation)
-        if abs(bundle.eta[2]) < EQUATORIAL_TOL:
-            raise EquatorialNormal("dual point would land on the degenerate set")
-        X, dX, V, dV, _ = _polar_pieces(bundle, jet, sheet_sign)
-        return _half_space_of(V, dV)
+        bundle = forms.fundamental_forms(jet, space, chart.orientation_at((u, v)))
+        _require_off_equator(bundle.eta)
+        x = [calc.first_order_jet(jet.x[a], jet.du[a]) for a in range(3)]
+        eta = [calc.first_order_jet(bundle.eta[a], bundle.eta_du[a]) for a in range(3)]
+        _, pos = _dual_point(space, amb.minkowski_coords(space, x, sheet_sign), eta)
+        return np.array([c.val for c in pos]), np.stack([c.g for c in pos])
 
     def jet_fn(u, v):
         pos, dpos = first_order(u, v)
@@ -507,14 +411,13 @@ def _height_623(params, s1, s2):
     return lambda q1, q2: (s2 * c1 * c2 + s1 * q1 * q2) / np.sqrt(c1 * c1 + q2 * q2)
 
 
-# Source family -> (target family, graph height of the target over its own
-# base).  The sign switches absorb the target's parameter-sign freedom, which
-# depends on the sampled patch.
+# Source family -> (graph height of its zoo polar partner over the partner's
+# own base, sign choices).  The sign switches absorb the target's
+# parameter-sign freedom, which depends on the sampled patch.
 PAIRINGS = {
-    "translational-6.6": ("translational-6.4", _height_64, ((1, 1),)),
-    "ruled-6.7": ("ruled-6.2-2", _height_622, ((1, 1), (-1, 1))),
-    "ruled-6.8": ("ruled-6.2-3", _height_623,
-                  ((1, 1), (1, -1), (-1, 1), (-1, -1))),
+    "translational-6.6": (_height_64, ((1, 1),)),
+    "ruled-6.7": (_height_622, ((1, 1), (-1, 1))),
+    "ruled-6.8": (_height_623, ((1, 1), (1, -1), (-1, 1), (-1, -1))),
 }
 
 
@@ -526,9 +429,10 @@ def fit_family_pairing(source_key: str, params=None, count=100, seed=0):
     """
     if source_key not in PAIRINGS:
         raise ValueError(f"no recorded dual partner for family {source_key!r}")
-    target_key, height_builder, sign_choices = PAIRINGS[source_key]
+    height_builder, sign_choices = PAIRINGS[source_key]
+    fam = zoo.get_family(source_key)
     chart = zoo.make_surface(source_key, params)
-    merged = zoo.resolve_params(zoo.get_family(source_key), params)
+    merged = zoo.resolve_params(fam, params)
     rng = np.random.default_rng(seed)
     pts = np.array([polar_variety(chart, p).position.coords
                     for p in chart.interior_points(count, rng, margin_frac=0.1)])
@@ -538,7 +442,7 @@ def fit_family_pairing(source_key: str, params=None, count=100, seed=0):
                            label=f"signs ({s1:+d}, {s2:+d})")
         if best is None or fit.max_gap < best.max_gap:
             best = fit
-    return target_key, best
+    return fam.polar_partner, best
 
 
 def fit_isometry(points: np.ndarray, height_fn, thetas=(math.pi / 2, -math.pi / 2),

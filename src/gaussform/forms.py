@@ -99,14 +99,30 @@ def _check_causal_class(space, first):
     return det
 
 
-def _unit_normal(space, jet, orientation):
-    """Coordinate components of the unit normal, oriented per convention.
+def orientation_sign(eta, orientation) -> float:
+    """The sign (+1.0 or -1.0) that orients normal frame components eta.
 
     ``orientation`` may be None (last frame component nonnegative), an int
     sign forcing that component's sign, or a reference vector whose plain dot
     with eta breaks the tie (needed where the last component vanishes
-    identically, e.g. vertical planes and generalized cylinders).
+    identically, e.g. vertical planes and generalized cylinders).  Works on
+    floats and on calculus jets; raises OrientationUndefined at a tie.
     """
+    if orientation is not None and not isinstance(orientation, (int, float)):
+        dot = sum(float(r) * float(e) for r, e in zip(orientation, eta))
+        if abs(dot) <= ORIENTATION_TIE_TOL:
+            raise OrientationUndefined("reference vector is orthogonal to the normal")
+        return math.copysign(1.0, dot)
+    eta_last = float(eta[-1])
+    if abs(eta_last) <= ORIENTATION_TIE_TOL:
+        raise OrientationUndefined(
+            "last normal component vanishes; give a reference-vector override")
+    want = 1 if orientation is None else int(orientation)
+    return 1.0 if math.copysign(1.0, eta_last) == math.copysign(1.0, want) else -1.0
+
+
+def _unit_normal(space, jet, orientation):
+    """Coordinate components of the unit normal, oriented per orientation_sign."""
     g = amb.metric_at_height(space, jet.height)
     rows = jet.du.T @ g                     # orthogonality conditions <N, x_ui> = 0
     _, _, vh = np.linalg.svd(rows)
@@ -117,21 +133,7 @@ def _unit_normal(space, jet, orientation):
             f"normal has scalar square of sign {math.copysign(1.0, normsq):+.0f}, "
             f"expected {space.normal_sign:+d}")
     n = n0 / math.sqrt(abs(normsq))
-    eta = n / jet.height
-    if orientation is not None and not isinstance(orientation, (int, float)):
-        ref = np.asarray(orientation, dtype=float)
-        dot = float(ref @ eta)
-        if abs(dot) <= ORIENTATION_TIE_TOL:
-            raise OrientationUndefined("reference vector is orthogonal to the normal")
-        if dot < 0.0:
-            n = -n
-        return n, g
-    eta_last = eta[-1]
-    if abs(eta_last) <= ORIENTATION_TIE_TOL:
-        raise OrientationUndefined(
-            "last normal component vanishes; give a reference-vector override")
-    want = 1 if orientation is None else int(orientation)
-    if math.copysign(1.0, eta_last) != math.copysign(1.0, want):
+    if orientation_sign(n / jet.height, orientation) < 0.0:
         n = -n
     return n, g
 
@@ -190,10 +192,7 @@ def fundamental_forms(jet: calculus.Jet2, space: amb.AmbientSpace,
 def forms_at(chart: calculus.SurfaceChart, p) -> FormBundle:
     """Convenience wrapper: jet then forms, honoring the chart orientation."""
     jet = calculus.jet2_eval(chart, p)
-    orientation = chart.orientation
-    if callable(orientation):
-        orientation = orientation(float(p[0]), float(p[1]))
-    return fundamental_forms(jet, chart.ambient, orientation)
+    return fundamental_forms(jet, chart.ambient, chart.orientation_at(p))
 
 
 @dataclass(frozen=True)

@@ -69,14 +69,13 @@ class Family:
     space_tag: str
     defaults: dict
     conformal: str                       # CONFORMAL / GEODESIC / CONTROL
-    builder: object                      # params -> (evaluator, orientation)
     default_domain: object               # params -> (u0, u1, v0, v1)
+    builder: object = None               # params -> (evaluator, orientation), None for graphs
     check_params: object = None          # params -> None, raises ParamConstraint
     domain_predicates: object = None     # params -> [(name, fn(u, v) -> bool)]
     graph_pde: str | None = None         # "6.1" or "6.2" when the family is a graph
     graph_text: object = None            # params -> height expression text
     polar_partner: str | None = None     # family paired with it under the polar map
-    notes: str = ""
 
 
 _REGISTRY: dict = {}
@@ -144,7 +143,11 @@ def make_surface(key: str, params=None, domain=None) -> calc.SurfaceChart:
     """
     fam = get_family(key)
     merged = resolve_params(fam, params)
-    evaluator, orientation = fam.builder(merged)
+    if fam.builder is None:
+        evaluator = calc.GraphEvaluator(calc.parse_graph_expr(fam.graph_text(merged)))
+        orientation = None
+    else:
+        evaluator, orientation = fam.builder(merged)
     rect = tuple(float(t) for t in (domain or fam.default_domain(merged)))
     _scan_domain(fam, merged, rect, evaluator)
     return calc.SurfaceChart(rect, evaluator, space_for(fam.space_tag), orientation)
@@ -194,13 +197,6 @@ def gradient_square(f: calc.GraphExpr, p) -> float:
 # Builders
 # --------------------------------------------------------------------------
 
-def _graph_builder(text_fn):
-    def build(params):
-        expr = calc.parse_graph_expr(text_fn(params))
-        return calc.GraphEvaluator(expr), None
-    return build
-
-
 def _parametric_builder(texts_fn, orientation_fn=None):
     def build(params):
         comps = tuple(calc.parse_graph_expr(t) for t in texts_fn(params))
@@ -230,7 +226,6 @@ _register(Family(
     space_tag=H3,
     defaults={"c": 1.0},
     conformal=CONFORMAL,
-    builder=_graph_builder(lambda p: _p(p["c"])),
     default_domain=lambda p: (-2.0, 2.0, -2.0, 2.0),
     check_params=lambda p: _positive(p, "c"),
     graph_pde=PDE_H3,
@@ -254,12 +249,13 @@ _register(Family(
     space_tag=H3,
     defaults={},
     conformal=CONFORMAL,
-    builder=_graph_builder(lambda p: "u"),
     default_domain=lambda p: (0.3, 3.0, -2.0, 2.0),
     graph_pde=PDE_H3,
     graph_text=lambda p: "u",
 ))
 
+# The branch loci of the polar map sit on u, v in {0, pi}; the default domain
+# keeps off them.
 _register(Family(
     key="translational-6.6",
     description="translational surface with circular profiles",
@@ -274,7 +270,6 @@ _register(Family(
     default_domain=lambda p: (0.15, _PI - 0.15, 0.15, _PI - 0.15),
     check_params=lambda p: _nonzero(p, "a", "b"),
     polar_partner="translational-6.4",
-    notes="branch loci of the polar map sit on u, v in {0, pi}; default domain keeps off them",
 ))
 
 _register(Family(
@@ -315,7 +310,6 @@ _register(Family(
     space_tag=H3,
     defaults={},
     conformal=CONTROL,
-    builder=_graph_builder(lambda p: "1+u^2+v^2"),
     default_domain=lambda p: (-0.3, 0.3, -0.3, 0.3),
     graph_text=lambda p: "1+u^2+v^2",
 ))
@@ -328,7 +322,6 @@ _register(Family(
     space_tag=DS3,
     defaults={"c": 1.0},
     conformal=CONFORMAL,
-    builder=_graph_builder(lambda p: _p(p["c"])),
     default_domain=lambda p: (-2.0, 2.0, -2.0, 2.0),
     check_params=lambda p: _positive(p, "c"),
     graph_pde=PDE_DS3,
@@ -351,8 +344,6 @@ _register(Family(
     space_tag=DS3,
     defaults={"p": 0.5, "q": 0.0, "r": 2.0},
     conformal=CONFORMAL,
-    builder=_graph_builder(
-        lambda p: f"{_p(p['p'])}*u+{_p(p['q'])}*v+{_p(p['r'])}"),
     default_domain=lambda p: (-1.0, 1.0, -1.0, 1.0),
     check_params=_check_plane_spacelike,
     graph_pde=PDE_DS3,
@@ -394,8 +385,6 @@ _register(Family(
     space_tag=DS3,
     defaults={"a": 1.0, "b": 1.0},
     conformal=CONFORMAL,
-    builder=_graph_builder(
-        lambda p: f"sqrt({_p(p['a'])}^2+u^2)+sqrt({_p(p['b'])}^2+v^2)"),
     default_domain=lambda p: (-0.7, 0.7, -0.7, 0.7),
     check_params=_check_63,
     domain_predicates=_dom_63,
@@ -409,8 +398,6 @@ _register(Family(
     space_tag=DS3,
     defaults={"a": 1.0, "b": 1.0},
     conformal=CONFORMAL,
-    builder=_graph_builder(
-        lambda p: f"sqrt({_p(p['a'])}^2+u^2)-sqrt({_p(p['b'])}^2+v^2)"),
     default_domain=lambda p: (1.2, 2.0, 0.1, 0.4),
     check_params=_check_63,
     domain_predicates=_dom_63,
@@ -436,6 +423,7 @@ _register(Family(
          lambda u, v: abs(math.sinh(u) * math.sinh(v)) < 1.0)],
 ))
 
+# Space-like on u < |c| cosh v; sampling outside is allowed but forms are not.
 _register(Family(
     key="ruled-6.2-2",
     description="space-like ruled surface, hyperbolic directrix",
@@ -449,7 +437,6 @@ _register(Family(
     )),
     default_domain=lambda p: (0.2, min(0.9, 0.9 * abs(p["c"])), 0.1, 1.5),
     check_params=lambda p: _nonzero(p, "c"),
-    notes="space-like on u < |c| cosh v; sampling outside is allowed but forms are not",
 ))
 
 _register(Family(
@@ -479,7 +466,6 @@ _register(Family(
     space_tag=DS3,
     defaults={"c1": 1.0, "c2": 2.0},
     conformal=CONFORMAL,
-    builder=_graph_builder(_corollary6_text("")),
     default_domain=lambda p: (0.1, 0.8, 0.1, 0.8),
     check_params=lambda p: _nonzero(p, "c1"),
     domain_predicates=_gradient_predicate(_corollary6_text(""), True),
@@ -493,7 +479,6 @@ _register(Family(
     space_tag=DS3,
     defaults={"c1": 1.0, "c2": -2.0},
     conformal=CONFORMAL,
-    builder=_graph_builder(_corollary6_text("-")),
     default_domain=lambda p: (0.05, 0.3, 0.05, 0.3),
     check_params=lambda p: _nonzero(p, "c1"),
     domain_predicates=_gradient_predicate(_corollary6_text("-"), True),
@@ -509,8 +494,6 @@ _register(Family(
     space_tag=DS3_TIMELIKE,
     defaults={"p": 2.0, "q": 0.0, "r": 3.0},
     conformal=CONFORMAL,
-    builder=_graph_builder(
-        lambda p: f"{_p(p['p'])}*u+{_p(p['q'])}*v+{_p(p['r'])}"),
     default_domain=lambda p: (-0.5, 1.0, -1.0, 1.0),
     check_params=_check_plane_timelike,
     graph_pde=PDE_DS3,
@@ -525,7 +508,6 @@ def _translational_73(key, text_fn, domain, description):
         space_tag=DS3_TIMELIKE,
         defaults={"a": 1.0, "b": 1.0},
         conformal=CONFORMAL,
-        builder=_graph_builder(text_fn),
         default_domain=lambda p: domain,
         check_params=lambda p: _nonzero(p, "a", "b"),
         graph_pde=PDE_DS3,
@@ -584,7 +566,6 @@ def _flaherty(key, sign_text, domain):
         space_tag=DS3_TIMELIKE,
         defaults={"psi": "v"},
         conformal=CONFORMAL,
-        builder=_graph_builder(text),
         default_domain=lambda p: domain,
         check_params=check,
         graph_pde=PDE_DS3,
@@ -687,6 +668,8 @@ def _cylinder_check(params):
                 f"directrix must be space-like (fails near v = {v:.3g})")
 
 
+# The normal is horizontal (eta_3 = 0 identically), so the orientation comes
+# from a reference vector built on the directrix.
 _register(Family(
     key="cylinder-7.4-2",
     description="generalized cylinder over a space-like directrix, vertical rulings",
@@ -702,7 +685,6 @@ _register(Family(
         _cylinder_orientation(p)),
     default_domain=lambda p: (0.5, 2.0, 0.1, 3.0),
     check_params=_cylinder_check,
-    notes="normal is horizontal (eta_3 = 0 identically); orientation uses the directrix",
 ))
 
 _register(Family(
@@ -711,8 +693,6 @@ _register(Family(
     space_tag=DS3_TIMELIKE,
     defaults={"c1": 1.0, "c2": 0.5},
     conformal=CONFORMAL,
-    builder=_graph_builder(
-        lambda p: f"({_p(p['c1'])}*{_p(p['c2'])}-u*v)/sqrt(v^2-{_p(p['c1'])}^2)"),
     default_domain=lambda p: (0.05, 0.2, 1.5, 2.0),
     check_params=lambda p: _nonzero(p, "c1"),
     graph_pde=PDE_DS3,
@@ -725,8 +705,6 @@ _register(Family(
     space_tag=DS3_TIMELIKE,
     defaults={"c1": 1.0, "c2": 0.5},
     conformal=CONFORMAL,
-    builder=_graph_builder(
-        lambda p: f"-({_p(p['c1'])}*{_p(p['c2'])}-u*v)/sqrt(v^2-{_p(p['c1'])}^2)"),
     default_domain=lambda p: (1.0, 2.0, 1.5, 2.0),
     check_params=lambda p: _nonzero(p, "c1"),
     graph_pde=PDE_DS3,

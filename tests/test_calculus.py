@@ -73,6 +73,20 @@ class TestParser:
         e = calc.parse_graph_expr("u + i*v", extra_constants={"i": 1j})
         assert calc.evaluate(e.ast, 1.0, 2.0) == 1.0 + 2.0j
 
+    def test_extra_constant_value_kept(self):
+        e = calc.parse_graph_expr("k*u", extra_constants={"k": 2.0})
+        assert e(1, 0) == 2.0
+
+    def test_extra_constant_value_in_jets(self):
+        val, grad, _ = calc.parse_graph_expr(
+            "k*u", extra_constants={"k": 2.0}).jet(1, 0)
+        assert val == 2.0 and grad[0] == 2.0
+
+    def test_complex_constant_jet_is_domain_error(self):
+        e = calc.parse_graph_expr("u+i*v", extra_constants={"i": 1j})
+        with pytest.raises(DomainError):
+            e.jet(1, 2)
+
 
 def _leaf():
     return st.one_of(

@@ -114,6 +114,23 @@ class TestDualize:
         report = json.loads(out)
         assert report["summary"]["max_transfer_residual"] <= 1e-8
 
+    def test_transfer_gate_relative_near_branch_locus(self, capsys):
+        # The worst point sits next to the branch locus, where the dual
+        # curvature is large; its residual is reported absolute but gated
+        # relative to |dual K|.
+        code, out, _ = run_cli(capsys, "dualize", "ruled-6.7")
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert summary["max_transfer_residual"] > cli.TOL_TRANSFER
+        assert summary["pass"]["transfer_law"]
+
+    @pytest.mark.parametrize("key", ["vertical-plane", "cylinder-7.4-2"])
+    def test_equatorial_normal_fails_every_point(self, capsys, key):
+        code, out, _ = run_cli(capsys, "dualize", key)
+        assert code == 1
+        points = json.loads(out)["points"]
+        assert points and all(p["status"] == "EquatorialNormal" for p in points)
+
 
 class TestWeierstrassBuild:
     def test_radial_problem(self, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from gaussform import ambient as amb
 from gaussform import calculus as calc
 from gaussform import duality, forms, zoo
 from gaussform.errors import (BranchPoint, CausalityViolation, EquatorialNormal,
-                              NonPositiveHeight)
+                              NonPositiveHeight, OrientationUndefined)
 
 H3 = amb.hyperbolic_space()
 DS3 = amb.de_sitter_space()
@@ -113,6 +114,43 @@ class TestPolarVariety:
             for p in chart.interior_points(10, rng):
                 pp = duality.polar_variety(chart, p)
                 assert pp.volume_ratio == pytest.approx(pp.source_eta3**2, abs=1e-8)
+
+
+class TestPolarChartPaths:
+    @pytest.mark.parametrize("key", ["translational-6.6", "ruled-6.7",
+                                     "ruled-7.4-3", "corollary-6"])
+    def test_position_only_source_matches_exact(self, key, rng):
+        chart = zoo.make_surface(key)
+        numeric = dataclasses.replace(chart, evaluator=calc.NumericEvaluator(
+            lambda u, v: chart.evaluator.jet(u, v)[0]))
+        exact = duality.polar_chart(chart)
+        approx = duality.polar_chart(numeric)
+        for p in chart.interior_points(4, rng, margin_frac=0.1):
+            a, b = calc.jet2_eval(exact, p), calc.jet2_eval(approx, p)
+            for want, got in ((a.du, b.du), (a.duu, b.duu)):
+                scale = max(1.0, float(np.abs(want).max()))
+                assert np.abs(want - got).max() <= 1e-5 * scale
+
+    @pytest.mark.parametrize("key", ["translational-6.6", "ruled-7.4-3"])
+    def test_orientation_override_reaches_polar_chart(self, key, rng):
+        chart = zoo.make_surface(key)
+        flipped = dataclasses.replace(chart, orientation=-1)
+        dual = duality.polar_chart(flipped)
+        for p in chart.interior_points(4, rng, margin_frac=0.1):
+            pos = np.array(duality.polar_variety(flipped, p).position.coords)
+            assert np.abs(pos - calc.jet2_eval(dual, p).x).max() <= 1e-12
+            unflipped = duality.polar_variety(chart, p).position.coords
+            assert np.abs(pos - unflipped).max() > 1e-3
+
+    def test_reference_orthogonal_to_normal(self):
+        chart = zoo.make_surface("translational-6.6")
+        p = (1.0, 1.2)
+        eta = forms.forms_at(chart, p).eta
+        tied = dataclasses.replace(chart, orientation=np.array([eta[1], -eta[0], 0.0]))
+        with pytest.raises(OrientationUndefined):
+            forms.forms_at(tied, p)
+        with pytest.raises(OrientationUndefined):
+            calc.jet2_eval(duality.polar_chart(tied), p)
 
 
 class TestTransferLaw:
