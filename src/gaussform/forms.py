@@ -86,7 +86,9 @@ class FormBundle:
         return self.fourth
 
 
-def _check_causal_class(space, first):
+def check_causal_class(space, first):
+    """Determinant of the induced metric, which must be nondegenerate and of
+    the causal class of ``space``; raises NonImmersed or WrongCausalClass."""
     det = np.linalg.det(first)
     if abs(det) < calculus.GRAM_DET_TOL:
         raise NonImmersed(f"induced metric is degenerate (det {det:.3e})")
@@ -121,8 +123,10 @@ def orientation_sign(eta, orientation) -> float:
     return 1.0 if math.copysign(1.0, eta_last) == math.copysign(1.0, want) else -1.0
 
 
-def _unit_normal(space, jet, orientation):
-    """Coordinate components of the unit normal, oriented per orientation_sign."""
+def unit_normal(space, jet, orientation):
+    """Coordinate components of the unit normal, oriented per orientation_sign,
+    and the ambient metric at the point; raises WrongCausalClass when the
+    normal's scalar square has the wrong sign."""
     g = amb.metric_at_height(space, jet.height)
     rows = jet.du.T @ g                     # orthogonality conditions <N, x_ui> = 0
     _, _, vh = np.linalg.svd(rows)
@@ -148,10 +152,10 @@ def fundamental_forms(jet: calculus.Jet2, space: amb.AmbientSpace,
     h = jet.height
     du, duu = jet.du, jet.duu
     k = du.shape[1]
-    n_coord, g = _unit_normal(space, jet, orientation)
+    n_coord, g = unit_normal(space, jet, orientation)
 
     first = du.T @ g @ du
-    _check_causal_class(space, first)
+    check_causal_class(space, first)
 
     gamma = amb.christoffel_at_height(space, h)
     # Ambient covariant second derivative: duu^A + Gamma^A_BC du^B_i du^C_j.

@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from gaussform import ambient as amb
+from gaussform import calculus, forms, gaussmaps
 from gaussform import weierstrass as ws
 from gaussform.errors import (ConstraintViolation, DegenerateInput, EmptyOutput,
-                              NonRealHeight, OutsideDomain,
-                              UnitModulusSingularity)
+                              GaussformError, NonImmersed, NonRealHeight,
+                              OutsideDomain, SingularSystem,
+                              UnitModulusSingularity, WrongCausalClass)
 
 DOMAIN = (1.5, 2.5, 0.1, 0.9)
 
@@ -167,6 +172,19 @@ class TestSolver:
         oracle = dense_oracle_solve(g, boundary.values, case)
         assert np.abs(solved.values - oracle).max() <= 1e-11
 
+    @pytest.mark.parametrize("shape", [(9, 13), (13, 9), (3, 7)])
+    @pytest.mark.parametrize("case,gfn", [
+        (1, lambda z: z),
+        (2, lambda z: np.conj(z) / 8.0),
+    ])
+    def test_matches_dense_oracle_non_square(self, case, gfn, shape):
+        # A transposed i/j slice in the stencil only shows on non-square grids.
+        g = ws.ComplexField.from_function(gfn, DOMAIN, shape, ws.ROLE_NORMAL_MAP)
+        boundary = ws.ComplexField.from_function(lambda z: z, DOMAIN, shape)
+        solved = ws.solve_far_map(g, boundary.values, case)
+        oracle = dense_oracle_solve(g, boundary.values, case)
+        assert np.abs(solved.values - oracle).max() <= 1e-11
+
     def test_discrete_residual_at_rounding(self):
         for n in (17, 33):
             g, Gex = ws.radial_test_pair(DOMAIN, (n, n))
@@ -198,6 +216,32 @@ class TestSolver:
                                           ws.ROLE_NORMAL_MAP)
         with pytest.raises(ConstraintViolation):
             ws.solve_far_map(g, lambda z: z)
+
+    def test_factorization_failure_is_singular_system(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+        g = ws.ComplexField.from_function(lambda z: z, DOMAIN, (9, 9),
+                                          ws.ROLE_NORMAL_MAP)
+        with pytest.raises(SingularSystem):
+            ws.solve_far_map(g, lambda z: z)
+
+    def test_residual_margin_at_grid_cap(self):
+        n = ws.MAX_GRID
+        g, Gex = ws.radial_test_pair(DOMAIN, (n, n))
+        solved = ws.solve_far_map(g, Gex.values)
+        assert np.abs(ws.compatibility_residual_field(g, solved)).max() <= 1e-10
+
+        g = ws.ComplexField.from_function(lambda z: np.conj(z) / 8.0, DOMAIN,
+                                          (n, n), ws.ROLE_NORMAL_MAP)
+        solved = ws.solve_far_map(g, lambda z: z, case=2)
+        res = np.abs(ws.compatibility_residual_field(g, solved, case=2)).max()
+        assert res <= 1e-10
+        with pytest.raises(EmptyOutput):
+            ws.build_surface(g, solved, case=2, im_tol=1e-2)
 
 
 class TestBuild:
@@ -292,6 +336,87 @@ class TestBuild:
             assert (built.eta3_predicted < 0).all()
         except EmptyOutput:
             pass  # constraints may carve away everything; screen behavior is the point
+
+
+def _recovery_by_forms(built):
+    """The recovery through per-node difference quotients, fundamental_forms
+    and stereo_project, written out node by node as the reference."""
+    space = amb.de_sitter_space()
+    orientation = 1 if built.case == ws.CASE_HOLOMORPHIC else -1
+    du = built.u_coords[1] - built.u_coords[0]
+    dv = built.v_coords[1] - built.v_coords[0]
+    ni, nj = built.kept.shape
+    x = built.samples
+    mask = np.zeros((ni, nj), dtype=bool)
+    g_rec = np.zeros((ni, nj), dtype=complex)
+    eta3 = np.zeros((ni, nj))
+    for i in range(1, ni - 1):
+        for j in range(1, nj - 1):
+            if not built.kept[i - 1:i + 2, j - 1:j + 2].all():
+                continue
+            first = np.stack([(x[i + 1, j] - x[i - 1, j]) / (2 * du),
+                              (x[i, j + 1] - x[i, j - 1]) / (2 * dv)], axis=1)
+            second = np.empty((3, 2, 2))
+            second[:, 0, 0] = (x[i + 1, j] - 2 * x[i, j] + x[i - 1, j]) / du**2
+            second[:, 1, 1] = (x[i, j + 1] - 2 * x[i, j] + x[i, j - 1]) / dv**2
+            cross = (x[i + 1, j + 1] - x[i + 1, j - 1]
+                     - x[i - 1, j + 1] + x[i - 1, j - 1]) / (4 * du * dv)
+            second[:, 0, 1] = cross
+            second[:, 1, 0] = cross
+            jet = calculus.Jet2(x[i, j], first, second)
+            bundle = forms.fundamental_forms(jet, space, orientation)
+            value = gaussmaps.stereo_project(bundle.eta, space)
+            if gaussmaps.is_infinity(value):
+                continue
+            mask[i, j] = True
+            g_rec[i, j] = value
+            eta3[i, j] = bundle.eta[2]
+    return mask, g_rec, eta3
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except GaussformError as exc:
+        return type(exc)
+    return None
+
+
+class TestRecoveryPin:
+    @pytest.mark.parametrize("n", [17, 33])
+    def test_matches_forms_route_bitwise(self, n):
+        g, Gex = ws.radial_test_pair(DOMAIN, (n, n))
+        doctored = Gex.values.copy()
+        doctored[:n // 3, :] *= -1.0          # drops a band: ragged mask
+        for G in (Gex, ws.solve_far_map(g, Gex.values),
+                  dataclasses.replace(Gex, values=doctored)):
+            built = ws.build_surface(g, G, im_tol=1.0)
+            got = ws.recovered_gauss_map(built)
+            want = _recovery_by_forms(built)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_grid_without_whole_neighborhood(self, n):
+        g, Gex = ws.radial_test_pair(DOMAIN, (n, n))
+        built = ws.build_surface(g, Gex, im_tol=1.0)
+        mask, _, _ = ws.recovered_gauss_map(built)
+        assert mask.shape == built.kept.shape and not mask.any()
+
+    def test_causal_class_failures_match(self):
+        g, Gex = ws.radial_test_pair(DOMAIN, (17, 17))
+        built = ws.build_surface(g, Gex, im_tol=1e-3)
+        steep = built.samples.copy()
+        steep[..., 2] = 0.5 + 3.0 * steep[..., 0]           # time-like slope
+        flat = np.where(np.isnan(built.samples), np.nan, 0.5)  # zero tangent map
+        seen = set()
+        for samples in (steep, flat):
+            bad = dataclasses.replace(built, samples=samples)
+            want = _raised(_recovery_by_forms, bad)
+            assert want in (WrongCausalClass, NonImmersed)
+            assert _raised(ws.recovered_gauss_map, bad) is want
+            seen.add(want)
+        assert seen == {WrongCausalClass, NonImmersed}
 
 
 class TestRadialProfile:
