@@ -2,10 +2,10 @@
 
 The module owns a small expression language for user-supplied graph functions
 f(u, v) and evaluates it either as plain numbers or as second-order forward
-jets (value, gradient, Hessian carried through every node), so graph charts
-have exact derivatives.  Parametric charts built from closed-form components
-reuse the same jet engine; position-only callables fall back to central
-finite differences.
+jets (value, gradient and Hessian carried through every node as six plain
+scalars), so graph charts have exact derivatives.  Parametric charts built
+from closed-form components reuse the same jet engine; position-only
+callables fall back to central finite differences.
 
 Grammar (stable public contract)::
 
@@ -274,7 +274,8 @@ class GraphExpr:
     def jet(self, u, v):
         """Value, gradient (2,), Hessian (2, 2) at (u, v), exact to rounding."""
         j = _jet_eval(self.ast, u, v, dict(self.constants))
-        return j.val, j.g.copy(), j.h.copy()
+        return (j.val, np.array([j.gu, j.gv]),
+                np.array([[j.huu, j.huv], [j.huv, j.hvv]]))
 
     def derivative(self, var: str) -> "GraphExpr":
         """Symbolic partial derivative (unsimplified tree)."""
@@ -435,102 +436,119 @@ def evaluate(node, u, v, constants=None):
 # --------------------------------------------------------------------------
 
 class _Jet:
-    """Value with gradient and Hessian w.r.t. (u, v), propagated forward."""
+    """Value, gradient and Hessian with respect to (u, v), propagated forward.
 
-    __slots__ = ("val", "g", "h")
+    The six Taylor coefficients are plain scalars: the value ``val``, the
+    gradient ``gu``, ``gv`` and the Hessian ``huu``, ``huv``, ``hvv``
+    (Griewank and Walther, Evaluating Derivatives, ch. 13).  A float operand
+    takes part as a constant without being lifted into a jet.
+    """
 
-    def __init__(self, val, g=None, h=None):
-        self.val = float(val)
-        self.g = np.zeros(2) if g is None else g
-        self.h = np.zeros((2, 2)) if h is None else h
+    __slots__ = ("val", "gu", "gv", "huu", "huv", "hvv")
 
-    @staticmethod
-    def variable(val, index):
-        g = np.zeros(2)
-        g[index] = 1.0
-        return _Jet(val, g)
+    def __init__(self, val, gu=0.0, gv=0.0, huu=0.0, huv=0.0, hvv=0.0):
+        self.val = val
+        self.gu = gu
+        self.gv = gv
+        self.huu = huu
+        self.huv = huv
+        self.hvv = hvv
 
     def __float__(self):
-        return self.val
+        return float(self.val)
 
-    def _lift(self, other):
-        return other if isinstance(other, _Jet) else _Jet(other)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return _Jet(self.val + o.val, self.g + o.g, self.h + o.h)
+    def __add__(self, o):
+        if isinstance(o, _Jet):
+            return _Jet(self.val + o.val, self.gu + o.gu, self.gv + o.gv,
+                        self.huu + o.huu, self.huv + o.huv, self.hvv + o.hvv)
+        return _Jet(self.val + o, self.gu, self.gv, self.huu, self.huv, self.hvv)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._lift(other)
-        return _Jet(self.val - o.val, self.g - o.g, self.h - o.h)
+    def __sub__(self, o):
+        if isinstance(o, _Jet):
+            return _Jet(self.val - o.val, self.gu - o.gu, self.gv - o.gv,
+                        self.huu - o.huu, self.huv - o.huv, self.hvv - o.hvv)
+        return _Jet(self.val - o, self.gu, self.gv, self.huu, self.huv, self.hvv)
 
-    def __rsub__(self, other):
-        return self._lift(other) - self
+    def __rsub__(self, o):
+        return _Jet(o - self.val, -self.gu, -self.gv, -self.huu, -self.huv, -self.hvv)
 
     def __neg__(self):
-        return _Jet(-self.val, -self.g, -self.h)
+        return _Jet(-self.val, -self.gu, -self.gv, -self.huu, -self.huv, -self.hvv)
 
-    def __mul__(self, other):
-        o = self._lift(other)
-        cross = np.outer(self.g, o.g)
-        return _Jet(self.val * o.val,
-                    self.g * o.val + o.g * self.val,
-                    self.h * o.val + o.h * self.val + cross + cross.T)
+    def __mul__(self, o):
+        if not isinstance(o, _Jet):
+            return _Jet(self.val * o, self.gu * o, self.gv * o,
+                        self.huu * o, self.huv * o, self.hvv * o)
+        a, b = self.val, o.val
+        au, av, bu, bv = self.gu, self.gv, o.gu, o.gv
+        cuu, cvv = au * bu, av * bv
+        return _Jet(a * b, au * b + bu * a, av * b + bv * a,
+                    self.huu * b + o.huu * a + cuu + cuu,
+                    self.huv * b + o.huv * a + au * bv + av * bu,
+                    self.hvv * b + o.hvv * a + cvv + cvv)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._lift(other)
+    def __truediv__(self, o):
+        if not isinstance(o, _Jet):
+            if o == 0.0:
+                raise DomainError("division by zero")
+            return self * (1.0 / o)
         if o.val == 0.0:
             raise DomainError("division by zero")
         return self * o._reciprocal()
 
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
+    def __rtruediv__(self, o):
+        if self.val == 0.0:
+            raise DomainError("division by zero")
+        return self._reciprocal() * o
 
     def _reciprocal(self):
-        v = self.val
-        inv = 1.0 / v
-        g = -self.g * inv * inv
-        outer = np.outer(self.g, self.g)
-        h = -self.h * inv * inv + 2.0 * outer * inv**3
-        return _Jet(inv, g, h)
+        inv = 1.0 / self.val
+        inv3 = inv**3
+        gu, gv = self.gu, self.gv
+        return _Jet(inv, -gu * inv * inv, -gv * inv * inv,
+                    -self.huu * inv * inv + 2.0 * (gu * gu) * inv3,
+                    -self.huv * inv * inv + 2.0 * (gu * gv) * inv3,
+                    -self.hvv * inv * inv + 2.0 * (gv * gv) * inv3)
 
     def chain(self, f0, f1, f2):
         """Compose with a scalar function given value/first/second derivative."""
-        outer = np.outer(self.g, self.g)
-        return _Jet(f0, f1 * self.g, f1 * self.h + f2 * outer)
+        gu, gv = self.gu, self.gv
+        return _Jet(f0, f1 * gu, f1 * gv,
+                    f1 * self.huu + f2 * (gu * gu),
+                    f1 * self.huv + f2 * (gu * gv),
+                    f1 * self.hvv + f2 * (gv * gv))
 
-    def pow(self, other):
-        o = self._lift(other)
-        if not o.g.any() and not o.h.any():
-            c = o.val
-            if c == round(c):
-                n = int(round(c))
-                v = self.val
-                if n == 0:
-                    return _Jet(1.0)
-                if v == 0.0 and n < 0:
-                    raise DomainError("zero base with negative exponent")
-                f0 = v ** n
-                f1 = n * v ** (n - 1) if n != 0 else 0.0
-                f2 = n * (n - 1) * (v ** (n - 2) if n != 1 else 0.0)
-                return self.chain(f0, f1, f2)
-            if self.val <= 0.0:
-                raise DomainError("non-integer power of nonpositive base")
-            v = self.val
-            f0 = v ** c
-            return self.chain(f0, c * f0 / v, c * (c - 1.0) * f0 / (v * v))
-        if self.val <= 0.0:
-            raise DomainError("variable power of nonpositive base")
-        return (o * self._log()).exp()
+    def pow(self, o):
+        if isinstance(o, _Jet):
+            if o.gu or o.gv or o.huu or o.huv or o.hvv:
+                if self.val <= 0.0:
+                    raise DomainError("variable power of nonpositive base")
+                return (o * self._log()).exp()
+            o = o.val
+        v = self.val
+        if o == round(o):
+            n = int(round(o))
+            if n == 0:
+                return _Jet(1.0)
+            if v == 0.0 and n < 0:
+                raise DomainError("zero base with negative exponent")
+            f0 = v ** n
+            f1 = n * v ** (n - 1)
+            f2 = n * (n - 1) * (v ** (n - 2) if n != 1 else 0.0)
+            return self.chain(f0, f1, f2)
+        if v <= 0.0:
+            raise DomainError("non-integer power of nonpositive base")
+        f0 = v ** o
+        return self.chain(f0, o * f0 / v, o * (o - 1.0) * f0 / (v * v))
 
     def _log(self):
-        if self.val <= 0.0:
-            raise DomainError("log of nonpositive value")
         v = self.val
+        if v <= 0.0:
+            raise DomainError("log of nonpositive value")
         return self.chain(math.log(v), 1.0 / v, -1.0 / (v * v))
 
     def exp(self):
@@ -570,37 +588,51 @@ def _jet_call(fn, x: _Jet) -> _Jet:
 
 
 def _jet_eval(node, u, v, constants=None) -> _Jet:
+    """Jet of a tree at (u, v).
+
+    Constant subtrees stay floats and enter the jet rules as plain operands;
+    a float is lifted into a jet only where a rule needs one of its own: the
+    base of a power, the argument of a function, and an operation between
+    two floats (so their domain errors are the jet rules' errors).
+    """
+    ju, jv = _Jet(float(u), 1.0), _Jet(float(v), 0.0, 1.0)
+
     def rec(n):
-        if isinstance(n, Num):
-            return _Jet(n.value)
-        if isinstance(n, Var):
-            return _Jet.variable(u, 0) if n.name == "u" else _Jet.variable(v, 1)
-        if isinstance(n, Const):
+        kind = type(n)
+        if kind is Var:
+            return ju if n.name == "u" else jv
+        if kind is Num:
+            return float(n.value)
+        if kind is Bin:
+            a, b, op = rec(n.left), rec(n.right), n.op
+            if type(a) is not _Jet and (op == "^" or type(b) is not _Jet):
+                a = _Jet(a)
+            if op == "+":
+                return a + b
+            if op == "-":
+                return a - b
+            if op == "*":
+                return a * b
+            if op == "/":
+                return a / b
+            return a.pow(b)
+        if kind is Call:
+            x = rec(n.arg)
+            return _jet_call(n.fn, x if type(x) is _Jet else _Jet(x))
+        if kind is Neg:
+            return -rec(n.arg)
+        if kind is Const:
             value = _constant(n.name, constants)
             if isinstance(value, complex):
                 raise DomainError(f"constant {n.name!r} is complex; jets are real")
-            return _Jet(value)
-        if isinstance(n, Neg):
-            return -rec(n.arg)
-        if isinstance(n, Call):
-            return _jet_call(n.fn, rec(n.arg))
-        if isinstance(n, Bin):
-            a = rec(n.left)
-            if n.op == "^":
-                return a.pow(rec(n.right))
-            b = rec(n.right)
-            if n.op == "+":
-                return a + b
-            if n.op == "-":
-                return a - b
-            if n.op == "*":
-                return a * b
-            return a / b
+            return float(value)
         raise TypeError(f"not an expression node: {n!r}")
 
     out = rec(node)
-    if not (math.isfinite(out.val) and np.isfinite(out.g).all()
-            and np.isfinite(out.h).all()):
+    if type(out) is not _Jet:
+        out = _Jet(out)
+    if not all(map(math.isfinite, (out.val, out.gu, out.gv,
+                                   out.huu, out.huv, out.hvv))):
         raise EvaluationError("expression jet produced a non-finite value")
     return out
 
@@ -634,7 +666,7 @@ def scalar_jet(node, u, v) -> "_Jet":
 
 def first_order_jet(val, grad) -> "_Jet":
     """Jet with a zero Hessian: plain arithmetic on it gives exact first derivatives."""
-    return _Jet(val, np.array(grad, dtype=float))
+    return _Jet(float(val), float(grad[0]), float(grad[1]))
 
 
 def jet_sqrt(x):
@@ -642,6 +674,13 @@ def jet_sqrt(x):
     if isinstance(x, _Jet):
         return _jet_call("sqrt", x)
     return math.sqrt(x)
+
+
+def jet_arrays(jets):
+    """(x, du, duu) arrays of a list of component jets, built once."""
+    return (np.array([j.val for j in jets]),
+            np.array([(j.gu, j.gv) for j in jets]),
+            np.array([((j.huu, j.huv), (j.huv, j.hvv)) for j in jets]))
 
 
 class GraphEvaluator:
@@ -657,12 +696,11 @@ class GraphEvaluator:
         return (Var("u"), Var("v"), self.expr.ast)
 
     def jet(self, u, v):
-        f, grad, hess = self.expr.jet(u, v)
-        x = np.array([u, v, f])
-        du = np.array([[1.0, 0.0], [0.0, 1.0], [grad[0], grad[1]]])
-        duu = np.zeros((3, 2, 2))
-        duu[2] = hess
-        return x, du, duu
+        j = _jet_eval(self.expr.ast, u, v, dict(self.expr.constants))
+        return (np.array([u, v, j.val]),
+                np.array([(1.0, 0.0), (0.0, 1.0), (j.gu, j.gv)]),
+                np.array([((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)),
+                          ((j.huu, j.huv), (j.huv, j.hvv))]))
 
 
 class ClosedFormEvaluator:
@@ -689,14 +727,8 @@ class ClosedFormEvaluator:
     def jet(self, u, v):
         if self._jet_fn is not None:
             return self._jet_fn(u, v)
-        m = len(self.components)
-        x = np.empty(m)
-        du = np.empty((m, 2))
-        duu = np.empty((m, 2, 2))
-        for a, comp in enumerate(self.components):
-            val, grad, hess = comp.jet(u, v)
-            x[a], du[a], duu[a] = val, grad, hess
-        return x, du, duu
+        return jet_arrays([_jet_eval(c.ast, u, v, dict(c.constants))
+                           for c in self.components])
 
 
 class NumericEvaluator:
@@ -789,10 +821,18 @@ def jet2_eval(chart: SurfaceChart, p) -> Jet2:
         raise OutsideDomain(f"({u}, {v}) is not interior to {chart.domain}")
     x, du, duu = chart.evaluator.jet(u, v)
     x = np.asarray(x, dtype=float)
-    if not (x[-1] > 0.0):
+    h = float(x[-1])
+    if not (h > 0.0):
         raise HeightViolation(f"surface point {x} has nonpositive height")
-    g = ambient.metric_at_height(chart.ambient, x[-1])
-    gram = du.T @ g @ du
-    if abs(np.linalg.det(gram)) < GRAM_DET_TOL:
-        raise NonImmersed(f"Gram determinant {np.linalg.det(gram):.3e} at ({u}, {v})")
-    return Jet2(x, np.asarray(du, dtype=float), np.asarray(duu, dtype=float))
+    du = np.asarray(du, dtype=float)
+    # Gram matrix of the induced metric sum_a eps_a du_a du_a / h^2, in closed form.
+    e = f = g = 0.0
+    for s, (xu, xv) in zip(chart.ambient.signature, du.tolist()):
+        e += s * xu * xu
+        f += s * xu * xv
+        g += s * xv * xv
+    h2 = h * h
+    det = (e / h2) * (g / h2) - (f / h2) * (f / h2)
+    if abs(det) < GRAM_DET_TOL:
+        raise NonImmersed(f"Gram determinant {det:.3e} at ({u}, {v})")
+    return Jet2(x, du, np.asarray(duu, dtype=float))

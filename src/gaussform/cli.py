@@ -116,6 +116,25 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
+def _record_failure(rec, exc, kinds):
+    """Mark a point record failed with the error class and message, and
+    count the class in ``kinds``."""
+    name = type(exc).__name__
+    rec["status"] = name
+    rec["error"] = str(exc)
+    kinds[name] = kinds.get(name, 0) + 1
+
+
+def _summary(fields, kinds, passes):
+    """A report summary: ``fields``, then ``failures_by_kind`` when something
+    failed, then the pass flags."""
+    summary = dict(fields)
+    if kinds:
+        summary["failures_by_kind"] = dict(sorted(kinds.items()))
+    summary["pass"] = passes
+    return summary
+
+
 def _emit(report, stream=None):
     stream = stream if stream is not None else sys.stdout
     json.dump(report, stream, indent=2, default=_json_default)
@@ -179,24 +198,32 @@ def _cmd_zoo_sample(args):
     us = _parse_axis(args.u)
     vs = _parse_axis(args.v)
     rows = []
-    failures = 0
+    failed = []
+    kinds = {}
     for i, u in enumerate(us):
         for j, v in enumerate(vs):
             try:
                 x, _, _ = chart.evaluator.jet(float(u), float(v))
-            except GaussformError:
-                failures += 1
+            except GaussformError as exc:
+                rec = {"i": i, "j": j, "u": float(u), "v": float(v)}
+                _record_failure(rec, exc, kinds)
+                failed.append(rec)
                 continue
             rows.append((i, j, float(u), float(v), x[0], x[1], x[2]))
+    failures = len(failed)
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["i", "j", "u", "v", "x1", "x2", "x3"])
             writer.writerows(rows)
-    _emit({"schema_version": SCHEMA_VERSION,
-           "command": f"zoo sample {args.family}",
-           "rows": len(rows), "failed_samples": failures,
-           "out": args.out})
+    report = {"schema_version": SCHEMA_VERSION,
+              "command": f"zoo sample {args.family}",
+              "rows": len(rows), "failed_samples": failures,
+              "out": args.out}
+    if failed:
+        report["failed_points"] = failed
+        report["failures_by_kind"] = dict(sorted(kinds.items()))
+    _emit(report)
     if failures:
         print(f"{failures} samples failed to evaluate", file=sys.stderr)
     return 1 if failures else 0
@@ -212,7 +239,7 @@ def _cmd_check_forms(args):
     records = []
     maxima = {"normal_orthogonality": 0.0, "normal_unit": 0.0,
               "third_form_definition": 0.0, "obata": 0.0}
-    failures = 0
+    kinds = {}
     for (u, v) in points:
         rec = {"u": u, "v": v}
         try:
@@ -239,19 +266,18 @@ def _cmd_check_forms(args):
             maxima["third_form_definition"] = max(maxima["third_form_definition"], third)
             maxima["obata"] = max(maxima["obata"], obata)
         except GaussformError as exc:
-            rec["status"] = type(exc).__name__
-            failures += 1
+            _record_failure(rec, exc, kinds)
         records.append(rec)
     passes = {
         "normal_orthogonality": maxima["normal_orthogonality"] <= TOL_ORTHOGONALITY,
         "normal_unit": maxima["normal_unit"] <= TOL_UNIT,
         "third_form_definition": maxima["third_form_definition"] <= TOL_THIRD_FORM,
         "obata": maxima["obata"] <= TOL_OBATA,
-        "all_points_evaluated": failures == 0,
+        "all_points_evaluated": not kinds,
     }
     _emit({"schema_version": SCHEMA_VERSION, "command": "check forms",
            "target": args.family or args.graph, "points": records,
-           "summary": {"maxima": maxima, "pass": passes}})
+           "summary": _summary({"maxima": maxima}, kinds, passes)})
     return 0 if all(passes.values()) else 1
 
 
@@ -263,7 +289,7 @@ def _cmd_check_conformal(args):
     max_k_rel = 0.0
     max_rho_rel = 0.0
     mismatches = 0
-    failures = 0
+    kinds = {}
     for (u, v) in points:
         rec = {"u": u, "v": v}
         try:
@@ -284,10 +310,9 @@ def _cmd_check_conformal(args):
                     rec["rho_formula_residual"] = rho_rel
                     max_rho_rel = max(max_rho_rel, rho_rel)
         except GaussformError as exc:
-            rec["status"] = type(exc).__name__
-            failures += 1
+            _record_failure(rec, exc, kinds)
         records.append(rec)
-    passes = {"all_points_evaluated": failures == 0}
+    passes = {"all_points_evaluated": not kinds}
     if expected is not None:
         passes["classification_matches"] = mismatches == 0
         if fam.conformal == zoo.CONFORMAL:
@@ -298,9 +323,9 @@ def _cmd_check_conformal(args):
            "target": args.family or args.graph,
            "expected_classification": expected,
            "points": records,
-           "summary": {"max_k_relation_residual": max_k_rel,
-                       "max_rho_formula_residual": max_rho_rel,
-                       "mismatches": mismatches, "pass": passes}})
+           "summary": _summary({"max_k_relation_residual": max_k_rel,
+                                "max_rho_formula_residual": max_rho_rel,
+                                "mismatches": mismatches}, kinds, passes)})
     return 0 if all(passes.values()) else 1
 
 
@@ -313,7 +338,7 @@ def _cmd_pde_residual(args):
     us, vs = _parse_grid(args.grid)
     records = []
     worst = 0.0
-    failures = 0
+    kinds = {}
     for u in us:
         for v in vs:
             rec = {"u": float(u), "v": float(v)}
@@ -328,16 +353,16 @@ def _cmd_pde_residual(args):
                 rec["status"] = "ok"
                 worst = max(worst, abs(res))
             except GaussformError as exc:
-                rec["status"] = type(exc).__name__
-                failures += 1
+                _record_failure(rec, exc, kinds)
             records.append(rec)
+    failures = sum(kinds.values())
     passed = failures == 0 and worst <= TOL_PDE
     _emit({"schema_version": SCHEMA_VERSION,
            "command": f"pde residual --eq {args.eq}",
            "graph": args.graph, "points": records,
-           "summary": {"max_abs_residual": worst, "failures": failures,
-                       "pass": {"residual": worst <= TOL_PDE,
-                                "all_points_evaluated": failures == 0}}})
+           "summary": _summary({"max_abs_residual": worst, "failures": failures},
+                               kinds, {"residual": worst <= TOL_PDE,
+                                       "all_points_evaluated": failures == 0})})
     return 0 if passed else 1
 
 
@@ -356,7 +381,7 @@ def _cmd_dualize(args):
     records = []
     max_transfer = 0.0
     transfer_ok = True
-    failures = 0
+    kinds = {}
     for u in us:
         for v in vs:
             rec = {"u": float(u), "v": float(v)}
@@ -382,24 +407,23 @@ def _cmd_dualize(args):
                     if err > TOL_TRANSFER * max(1.0, abs(pp.dual_curvature)):
                         transfer_ok = False
             except GaussformError as exc:
-                rec["status"] = type(exc).__name__
-                failures += 1
+                _record_failure(rec, exc, kinds)
             records.append(rec)
+    failures = sum(kinds.values())
     passes = {"transfer_law": transfer_ok,
               "all_points_evaluated": failures == 0}
-    summary = {"max_transfer_residual": max_transfer, "failures": failures}
+    fields = {"max_transfer_residual": max_transfer, "failures": failures}
     if args.fit_isometry:
         target_key, fit = duality.fit_family_pairing(args.family, params)
-        summary["isometry_fit"] = {
+        fields["isometry_fit"] = {
             "target_family": target_key, "theta": fit.theta,
             "a": fit.a, "b": fit.b, "max_gap": fit.max_gap,
             "variant": fit.label,
         }
         passes["isometry_fit"] = fit.max_gap <= TOL_FIT
-    summary["pass"] = passes
     _emit({"schema_version": SCHEMA_VERSION,
            "command": f"dualize {args.family}", "points": records,
-           "summary": summary})
+           "summary": _summary(fields, kinds, passes)})
     return 0 if all(passes.values()) else 1
 
 

@@ -216,8 +216,7 @@ def _exact_polar_jet_fn(chart: calc.SurfaceChart, sheet_sign):
         sigma = forms.orientation_sign(eta, chart.orientation_at((u, v)))
         eta = [sigma * c for c in eta]
         _, pos = _dual_point(space, amb.minkowski_coords(space, x, sheet_sign), eta)
-        return (np.array([c.val for c in pos]), np.stack([c.g for c in pos]),
-                np.stack([c.h for c in pos]))
+        return calc.jet_arrays(pos)
 
     return jet_fn
 
@@ -235,7 +234,7 @@ def _fd_polar_jet_fn(chart: calc.SurfaceChart, sheet_sign):
         x = [calc.first_order_jet(jet.x[a], jet.du[a]) for a in range(3)]
         eta = [calc.first_order_jet(bundle.eta[a], bundle.eta_du[a]) for a in range(3)]
         _, pos = _dual_point(space, amb.minkowski_coords(space, x, sheet_sign), eta)
-        return np.array([c.val for c in pos]), np.stack([c.g for c in pos])
+        return np.array([c.val for c in pos]), np.array([(c.gu, c.gv) for c in pos])
 
     def jet_fn(u, v):
         pos, dpos = first_order(u, v)

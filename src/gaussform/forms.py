@@ -11,18 +11,28 @@ space must give II = I with eta = (0, 0, 1)):
   the frame-translated normal, computed here through the closed-form normal
   derivative (the finite-difference route lives in fourth_form_direct and is
   kept independent on purpose).
+
+The per-point pipeline works component-wise on Python floats, written as
+loops over the m ambient and k = m - 1 parameter indices with plain
+operators: the normal is the vector of signed cofactors of the tangent map
+weighted by the metric signature, the Christoffel contraction, the k x k
+determinant and inverse and the 2 x 2 shape spectrum are closed-form.  The
+oracles keep their own numerics: fourth_form_direct takes the SVD null
+vector as the normal and intrinsic_gauss_curvature a numpy stencil.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 from . import ambient as amb
 from . import calculus
-from .errors import NonImmersed, OrientationUndefined, WrongCausalClass
+from .errors import (NonImmersed, NonPositiveHeight, OrientationUndefined,
+                     WrongCausalClass)
 
 UMBILIC_REL_TOL = 1e-8
 TOTALLY_GEODESIC_TOL = 1e-12
@@ -86,19 +96,56 @@ class FormBundle:
         return self.fourth
 
 
-def check_causal_class(space, first):
-    """Determinant of the induced metric, which must be nondegenerate and of
-    the causal class of ``space``; raises NonImmersed or WrongCausalClass."""
-    det = np.linalg.det(first)
+def _det(a):
+    """Determinant of a small square matrix given as nested lists (Laplace
+    expansion along the first row; closed form for k <= 2)."""
+    k = len(a)
+    if k == 1:
+        return a[0][0]
+    if k == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    return sum((-1.0) ** j * a[0][j] * _det([row[:j] + row[j + 1:] for row in a[1:]])
+               for j in range(k))
+
+
+def _inverse(a, det):
+    """Inverse of a small square matrix from its adjugate and determinant."""
+    k = len(a)
+    if k == 2:
+        return [[a[1][1] / det, -a[0][1] / det], [-a[1][0] / det, a[0][0] / det]]
+    return [[(-1.0) ** (i + j) * _det([row[:i] + row[i + 1:]
+                                       for r, row in enumerate(a) if r != j]) / det
+             for j in range(k)] for i in range(k)]
+
+
+def _dot(x, y):
+    return sum(map(mul, x, y))
+
+
+def _matmul(a, b):
+    cols = list(zip(*b))
+    return [[_dot(row, col) for col in cols] for row in a]
+
+
+def _causal_det(space, first):
+    """check_causal_class on a nested-list induced metric."""
+    det = _det(first)
     if abs(det) < calculus.GRAM_DET_TOL:
         raise NonImmersed(f"induced metric is degenerate (det {det:.3e})")
     if space.causal_class is amb.CausalClass.SPACE_LIKE:
-        if not np.all(np.linalg.eigvalsh(first) > 0):
+        # Sylvester's criterion: every leading principal minor is positive.
+        if not all(_det([row[:i] for row in first[:i]]) > 0.0
+                   for i in range(1, len(first) + 1)):
             raise WrongCausalClass("induced metric is not positive definite")
-    else:
-        if first.shape != (2, 2) or det >= 0:
-            raise WrongCausalClass("induced metric is not Lorentzian")
+    elif len(first) != 2 or det >= 0.0:
+        raise WrongCausalClass("induced metric is not Lorentzian")
     return det
+
+
+def check_causal_class(space, first):
+    """Determinant of the induced metric, which must be nondegenerate and of
+    the causal class of ``space``; raises NonImmersed or WrongCausalClass."""
+    return _causal_det(space, np.asarray(first, dtype=float).tolist())
 
 
 def orientation_sign(eta, orientation) -> float:
@@ -123,23 +170,42 @@ def orientation_sign(eta, orientation) -> float:
     return 1.0 if math.copysign(1.0, eta_last) == math.copysign(1.0, want) else -1.0
 
 
+def _oriented_normal(space, h, du, orientation):
+    """Coordinate components of the oriented unit normal, as a list.
+
+    ``du`` is the m x (m - 1) tangent map as nested lists.  The normal is
+    the vector of signed cofactors of ``du`` (the cross product for m = 3)
+    weighted by the signature, which is orthogonal to every tangent in the
+    metric eps_A dx_A^2 / h^2; its scalar square sets the causal class.
+    """
+    if not (h > 0.0):
+        raise NonPositiveHeight(f"height {h} is not positive")
+    eps = space.signature
+    m = len(du)
+    # Negations are written 0.0 - c, so a zero component stays +0.0 in reports.
+    nd = [eps[a] * _det(du[:a] + du[a + 1:]) for a in range(m)]
+    nd[1::2] = [0.0 - c for c in nd[1::2]]     # the cofactor signs
+    nn = sum(eps[a] * nd[a] * nd[a] for a in range(m))
+    if nn == 0.0:
+        raise NonImmersed("tangent map is degenerate: the cofactor normal vanishes")
+    if math.copysign(1.0, nn) != space.normal_sign:
+        raise WrongCausalClass(
+            f"normal has scalar square of sign {math.copysign(1.0, nn):+.0f}, "
+            f"expected {space.normal_sign:+d}")
+    scale = h / math.sqrt(abs(nn))
+    n = [c * scale for c in nd]
+    if orientation_sign([c / h for c in n], orientation) < 0.0:
+        n = [0.0 - c for c in n]
+    return n
+
+
 def unit_normal(space, jet, orientation):
     """Coordinate components of the unit normal, oriented per orientation_sign,
-    and the ambient metric at the point; raises WrongCausalClass when the
-    normal's scalar square has the wrong sign."""
-    g = amb.metric_at_height(space, jet.height)
-    rows = jet.du.T @ g                     # orthogonality conditions <N, x_ui> = 0
-    _, _, vh = np.linalg.svd(rows)
-    n0 = vh[-1]
-    normsq = float(n0 @ g @ n0)
-    if normsq == 0.0 or math.copysign(1.0, normsq) != space.normal_sign:
-        raise WrongCausalClass(
-            f"normal has scalar square of sign {math.copysign(1.0, normsq):+.0f}, "
-            f"expected {space.normal_sign:+d}")
-    n = n0 / math.sqrt(abs(normsq))
-    if orientation_sign(n / jet.height, orientation) < 0.0:
-        n = -n
-    return n, g
+    and the ambient metric at the point; raises NonImmersed when the tangent
+    map is degenerate and WrongCausalClass when the normal's scalar square
+    has the wrong sign."""
+    n = _oriented_normal(space, jet.height, jet.du.tolist(), orientation)
+    return np.array(n), amb.metric_at_height(space, jet.height)
 
 
 def fundamental_forms(jet: calculus.Jet2, space: amb.AmbientSpace,
@@ -147,49 +213,68 @@ def fundamental_forms(jet: calculus.Jet2, space: amb.AmbientSpace,
     """All four fundamental forms plus curvature data from an exact two-jet.
 
     ``orientation`` forces the sign of the last frame component of the normal
-    (default nonnegative).
+    (default nonnegative).  Computed component-wise on Python floats, for
+    hypersurfaces of any dimension (k = m - 1 parameters).
     """
-    h = jet.height
-    du, duu = jet.du, jet.duu
-    k = du.shape[1]
-    n_coord, g = unit_normal(space, jet, orientation)
+    du, duu = jet.du.tolist(), jet.duu.tolist()
+    h = float(jet.x[-1])
+    m, k = len(du), len(du[0])
+    eps, eps_n = space.signature, space.normal_sign
+    n = _oriented_normal(space, h, du, orientation)
+    eta = [c / h for c in n]
 
-    first = du.T @ g @ du
-    check_causal_class(space, first)
+    w = [e / h**2 for e in eps]                 # the diagonal metric
+    cols = list(zip(*du))                       # the tangent vectors x_i
+    first = [[_dot([wa * c for wa, c in zip(w, ci)], cj) for cj in cols]
+             for ci in cols]
+    det_first = _causal_det(space, first)
 
-    gamma = amb.christoffel_at_height(space, h)
-    # Ambient covariant second derivative: duu^A + Gamma^A_BC du^B_i du^C_j.
-    d2 = duu + np.einsum("abc,bi,cj->aij", gamma, du, du)
-    gn = g @ n_coord
-    second = space.normal_sign * np.einsum("aij,a->ij", d2, gn)
-    second = 0.5 * (second + second.T)
+    # h_ij = eps_N <D_i x_j, N>.  With the half-space Christoffel symbols and
+    # <N, x_i> = 0 the connection term contracts to eta_last * I_ij, leaving
+    # h_ij = eps_N (sum_A eps_A duu^A_ij n_A / h^2 + eta_last I_ij).
+    gn = [wa * c for wa, c in zip(w, n)]
+    eta_last = eta[-1]
+    second = [[eps_n * (_dot(gn, [d[i][j] for d in duu]) + eta_last * first[i][j])
+               for j in range(k)] for i in range(k)]
 
-    first_inv = np.linalg.inv(first)
-    shape_op = first_inv @ second
-    third = second @ first_inv @ second
+    first_inv = _inverse(first, det_first)
+    shape_op = _matmul(first_inv, second)
+    third = _matmul(second, shape_op)
 
-    eta = n_coord / h
     # Closed-form normal derivative; the first term is the frame drift, the
     # second the shape-operator action.
-    eta_du = (eta[-1] * du - space.normal_sign * (du @ shape_op)) / h
-    eps = space.eps
-    fourth = np.einsum("a,ai,aj->ij", eps, eta_du, eta_du)
+    eta_du = [[(eta_last * d - eps_n * ds) / h for d, ds in zip(row, srow)]
+              for row, srow in zip(du, _matmul(du, shape_op))]
+    ecols = list(zip(*eta_du))
+    fourth = [[_dot([e * c for e, c in zip(eps, ci)], cj) for cj in ecols]
+              for ci in ecols]
 
-    mean = float(np.trace(shape_op)) / k
+    mean = sum(shape_op[i][i] for i in range(k)) / k
     curv_const = -1.0 if space.kind is amb.Kind.HYPERBOLIC else 1.0
-    gauss = curv_const + space.normal_sign * float(
-        np.linalg.det(second) / np.linalg.det(first))
+    gauss = curv_const + eps_n * (_det(second) / det_first)
 
-    if space.causal_class is amb.CausalClass.SPACE_LIKE:
-        eigs = np.linalg.eigvals(shape_op)
+    if space.causal_class is not amb.CausalClass.SPACE_LIKE:
+        spectrum = ShapeSpectrum.not_computed()
+    elif k == 2:
+        (a, b), (c, d) = shape_op
+        half = 0.5 * (a + d)
+        disc = (0.5 * (a - d)) ** 2 + b * c
+        if disc >= 0.0:
+            root = math.sqrt(disc)
+            spectrum = ShapeSpectrum.real_pair((half - root, half + root))
+        elif math.sqrt(-disc) < 1e-10 * (1.0 + math.sqrt(half * half - disc)):
+            spectrum = ShapeSpectrum.real_pair((half, half))
+        else:
+            spectrum = ShapeSpectrum.complexified()
+    else:
+        eigs = np.linalg.eigvals(np.array(shape_op))
         if np.abs(eigs.imag).max() < 1e-10 * (1.0 + np.abs(eigs).max()):
             spectrum = ShapeSpectrum.real_pair(eigs.real)
         else:
             spectrum = ShapeSpectrum.complexified()
-    else:
-        spectrum = ShapeSpectrum.not_computed()
 
-    return FormBundle(space, eta, eta_du, first, second, third, fourth,
+    return FormBundle(space, np.array(eta), np.array(eta_du), np.array(first),
+                      np.array(second), np.array(third), np.array(fourth),
                       mean, gauss, spectrum)
 
 
@@ -218,18 +303,23 @@ class ConformalityReport:
 def conformality_test(bundle: FormBundle, tol: float = 1e-8) -> ConformalityReport:
     """Classify IV = rho * II proportionality by Frobenius least squares.
 
-    Totally geodesic points (vanishing second form) and umbilic points with a
-    failing residual are classified instead of failing; rho is reported only
-    for conformal points.
+    The residual |IV - rho II| is relative to the larger of |IV| and |II|:
+    an IV that is rounding noise next to II reads as IV = 0 * II, conformal
+    with rho about 0, instead of a random direction.  Totally geodesic
+    points (vanishing second form) and umbilic points with a failing
+    residual are classified instead of failing; rho is reported only for
+    conformal points.
     """
-    ii, iv = bundle.second, bundle.fourth
-    ii_norm = float(np.linalg.norm(ii))
+    ii = [c for row in bundle.second.tolist() for c in row]
+    iv = [c for row in bundle.fourth.tolist() for c in row]
+    ii_sq = sum(c * c for c in ii)
+    ii_norm = math.sqrt(ii_sq)
     if ii_norm <= TOTALLY_GEODESIC_TOL:
         return ConformalityReport(ConformalityReport.TOTALLY_GEODESIC,
                                   False, None, 0.0)
-    rho = float(np.tensordot(iv, ii) / np.tensordot(ii, ii))
-    residual = float(np.linalg.norm(iv - rho * ii)
-                     / max(np.linalg.norm(iv), 1e-12))
+    rho = sum(a * b for a, b in zip(iv, ii)) / ii_sq
+    gap = math.sqrt(sum((a - rho * b) ** 2 for a, b in zip(iv, ii)))
+    residual = gap / max(math.sqrt(sum(c * c for c in iv)), ii_norm)
     if residual <= tol:
         return ConformalityReport(ConformalityReport.CONFORMAL, True, rho, residual)
     spec = bundle.shape_spectrum
@@ -279,14 +369,20 @@ def rho_formula_residual(bundle: FormBundle, rho: float) -> float:
 def fourth_form_direct(chart: calculus.SurfaceChart, p, step=1e-4) -> np.ndarray:
     """Fourth form by finite-differencing the normal over the parameter grid.
 
-    Independent of the closed-form normal-derivative route; agreement to 1e-4
-    relative is a module invariant.
+    Independent of the closed-form normal-derivative route and of the
+    cofactor normal: the normal here is the SVD null vector of the
+    orthogonality conditions.  Agreement to 1e-4 relative is a module
+    invariant.
     """
     u, v = float(p[0]), float(p[1])
     h = step * max(1.0, abs(u), abs(v))
 
     def eta_at(uu, vv):
-        return forms_at(chart, (uu, vv)).eta
+        jet = calculus.jet2_eval(chart, (uu, vv))
+        g = amb.metric_at_height(chart.ambient, jet.height)
+        n0 = np.linalg.svd(jet.du.T @ g)[2][-1]
+        eta = n0 / (math.sqrt(abs(float(n0 @ g @ n0))) * jet.height)
+        return orientation_sign(eta, chart.orientation_at((uu, vv))) * eta
 
     deta = np.stack([(eta_at(u + h, v) - eta_at(u - h, v)) / (2 * h),
                      (eta_at(u, v + h) - eta_at(u, v - h)) / (2 * h)], axis=1)

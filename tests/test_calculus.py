@@ -180,6 +180,53 @@ class TestJets:
         assert val == 9.0 and grad[0] == -6.0
 
 
+def _sympy_jet(text, u0, v0):
+    """Value, gradient and Hessian of an expression by sympy, at 30 digits."""
+    import sympy as sp
+
+    u, v = sp.symbols("u v", real=True)
+    f = sp.sympify(text.replace("^", "**"),
+                   locals={"u": u, "v": v, "e": sp.E, "pi": sp.pi,
+                           "abs": sp.Abs})
+    at = {u: sp.Float(u0, 30), v: sp.Float(v0, 30)}
+
+    def num(ex):
+        return float(sp.N(ex.subs(at), 30))
+
+    grad = [sp.diff(f, t) for t in (u, v)]
+    hess = [[sp.diff(g, t) for t in (u, v)] for g in grad]
+    return num(f), np.array([num(g) for g in grad]), np.array(
+        [[num(h) for h in row] for row in hess])
+
+
+# Every function of the grammar, '^' with an integer, a non-integer and a
+# variable exponent, and division.
+ORACLE_TEXTS = [
+    "sqrt(1+u^2*v)", "sinh(u*v-0.3)", "cosh(u-2*v)", "tanh(u+v/2)",
+    "sin(u*v)+cos(u^2-v)", "exp(u*v/3)*log(1+u^2+v)", "abs(u-2*v)",
+    "(u+v)^3-2*u^2*v", "(1+u*v)^-2", "(1+u^2+v)^1.5", "u^v", "(2+sin(u))^(v*u)",
+    "(u+1)/(v^2+1)", "1/(u*v)-u/sqrt(v)", "e^u*pi^v",
+]
+
+
+class TestJetSympyOracle:
+    def test_texts_cover_the_grammar(self):
+        used = {name for name in calc.FUNCTIONS
+                if any(f"{name}(" in t for t in ORACLE_TEXTS)}
+        assert used == set(calc.FUNCTIONS)
+
+    @pytest.mark.parametrize("text", ORACLE_TEXTS)
+    def test_gradient_and_hessian_match_sympy(self, text, rng):
+        expr = calc.parse_graph_expr(text)
+        for _ in range(6):
+            u, v = rng.uniform(0.2, 1.5, 2)
+            val, grad, hess = expr.jet(u, v)
+            want_val, want_grad, want_hess = _sympy_jet(text, u, v)
+            assert val == pytest.approx(want_val, rel=1e-13, abs=1e-13)
+            assert np.abs(grad - want_grad).max() <= 1e-13 * np.abs(want_grad).max()
+            assert np.abs(hess - want_hess).max() <= 1e-13 * np.abs(want_hess).max()
+
+
 class TestCharts:
     def test_horosphere_jet(self):
         chart = calc.SurfaceChart((-2, 2, -2, 2),

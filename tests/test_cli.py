@@ -79,6 +79,57 @@ class TestCheckCommands:
         assert code == 1
         assert json.loads(out)["points"][0]["status"] == "OutsideDomain"
 
+    def test_conformal_vanishing_fourth_form(self, capsys):
+        # psi = v^3 makes IV vanish up to rounding; that noise must not be
+        # read as a direction of IV.
+        code, out, _ = run_cli(capsys, "check", "conformal", "flaherty-plus",
+                               "--param", "psi=v^3")
+        assert code == 0
+        points = json.loads(out)["points"]
+        assert len(points) == 64
+        assert all(p["classification"] == "conformal" for p in points)
+
+
+class TestFailureTelemetry:
+    @pytest.mark.parametrize("argv,kind", [
+        (("check", "forms", "horosphere", "--at", "10,10"), "OutsideDomain"),
+        (("check", "conformal", "horosphere", "--at", "10,10"), "OutsideDomain"),
+        (("dualize", "vertical-plane", "--grid", "0.1:0.9:2x0.5:1:2"),
+         "EquatorialNormal"),
+        (("pde", "residual", "--eq", "6.1", "--graph", "sqrt(u)",
+          "--grid=-1:1:2x0:1:2"), "DomainError"),
+    ])
+    def test_failed_points_explain_themselves(self, capsys, argv, kind):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        report = json.loads(out)
+        failed = [p for p in report["points"] if p["status"] != "ok"]
+        assert failed and all(p["status"] == kind and p["error"] for p in failed)
+        assert report["summary"]["failures_by_kind"] == {kind: len(failed)}
+
+    def test_zoo_sample_failures(self, capsys):
+        code, out, _ = run_cli(capsys, "zoo", "sample", "translational-7.3-2-plus",
+                               "--u", "0:2:3", "--v", "1.5:2:2")
+        assert code == 1
+        report = json.loads(out)
+        assert report["failed_samples"] == 4
+        assert report["failures_by_kind"] == {"DomainError": 4}
+        assert [(p["i"], p["j"]) for p in report["failed_points"]] == [
+            (0, 0), (0, 1), (1, 0), (1, 1)]
+        assert all(p["error"] for p in report["failed_points"])
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "forms", "horosphere"),
+        ("check", "conformal", "ruled-6.7"),
+        ("dualize", "ruled-6.2-2", "--grid", "0.3:0.8:2x0.3:1.2:2"),
+        ("zoo", "sample", "horosphere", "--u", "0:1:2", "--v", "0:1:2"),
+    ])
+    def test_passing_reports_carry_no_failure_fields(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "error" not in out and "failures_by_kind" not in out
+        assert "failed_points" not in out
+
 
 class TestPdeCommand:
     def test_corollary_solution(self, capsys):

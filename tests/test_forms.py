@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gaussform import ambient as amb
 from gaussform import calculus as calc
 from gaussform import forms, zoo
-from gaussform.errors import OrientationUndefined, WrongCausalClass
+from gaussform.errors import (GaussformError, NonImmersed, OrientationUndefined,
+                              WrongCausalClass)
 
 H3 = amb.hyperbolic_space()
 DS3 = amb.de_sitter_space()
 DS3_TL = amb.de_sitter_space(causal_class=amb.CausalClass.TIME_LIKE)
+H4 = amb.hyperbolic_space(4)
 
 
 def _graph_chart(text, space, domain=(-2, 2, -2, 2)):
@@ -206,6 +210,21 @@ class TestConformality:
         rep = forms.conformality_test(tweaked)
         assert rep.classification == forms.ConformalityReport.UMBILIC
 
+    def test_rounding_noise_in_vanishing_fourth_form(self, rng):
+        # The horosphere has IV = 0 exactly; noise at the 1e-16 level must
+        # leave it conformal with rho about 0 instead of flipping the class.
+        base = forms.forms_at(_graph_chart("1", H3), (0.2, -0.1))
+        assert not base.fourth.any()
+        for _ in range(20):
+            noise = 1e-16 * rng.standard_normal((2, 2))
+            noisy = forms.FormBundle(
+                base.space, base.eta, base.eta_du, base.first, base.second,
+                base.third, base.fourth + noise, base.mean_curvature,
+                base.gauss_curvature, base.shape_spectrum)
+            rep = forms.conformality_test(noisy)
+            assert rep.classification == forms.ConformalityReport.CONFORMAL
+            assert abs(rep.rho) <= 1e-15
+
     def test_rho_matches_trace_formula(self, rng):
         for key in ["translational-6.6", "ruled-6.7", "translational-6.4",
                     "corollary-6"]:
@@ -336,3 +355,112 @@ class TestGeneralDimension:
             np.linalg.inv(bundle.first) @ bundle.second).real.mean())
         assert root == pytest.approx(lam, abs=1e-12)
         assert root * root == pytest.approx(eta_last**2, abs=1e-9)
+
+
+def _forms_by_numpy(jet, space, orientation=None):
+    """The forms as the numpy route computed them before the component-wise
+    pipeline: SVD null-vector normal, einsum Christoffel contraction and
+    matrix inverse.  Returns (eta, I, II, III, IV, H, K)."""
+    h, du, duu = jet.height, jet.du, jet.duu
+    g = amb.metric_at_height(space, h)
+    n0 = np.linalg.svd(du.T @ g)[2][-1]
+    normsq = float(n0 @ g @ n0)
+    if normsq == 0.0 or math.copysign(1.0, normsq) != space.normal_sign:
+        raise WrongCausalClass("normal has the wrong scalar square")
+    n = n0 / math.sqrt(abs(normsq))
+    if forms.orientation_sign(n / h, orientation) < 0.0:
+        n = -n
+    first = du.T @ g @ du
+    det = np.linalg.det(first)
+    if abs(det) < calc.GRAM_DET_TOL:
+        raise NonImmersed("induced metric is degenerate")
+    if space.causal_class is amb.CausalClass.SPACE_LIKE:
+        if not np.all(np.linalg.eigvalsh(first) > 0):
+            raise WrongCausalClass("induced metric is not positive definite")
+    elif det >= 0:
+        raise WrongCausalClass("induced metric is not Lorentzian")
+    gamma = amb.christoffel_at_height(space, h)
+    d2 = duu + np.einsum("abc,bi,cj->aij", gamma, du, du)
+    second = space.normal_sign * np.einsum("aij,a->ij", d2, g @ n)
+    second = 0.5 * (second + second.T)
+    first_inv = np.linalg.inv(first)
+    shape_op = first_inv @ second
+    eta = n / h
+    eta_du = (eta[-1] * du - space.normal_sign * (du @ shape_op)) / h
+    fourth = np.einsum("a,ai,aj->ij", space.eps, eta_du, eta_du)
+    curv_const = -1.0 if space.kind is amb.Kind.HYPERBOLIC else 1.0
+    gauss = curv_const + space.normal_sign * np.linalg.det(second) / det
+    return (eta, first, second, second @ first_inv @ second, fourth,
+            np.trace(shape_op) / du.shape[1], gauss)
+
+
+_entry = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def _random_jets(draw, m):
+    k = m - 1
+    x = [draw(_entry) for _ in range(k)] + [draw(st.floats(0.3, 3.0))]
+    du = [[draw(_entry) for _ in range(k)] for _ in range(m)]
+    duu = np.zeros((m, k, k))
+    for a in range(m):
+        for i in range(k):
+            for j in range(i, k):
+                duu[a, i, j] = duu[a, j, i] = draw(_entry)
+    return calc.Jet2(np.array(x), np.array(du), duu)
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except GaussformError as exc:
+        return type(exc)
+    return None
+
+
+class TestComponentPipelineReference:
+    """The component-wise forms against the numpy route on random jets."""
+
+    @pytest.mark.parametrize("space", [H3, DS3, DS3_TL, H4],
+                             ids=["h3", "ds3", "ds3-timelike", "h4"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_numpy_route(self, space, data):
+        jet = data.draw(_random_jets(space.dim))
+        g = amb.metric_at_height(space, jet.height)
+        first = jet.du.T @ g @ jet.du
+        # Away from degenerate tangent maps, where the reference's SVD normal
+        # is an arbitrary null vector and neither route is well conditioned.
+        assume(np.linalg.cond(first) < 1e3)
+        want_error = _raised(_forms_by_numpy, jet, space)
+        if want_error is not None:
+            assert _raised(forms.fundamental_forms, jet, space) is want_error
+            return
+        got = forms.fundamental_forms(jet, space)
+        want = _forms_by_numpy(jet, space)
+        have = (got.eta, got.first, got.second, got.third, got.fourth,
+                got.mean_curvature, got.gauss_curvature)
+        for name, a, b in zip(("eta", "I", "II", "III", "IV", "H", "K"), have, want):
+            scale = max(1.0, float(np.abs(b).max()))
+            assert np.abs(np.asarray(a) - b).max() <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("space", [H3, DS3, DS3_TL, H4],
+                             ids=["h3", "ds3", "ds3-timelike", "h4"])
+    def test_zero_tangent_map_is_not_immersed(self, space):
+        m = space.dim
+        jet = calc.Jet2(np.r_[np.zeros(m - 1), 1.0], np.zeros((m, m - 1)),
+                        np.zeros((m, m - 1, m - 1)))
+        with pytest.raises(NonImmersed):
+            forms.fundamental_forms(jet, space)
+        with pytest.raises(NonImmersed):
+            forms.unit_normal(space, jet, None)
+
+    @pytest.mark.parametrize("space,slope", [(DS3, 3.0), (DS3_TL, 0.5)],
+                             ids=["ds3", "ds3-timelike"])
+    def test_wrong_causal_class(self, space, slope):
+        # The graph of x3 = 2 + slope * x1: time-like for slope > 1.
+        du = np.array([[1.0, 0.0], [0.0, 1.0], [slope, 0.0]])
+        jet = calc.Jet2(np.array([0.0, 0.0, 2.0]), du, np.zeros((3, 2, 2)))
+        with pytest.raises(WrongCausalClass):
+            forms.fundamental_forms(jet, space)
+        assert _raised(_forms_by_numpy, jet, space) is WrongCausalClass
