@@ -1,11 +1,12 @@
 """Two-jet evaluation of parametric surfaces and graphs.
 
 The module owns a small expression language for user-supplied graph functions
-f(u, v) and evaluates it either as plain numbers or as second-order forward
-jets (value, gradient and Hessian carried through every node as six plain
-scalars), so graph charts have exact derivatives.  Parametric charts built
-from closed-form components reuse the same jet engine; position-only
-callables fall back to central finite differences.
+f(u, v) and evaluates it as plain numbers or as forward jets carried through
+every node as plain scalars: of order two (value, gradient, Hessian), so
+graph charts have exact derivatives, and of order three, so the polar map,
+which differentiates a chart, has them too.  Parametric charts built from
+closed-form components reuse the same jet engine; position-only callables
+fall back to central finite differences.
 
 Grammar (stable public contract)::
 
@@ -277,10 +278,6 @@ class GraphExpr:
         return (j.val, np.array([j.gu, j.gv]),
                 np.array([[j.huu, j.huv], [j.huv, j.hvv]]))
 
-    def derivative(self, var: str) -> "GraphExpr":
-        """Symbolic partial derivative (unsimplified tree)."""
-        return GraphExpr(derivative(self.ast, var), self.constants)
-
 
 def parse_graph_expr(text: str, extra_constants=()) -> GraphExpr:
     """Parse expression text; raises ParseError with offset and expected set.
@@ -291,64 +288,6 @@ def parse_graph_expr(text: str, extra_constants=()) -> GraphExpr:
     extra = dict(extra_constants)
     tree = _Parser(text, {**CONSTANTS, **extra}).parse()
     return GraphExpr(tree, tuple(sorted(extra.items())))
-
-
-def contains_var(node, name: str) -> bool:
-    if isinstance(node, Var):
-        return node.name == name
-    if isinstance(node, Neg):
-        return contains_var(node.arg, name)
-    if isinstance(node, Bin):
-        return contains_var(node.left, name) or contains_var(node.right, name)
-    if isinstance(node, Call):
-        return contains_var(node.arg, name)
-    return False
-
-
-_CHAIN_DERIVATIVES = {
-    # f -> expression tree of f'(x) with x the placeholder argument
-    "sqrt": lambda x: Bin("/", Num(1.0), Bin("*", Num(2.0), Call("sqrt", x))),
-    "sinh": lambda x: Call("cosh", x),
-    "cosh": lambda x: Call("sinh", x),
-    "tanh": lambda x: Bin("-", Num(1.0), Bin("^", Call("tanh", x), Num(2.0))),
-    "sin": lambda x: Call("cos", x),
-    "cos": lambda x: Neg(Call("sin", x)),
-    "exp": lambda x: Call("exp", x),
-    "log": lambda x: Bin("/", Num(1.0), x),
-    "abs": lambda x: Bin("/", Call("abs", x), x),
-}
-
-
-def derivative(node, var: str):
-    """Symbolic derivative of a tree with respect to 'u' or 'v' (unsimplified)."""
-    if isinstance(node, (Num, Const)):
-        return Num(0.0)
-    if isinstance(node, Var):
-        return Num(1.0 if node.name == var else 0.0)
-    if isinstance(node, Neg):
-        return Neg(derivative(node.arg, var))
-    if isinstance(node, Call):
-        return Bin("*", _CHAIN_DERIVATIVES[node.fn](node.arg),
-                   derivative(node.arg, var))
-    if isinstance(node, Bin):
-        a, b = node.left, node.right
-        da, db = derivative(a, var), derivative(b, var)
-        if node.op in "+-":
-            return Bin(node.op, da, db)
-        if node.op == "*":
-            return Bin("+", Bin("*", da, b), Bin("*", a, db))
-        if node.op == "/":
-            num = Bin("-", Bin("*", da, b), Bin("*", a, db))
-            return Bin("/", num, Bin("^", b, Num(2.0)))
-        # power
-        if not contains_var(b, "u") and not contains_var(b, "v"):
-            down = Bin("-", b, Num(1.0))
-            return Bin("*", Bin("*", b, Bin("^", a, down)), da)
-        # general a^b = exp(b log a)
-        inner = Bin("+", Bin("*", db, Call("log", a)),
-                    Bin("*", b, Bin("/", da, a)))
-        return Bin("*", node, inner)
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 # --------------------------------------------------------------------------
@@ -432,8 +371,61 @@ def evaluate(node, u, v, constants=None):
 
 
 # --------------------------------------------------------------------------
-# Second-order forward jets
+# Forward jets of order two and three
 # --------------------------------------------------------------------------
+
+# Third derivatives f''' from v and (f, f', f''), which only order-three
+# jets ask for.
+_THIRD_DERIVATIVES = {
+    "sqrt": lambda v, f0, f1, f2: -1.5 * f2 / v,
+    "sinh": lambda v, f0, f1, f2: f1,
+    "cosh": lambda v, f0, f1, f2: f1,
+    "tanh": lambda v, f0, f1, f2: -2.0 * f1 * (f1 - 2.0 * f0 * f0),
+    "sin": lambda v, f0, f1, f2: -f1,
+    "cos": lambda v, f0, f1, f2: -f1,
+    "exp": lambda v, f0, f1, f2: f0,
+    "log": lambda v, f0, f1, f2: -2.0 * f2 / v,
+    "abs": lambda v, f0, f1, f2: 0.0,
+}
+
+
+def _jet_call(fn, x):
+    """A function of the grammar applied to a jet: f, f', f'' at x.val, with
+    the domain errors, composed by x.chain; order three adds f'''."""
+    v = x.val
+    if fn == "sqrt":
+        if v <= 0.0:
+            raise DomainError("sqrt needs a positive argument for derivatives")
+        r = math.sqrt(v)
+        f0, f1, f2 = r, 0.5 / r, -0.25 / (r * v)
+    elif fn == "sinh":
+        f0, f1, f2 = math.sinh(v), math.cosh(v), math.sinh(v)
+    elif fn == "cosh":
+        f0, f1, f2 = math.cosh(v), math.sinh(v), math.cosh(v)
+    elif fn == "tanh":
+        t = math.tanh(v)
+        s = 1.0 - t * t
+        f0, f1, f2 = t, s, -2.0 * t * s
+    elif fn == "sin":
+        f0, f1, f2 = math.sin(v), math.cos(v), -math.sin(v)
+    elif fn == "cos":
+        f0, f1, f2 = math.cos(v), -math.sin(v), -math.cos(v)
+    elif fn == "exp":
+        f0 = f1 = f2 = math.exp(v)
+    elif fn == "log":
+        if v <= 0.0:
+            raise DomainError("log of nonpositive value")
+        f0, f1, f2 = math.log(v), 1.0 / v, -1.0 / (v * v)
+    elif fn == "abs":
+        if v == 0.0:
+            raise DomainError("abs is not differentiable at zero")
+        f0, f1, f2 = abs(v), math.copysign(1.0, v), 0.0
+    else:
+        raise TypeError(f"unknown function {fn!r}")
+    if type(x) is _Jet:
+        return x.chain(f0, f1, f2)
+    return x.chain(f0, f1, f2, _THIRD_DERIVATIVES[fn](v, f0, f1, f2))
+
 
 class _Jet:
     """Value, gradient and Hessian with respect to (u, v), propagated forward.
@@ -453,6 +445,9 @@ class _Jet:
         self.huu = huu
         self.huv = huv
         self.hvv = hvv
+
+    def coefficients(self):
+        return self.val, self.gu, self.gv, self.huu, self.huv, self.hvv
 
     def __float__(self):
         return float(self.val)
@@ -524,78 +519,106 @@ class _Jet:
 
     def pow(self, o):
         if isinstance(o, _Jet):
-            if o.gu or o.gv or o.huu or o.huv or o.hvv:
+            if any(o.coefficients()[1:]):
                 if self.val <= 0.0:
                     raise DomainError("variable power of nonpositive base")
-                return (o * self._log()).exp()
+                return _jet_call("exp", o * _jet_call("log", self))
             o = o.val
         v = self.val
         if o == round(o):
             n = int(round(o))
             if n == 0:
-                return _Jet(1.0)
+                return type(self)(1.0)
             if v == 0.0 and n < 0:
                 raise DomainError("zero base with negative exponent")
             f0 = v ** n
             f1 = n * v ** (n - 1)
             f2 = n * (n - 1) * (v ** (n - 2) if n != 1 else 0.0)
+        else:
+            if v <= 0.0:
+                raise DomainError("non-integer power of nonpositive base")
+            f0 = v ** o
+            f1, f2 = o * f0 / v, o * (o - 1.0) * f0 / (v * v)
+        if type(self) is _Jet:
             return self.chain(f0, f1, f2)
-        if v <= 0.0:
-            raise DomainError("non-integer power of nonpositive base")
-        f0 = v ** o
-        return self.chain(f0, o * f0 / v, o * (o - 1.0) * f0 / (v * v))
-
-    def _log(self):
-        v = self.val
-        if v <= 0.0:
-            raise DomainError("log of nonpositive value")
-        return self.chain(math.log(v), 1.0 / v, -1.0 / (v * v))
-
-    def exp(self):
-        e = math.exp(self.val)
-        return self.chain(e, e, e)
+        # f''' = (o - 2) f'' / v; v is 0 only for an integer o >= 1.
+        return self.chain(f0, f1, f2, (o - 2.0) * f2 / v if v != 0.0
+                          else (6.0 if o == 3 else 0.0))
 
 
-def _jet_call(fn, x: _Jet) -> _Jet:
-    v = x.val
-    if fn == "sqrt":
-        if v <= 0.0:
-            raise DomainError("sqrt needs a positive argument for derivatives")
-        r = math.sqrt(v)
-        return x.chain(r, 0.5 / r, -0.25 / (r * v))
-    if fn == "sinh":
-        return x.chain(math.sinh(v), math.cosh(v), math.sinh(v))
-    if fn == "cosh":
-        return x.chain(math.cosh(v), math.sinh(v), math.cosh(v))
-    if fn == "tanh":
-        t = math.tanh(v)
-        s = 1.0 - t * t
-        return x.chain(t, s, -2.0 * t * s)
-    if fn == "sin":
-        return x.chain(math.sin(v), math.cos(v), -math.sin(v))
-    if fn == "cos":
-        return x.chain(math.cos(v), -math.sin(v), -math.cos(v))
-    if fn == "exp":
-        return x.exp()
-    if fn == "log":
-        return x._log()
-    if fn == "abs":
-        if v == 0.0:
-            raise DomainError("abs is not differentiable at zero")
-        s = math.copysign(1.0, v)
-        return x.chain(abs(v), s, 0.0)
-    raise TypeError(f"unknown function {fn!r}")
+class _Jet3(_Jet):
+    """Order-three jet: the six coefficients of ``_Jet`` by its own rules, and
+    the third derivatives ``tuuu``, ``tuuv``, ``tuvv``, ``tvvv``."""
+
+    __slots__ = ("tuuu", "tuuv", "tuvv", "tvvv")
+
+    def __init__(self, val, gu=0.0, gv=0.0, huu=0.0, huv=0.0, hvv=0.0,
+                 tuuu=0.0, tuuv=0.0, tuvv=0.0, tvvv=0.0):
+        _Jet.__init__(self, val, gu, gv, huu, huv, hvv)
+        self.tuuu, self.tuuv, self.tuvv, self.tvvv = tuuu, tuuv, tuvv, tvvv
+
+    def coefficients(self):
+        return _Jet.coefficients(self) + (self.tuuu, self.tuuv, self.tuvv, self.tvvv)
+
+    def __add__(self, o):
+        low = _Jet.__add__(self, o).coefficients()
+        if isinstance(o, _Jet3):
+            return _Jet3(*low, self.tuuu + o.tuuu, self.tuuv + o.tuuv,
+                         self.tuvv + o.tuvv, self.tvvv + o.tvvv)
+        return _Jet3(*low, self.tuuu, self.tuuv, self.tuvv, self.tvvv)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Jet3(*[-c for c in self.coefficients()])
+
+    # a - b and a + (-b) round identically.
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        low = _Jet.__mul__(self, o).coefficients()
+        if not isinstance(o, _Jet3):
+            return _Jet3(*low, self.tuuu * o, self.tuuv * o, self.tuvv * o, self.tvvv * o)
+        a, au, av, auu, auv, avv, auuu, auuv, auvv, avvv = self.coefficients()
+        b, bu, bv, buu, buv, bvv, buuu, buuv, buvv, bvvv = o.coefficients()
+        return _Jet3(*low, auuu * b + buuu * a + 3.0 * (auu * bu + au * buu),
+                     auuv * b + buuv * a + auu * bv + av * buu + 2.0 * (auv * bu + au * buv),
+                     auvv * b + buvv * a + avv * bu + au * bvv + 2.0 * (auv * bv + av * buv),
+                     avvv * b + bvvv * a + 3.0 * (avv * bv + av * bvv))
+
+    __rmul__ = __mul__
+
+    def _reciprocal(self):
+        low = _Jet._reciprocal(self).coefficients()
+        inv = low[0]
+        inv3 = inv**3
+        return _Jet3(*low, *self._third(-inv * inv, 2.0 * inv3, -6.0 * inv3 * inv))
+
+    def chain(self, f0, f1, f2, f3):
+        return _Jet3(*_Jet.chain(self, f0, f1, f2).coefficients(), *self._third(f1, f2, f3))
+
+    def _third(self, f1, f2, f3):
+        """Third derivatives of f(self) given f', f'', f''' (Faa di Bruno)."""
+        _, gu, gv, huu, huv, hvv, tuuu, tuuv, tuvv, tvvv = self.coefficients()
+        return (f1 * tuuu + f2 * (3.0 * gu * huu) + f3 * (gu * gu * gu),
+                f1 * tuuv + f2 * (huu * gv + 2.0 * gu * huv) + f3 * (gu * gu * gv),
+                f1 * tuvv + f2 * (hvv * gu + 2.0 * gv * huv) + f3 * (gu * gv * gv),
+                f1 * tvvv + f2 * (3.0 * gv * hvv) + f3 * (gv * gv * gv))
 
 
-def _jet_eval(node, u, v, constants=None) -> _Jet:
-    """Jet of a tree at (u, v).
+def _jet_eval(node, u, v, constants=None, jet=_Jet) -> _Jet:
+    """Jet of a tree at (u, v), of the order of the jet class ``jet``.
 
     Constant subtrees stay floats and enter the jet rules as plain operands;
     a float is lifted into a jet only where a rule needs one of its own: the
     base of a power, the argument of a function, and an operation between
     two floats (so their domain errors are the jet rules' errors).
     """
-    ju, jv = _Jet(float(u), 1.0), _Jet(float(v), 0.0, 1.0)
+    ju, jv = jet(float(u), 1.0), jet(float(v), 0.0, 1.0)
 
     def rec(n):
         kind = type(n)
@@ -605,8 +628,8 @@ def _jet_eval(node, u, v, constants=None) -> _Jet:
             return float(n.value)
         if kind is Bin:
             a, b, op = rec(n.left), rec(n.right), n.op
-            if type(a) is not _Jet and (op == "^" or type(b) is not _Jet):
-                a = _Jet(a)
+            if type(a) is not jet and (op == "^" or type(b) is not jet):
+                a = jet(a)
             if op == "+":
                 return a + b
             if op == "-":
@@ -618,7 +641,7 @@ def _jet_eval(node, u, v, constants=None) -> _Jet:
             return a.pow(b)
         if kind is Call:
             x = rec(n.arg)
-            return _jet_call(n.fn, x if type(x) is _Jet else _Jet(x))
+            return _jet_call(n.fn, x if type(x) is jet else jet(x))
         if kind is Neg:
             return -rec(n.arg)
         if kind is Const:
@@ -629,8 +652,8 @@ def _jet_eval(node, u, v, constants=None) -> _Jet:
         raise TypeError(f"not an expression node: {n!r}")
 
     out = rec(node)
-    if type(out) is not _Jet:
-        out = _Jet(out)
+    if type(out) is not jet:
+        out = jet(out)
     if not all(map(math.isfinite, (out.val, out.gu, out.gv,
                                    out.huu, out.huv, out.hvv))):
         raise EvaluationError("expression jet produced a non-finite value")
@@ -658,10 +681,20 @@ class Jet2:
         return float(self.x[-1])
 
 
-def scalar_jet(node, u, v) -> "_Jet":
-    """Second-order jet of an expression tree; supports plain arithmetic, so
-    closed-form pipelines can be differentiated by running them on jets."""
-    return _jet_eval(node, u, v)
+def third_order_jet(node, u, v, constants=None) -> _Jet3:
+    """Order-three jet of an expression tree at (u, v)."""
+    j = _jet_eval(node, u, v, constants, _Jet3)
+    if not all(map(math.isfinite, (j.tuuu, j.tuuv, j.tuvv, j.tvvv))):
+        raise EvaluationError("expression jet produced a non-finite value")
+    return j
+
+
+def jet_partials(j: _Jet3):
+    """Order-two jets of x, x_u and x_v from one order-three jet of x, for
+    pipelines that need second derivatives of x_u and x_v (a normal, say)."""
+    return (_Jet(j.val, j.gu, j.gv, j.huu, j.huv, j.hvv),
+            _Jet(j.gu, j.huu, j.huv, j.tuuu, j.tuuv, j.tuvv),
+            _Jet(j.gv, j.huv, j.hvv, j.tuuv, j.tuvv, j.tvvv))
 
 
 def first_order_jet(val, grad) -> "_Jet":

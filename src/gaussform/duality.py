@@ -146,6 +146,26 @@ class PolarPoint:
         return self.dual_curvature
 
 
+def _checked_dual_point(space: amb.AmbientSpace, x, eta, sheet_sign):
+    """The source lift X, the dual point V and its chart position, after the
+    equator check and with the position's height checked positive."""
+    _require_off_equator(eta)
+    X = amb.minkowski_coords(space, x, sheet_sign)
+    V, pos = _dual_point(space, X, eta)
+    if not pos[2] > 0.0:
+        raise NonPositiveHeight("dual point left the upper half-space")
+    return X, V, pos
+
+
+def polar_position(chart: calc.SurfaceChart, p, sheet_sign=1) -> amb.HalfSpacePoint:
+    """``polar_variety(chart, p, sheet_sign).position``, bit for bit and with
+    the same errors, without the forms and the curvature transfer."""
+    jet = calc.jet2_eval(chart, p)
+    eta = forms.frame_normal(chart.ambient, jet, chart.orientation_at(p))
+    _, _, pos = _checked_dual_point(chart.ambient, jet.x, eta, sheet_sign)
+    return amb.HalfSpacePoint(tuple(pos))
+
+
 def polar_variety(chart: calc.SurfaceChart, p, sheet_sign=1) -> PolarPoint:
     """Polar point of the surface at parameter p, with curvature transfer.
 
@@ -155,11 +175,7 @@ def polar_variety(chart: calc.SurfaceChart, p, sheet_sign=1) -> PolarPoint:
     """
     jet = calc.jet2_eval(chart, p)
     bundle = forms.fundamental_forms(jet, chart.ambient, chart.orientation_at(p))
-    _require_off_equator(bundle.eta)
-    X = amb.minkowski_coords(chart.ambient, jet.x, sheet_sign)
-    V, pos = _dual_point(chart.ambient, X, bundle.eta)
-    if not pos[2] > 0.0:
-        raise NonPositiveHeight("dual point left the upper half-space")
+    X, V, pos = _checked_dual_point(chart.ambient, jet.x, bundle.eta, sheet_sign)
 
     k = bundle.gauss_curvature
     k_branch = _branch_curvature(chart.ambient)
@@ -188,21 +204,19 @@ def polar_variety(chart: calc.SurfaceChart, p, sheet_sign=1) -> PolarPoint:
 def _exact_polar_jet_fn(chart: calc.SurfaceChart, sheet_sign):
     """Polar map differentiated by running it on second-order jets.
 
-    Works for charts whose evaluator exposes component expression trees; the
-    whole pipeline (sign-weighted cross product, normalization, Minkowski
-    lift, projection to the dual chart) is rational-plus-sqrt, so jets pass
-    through it exactly.
+    Works for charts whose evaluator exposes component expression trees: one
+    third-order jet per component gives second-order jets of x, x_u and x_v.
+    The whole pipeline (sign-weighted cross product, normalization,
+    Minkowski lift, projection to the dual chart) is rational-plus-sqrt, so
+    jets pass through it exactly.
     """
     asts = chart.evaluator.component_asts
-    du_asts = tuple(calc.derivative(a, "u") for a in asts)
-    dv_asts = tuple(calc.derivative(a, "v") for a in asts)
     space = chart.ambient
     eps = space.signature
 
     def jet_fn(u, v):
-        x = [calc.scalar_jet(a, u, v) for a in asts]
-        xu = [calc.scalar_jet(a, u, v) for a in du_asts]
-        xv = [calc.scalar_jet(a, u, v) for a in dv_asts]
+        x, xu, xv = zip(*(calc.jet_partials(calc.third_order_jet(a, u, v))
+                          for a in asts))
         w = [xu[1] * xv[2] - xu[2] * xv[1],
              xu[2] * xv[0] - xu[0] * xv[2],
              xu[0] * xv[1] - xu[1] * xv[0]]
@@ -256,7 +270,8 @@ def polar_chart(chart: calc.SurfaceChart, sheet_sign=1) -> calc.SurfaceChart:
 
     Charts built from expressions get exact dual jets (the polar map is
     differentiated by jet arithmetic); position-only sources fall back to
-    finite differences of the exact first derivatives.
+    finite differences of the exact first derivatives.  Building it does no
+    symbolic work.
     """
     target = dual_space(chart.ambient)
     if getattr(chart.evaluator, "component_asts", None) is not None:
@@ -276,12 +291,18 @@ def polar_of_polar_minkowski(chart: calc.SurfaceChart, p, sheet_sign=1) -> np.nd
     """
     dual = polar_chart(chart, sheet_sign)
     jet = calc.jet2_eval(dual, p)
-    bundle = forms.fundamental_forms(jet, dual.ambient)
+    eta = forms.frame_normal(dual.ambient, jet, None)
     # The dual surface must be lifted on the branch its points actually
-    # occupy; a de Sitter dual records that in the first polar point.
-    first = polar_variety(chart, p, sheet_sign)
-    branch = first.minkowski.branch_sign() or 1
-    _, second = minkowski_normal(dual.ambient, jet.x, bundle.eta, branch)
+    # occupy.  A de Sitter dual point V has V0 - V3 = eta3 (X3 - X0) with X
+    # the source lift (_normal_from_lift); a hyperbolic dual has one sheet.
+    branch = 1
+    if transfer_direction(chart.ambient) != DS3_TO_H3:
+        src = calc.jet2_eval(chart, p)
+        eta3 = forms.unit_normal(chart.ambient, src, chart.orientation_at(p))[2] / src.height
+        X = amb.minkowski_coords(chart.ambient, src.x, sheet_sign)
+        if eta3 * (X[3] - X[0]) < 0.0:
+            branch = -1
+    _, second = minkowski_normal(dual.ambient, jet.x, eta, branch)
     return second
 
 
@@ -297,77 +318,48 @@ def graph_dualize(u, v, f, fu, fv, direction: str) -> amb.HalfSpacePoint:
     square < 1), time-like de Sitter graph -> time-like de Sitter
     ('ds3-timelike', needs gradient square > 1).
     """
-    if f <= 0.0:
-        raise NonPositiveHeight(f"graph height {f} is not positive")
+    return amb.HalfSpacePoint(_graph_dual(u, v, f, fu, fv, direction))
+
+
+def _graph_dual(u, v, f, fu, fv, direction):
+    """The coordinates of graph_dualize, by plain arithmetic on floats or jets."""
+    if float(f) <= 0.0:
+        raise NonPositiveHeight(f"graph height {float(f)} is not positive")
     grad_sq = fu * fu + fv * fv
     if direction == H3_TO_DS3:
-        return amb.HalfSpacePoint((-f * fu - u, -f * fv - v,
-                                   f * math.sqrt(1.0 + grad_sq)))
+        return -f * fu - u, -f * fv - v, f * calc.jet_sqrt(1.0 + grad_sq)
     if direction == DS3_TO_H3:
-        if grad_sq >= 1.0:
+        if float(grad_sq) >= 1.0:
             raise CausalityViolation(
-                f"gradient square {grad_sq:.6g} must be < 1 for this direction")
-        return amb.HalfSpacePoint((f * fu - u, f * fv - v,
-                                   f * math.sqrt(1.0 - grad_sq)))
+                f"gradient square {float(grad_sq):.6g} must be < 1 for this direction")
+        return f * fu - u, f * fv - v, f * calc.jet_sqrt(1.0 - grad_sq)
     if direction == DS3_TIMELIKE:
-        if grad_sq <= 1.0:
+        if float(grad_sq) <= 1.0:
             raise CausalityViolation(
-                f"gradient square {grad_sq:.6g} must be > 1 for this direction")
-        return amb.HalfSpacePoint((f * fu - u, f * fv - v,
-                                   f * math.sqrt(grad_sq - 1.0)))
+                f"gradient square {float(grad_sq):.6g} must be > 1 for this direction")
+        return f * fu - u, f * fv - v, f * calc.jet_sqrt(grad_sq - 1.0)
     raise ValueError(f"unknown direction {direction!r}")
-
-
-def _dual_graph_first(expr: calc.GraphExpr, u, v, direction):
-    """Dual position and its exact first derivatives from the source 2-jet."""
-    f, grad, hess = expr.jet(u, v)
-    fu, fv = grad
-    fuu, fuv, fvv = hess[0, 0], hess[0, 1], hess[1, 1]
-    pos = graph_dualize(u, v, f, fu, fv, direction)
-    half_dr = np.array([fu * fuu + fv * fuv, fu * fuv + fv * fvv])
-    if direction == H3_TO_DS3:
-        dp = np.array([[-fu * fu - f * fuu - 1.0, -fv * fu - f * fuv],
-                       [-fu * fv - f * fuv, -fv * fv - f * fvv - 1.0]])
-        r = math.sqrt(1.0 + fu * fu + fv * fv)
-        dr = half_dr / r
-    else:
-        dp = np.array([[fu * fu + f * fuu - 1.0, fv * fu + f * fuv],
-                       [fu * fv + f * fuv, fv * fv + f * fvv - 1.0]])
-        if direction == DS3_TO_H3:
-            r = math.sqrt(1.0 - fu * fu - fv * fv)
-            dr = -half_dr / r
-        else:
-            r = math.sqrt(fu * fu + fv * fv - 1.0)
-            dr = half_dr / r
-    dw = np.array([fu, fv]) * r + f * dr
-    first = np.vstack([dp, dw[None, :]])       # rows: dp1, dp2, dw
-    return np.array(pos.coords), first
 
 
 def dual_graph_jet(expr: calc.GraphExpr, p, direction: str):
     """Height of the dualized graph with gradient and Hessian in its own base.
 
-    Second derivatives of the dual position come from central differences of
-    the exact first derivatives; the chain rule then inverts the base map.
+    graph_dualize runs on second-order jets of f, f_u and f_v (one
+    third-order jet of f), which gives the dual position (p1, p2, w) with
+    exact derivatives in (u, v); the chain rule then inverts the base map
+    (u, v) -> (p1, p2).
     """
     u, v = float(p[0]), float(p[1])
-    pos, first = _dual_graph_first(expr, u, v, direction)
-    h = 1e-5 * max(1.0, abs(u), abs(v))
-    _, fp = _dual_graph_first(expr, u + h, v, direction)
-    _, fm = _dual_graph_first(expr, u - h, v, direction)
-    _, gp = _dual_graph_first(expr, u, v + h, direction)
-    _, gm = _dual_graph_first(expr, u, v - h, direction)
-    hess = np.empty((3, 2, 2))
-    hess[:, :, 0] = (fp - fm) / (2.0 * h)
-    hess[:, :, 1] = (gp - gm) / (2.0 * h)
-    hess = 0.5 * (hess + hess.transpose(0, 2, 1))
-
-    jac = first[:2]                        # d(p1, p2)/d(u, v)
-    wgrad_uv = first[2]
-    wgrad = np.linalg.solve(jac.T, wgrad_uv)
-    correction = hess[2] - wgrad[0] * hess[0] - wgrad[1] * hess[1]
-    jac_inv = np.linalg.inv(jac)
-    whess = jac_inv.T @ correction @ jac_inv
+    f, fu, fv = calc.jet_partials(
+        calc.third_order_jet(expr.ast, u, v, dict(expr.constants)))
+    pos, dpos, ddpos = calc.jet_arrays(_graph_dual(
+        calc.first_order_jet(u, (1.0, 0.0)), calc.first_order_jet(v, (0.0, 1.0)),
+        f, fu, fv, direction))
+    # With J = d(p1, p2)/d(u, v): grad_uv w = J^T grad w and
+    # hess_uv w = J^T (hess w) J + sum_k (grad w)_k hess_uv p_k.
+    jac_inv = np.linalg.inv(dpos[:2])
+    wgrad = jac_inv.T @ dpos[2]
+    whess = jac_inv.T @ (ddpos[2] - wgrad[0] * ddpos[0] - wgrad[1] * ddpos[1]) @ jac_inv
     return float(pos[2]), wgrad, 0.5 * (whess + whess.T)
 
 
@@ -433,7 +425,7 @@ def fit_family_pairing(source_key: str, params=None, count=100, seed=0):
     chart = zoo.make_surface(source_key, params)
     merged = zoo.resolve_params(fam, params)
     rng = np.random.default_rng(seed)
-    pts = np.array([polar_variety(chart, p).position.coords
+    pts = np.array([polar_position(chart, p).coords
                     for p in chart.interior_points(count, rng, margin_frac=0.1)])
     best = None
     for s1, s2 in sign_choices:

@@ -127,8 +127,12 @@ def _matmul(a, b):
     return [[_dot(row, col) for col in cols] for row in a]
 
 
-def _causal_det(space, first):
-    """check_causal_class on a nested-list induced metric."""
+def check_causal_class(space, first):
+    """Determinant of the induced metric (nested lists or an array), which
+    must be nondegenerate and of the causal class of ``space``; raises
+    NonImmersed or WrongCausalClass."""
+    if not isinstance(first, list):
+        first = np.asarray(first, dtype=float).tolist()
     det = _det(first)
     if abs(det) < calculus.GRAM_DET_TOL:
         raise NonImmersed(f"induced metric is degenerate (det {det:.3e})")
@@ -140,12 +144,6 @@ def _causal_det(space, first):
     elif len(first) != 2 or det >= 0.0:
         raise WrongCausalClass("induced metric is not Lorentzian")
     return det
-
-
-def check_causal_class(space, first):
-    """Determinant of the induced metric, which must be nondegenerate and of
-    the causal class of ``space``; raises NonImmersed or WrongCausalClass."""
-    return _causal_det(space, np.asarray(first, dtype=float).tolist())
 
 
 def orientation_sign(eta, orientation) -> float:
@@ -200,12 +198,28 @@ def _oriented_normal(space, h, du, orientation):
 
 
 def unit_normal(space, jet, orientation):
-    """Coordinate components of the unit normal, oriented per orientation_sign,
-    and the ambient metric at the point; raises NonImmersed when the tangent
-    map is degenerate and WrongCausalClass when the normal's scalar square
-    has the wrong sign."""
-    n = _oriented_normal(space, jet.height, jet.du.tolist(), orientation)
-    return np.array(n), amb.metric_at_height(space, jet.height)
+    """Coordinate components of the unit normal, oriented per orientation_sign;
+    raises NonImmersed when the tangent map is degenerate and WrongCausalClass
+    when the normal's scalar square has the wrong sign."""
+    return np.array(_oriented_normal(space, jet.height, jet.du.tolist(), orientation))
+
+
+def induced_metric(space, h, du):
+    """The first fundamental form sum_A eps_A / h^2 dx_A(x_i) dx_A(x_j) at
+    height h > 0, from the m x k tangent map du, as k x k nested lists."""
+    w = [e / h**2 for e in space.signature]     # the diagonal metric
+    cols = list(zip(*du))                       # the tangent vectors x_i
+    return [[_dot([wa * c for wa, c in zip(w, ci)], cj) for cj in cols] for ci in cols]
+
+
+def frame_normal(space, jet, orientation):
+    """Frame components eta = N / h of the oriented unit normal, with the
+    checks of fundamental_forms in its order (the normal, then the causal
+    class of the induced metric) but none of the forms."""
+    h, du = jet.height, jet.du.tolist()
+    n = np.array(_oriented_normal(space, h, du, orientation))
+    check_causal_class(space, induced_metric(space, h, du))
+    return n / h
 
 
 def fundamental_forms(jet: calculus.Jet2, space: amb.AmbientSpace,
@@ -218,21 +232,19 @@ def fundamental_forms(jet: calculus.Jet2, space: amb.AmbientSpace,
     """
     du, duu = jet.du.tolist(), jet.duu.tolist()
     h = float(jet.x[-1])
-    m, k = len(du), len(du[0])
+    k = len(du[0])
     eps, eps_n = space.signature, space.normal_sign
     n = _oriented_normal(space, h, du, orientation)
     eta = [c / h for c in n]
 
-    w = [e / h**2 for e in eps]                 # the diagonal metric
-    cols = list(zip(*du))                       # the tangent vectors x_i
-    first = [[_dot([wa * c for wa, c in zip(w, ci)], cj) for cj in cols]
-             for ci in cols]
-    det_first = _causal_det(space, first)
+    first = induced_metric(space, h, du)
+    det_first = check_causal_class(space, first)
 
     # h_ij = eps_N <D_i x_j, N>.  With the half-space Christoffel symbols and
     # <N, x_i> = 0 the connection term contracts to eta_last * I_ij, leaving
     # h_ij = eps_N (sum_A eps_A duu^A_ij n_A / h^2 + eta_last I_ij).
-    gn = [wa * c for wa, c in zip(w, n)]
+    h2 = h**2
+    gn = [e / h2 * c for e, c in zip(eps, n)]
     eta_last = eta[-1]
     second = [[eps_n * (_dot(gn, [d[i][j] for d in duu]) + eta_last * first[i][j])
                for j in range(k)] for i in range(k)]

@@ -454,9 +454,7 @@ def recovered_gauss_map(built: BuiltSurface):
     g_rec = np.zeros((ni, nj), dtype=complex)
     eta3 = np.zeros((ni, nj))
     for i, j, jet in sample_jets(built):
-        n_coord, metric = forms.unit_normal(space, jet, orientation)
-        forms.check_causal_class(space, jet.du.T @ metric @ jet.du)
-        eta = n_coord / jet.height
+        eta = forms.frame_normal(space, jet, orientation)
         value = gaussmaps.stereo_project(eta, space)
         if gaussmaps.is_infinity(value):
             continue

@@ -151,19 +151,6 @@ class TestJets:
             assert hess[1, 1] == pytest.approx(fd_vv, rel=1e-4, abs=1e-5)
             assert hess[0, 1] == pytest.approx(fd_uv, rel=1e-4, abs=1e-5)
 
-    def test_symbolic_derivative_matches_ad(self, rng):
-        texts = ["sqrt(1+u^2)+sqrt(1+v^2)", "u*v/sqrt(1+v^2)",
-                 "sinh(u)*cos(v)", "u^3-2*u*v", "exp(u)*log(1+v^2)"]
-        for text in texts:
-            expr = calc.parse_graph_expr(text)
-            du = expr.derivative("u")
-            dv = expr.derivative("v")
-            for _ in range(10):
-                u, v = rng.uniform(0.1, 2.0, 2)
-                _, grad, _ = expr.jet(u, v)
-                assert du(u, v) == pytest.approx(grad[0], rel=1e-12, abs=1e-12)
-                assert dv(u, v) == pytest.approx(grad[1], rel=1e-12, abs=1e-12)
-
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             calc.parse_graph_expr("sqrt(u)")(-1.0, 0.0)
@@ -180,8 +167,14 @@ class TestJets:
         assert val == 9.0 and grad[0] == -6.0
 
 
-def _sympy_jet(text, u0, v0):
-    """Value, gradient and Hessian of an expression by sympy, at 30 digits."""
+# (u order, v order) of the ten coefficients of an order-three jet, in the
+# order of its slots: value, gradient, Hessian, third derivatives.
+JET3_ORDERS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
+               (3, 0), (2, 1), (1, 2), (0, 3)]
+
+
+def _sympy_partials(text, u0, v0, orders):
+    """Partial derivatives of an expression by sympy.diff, at 30 digits."""
     import sympy as sp
 
     u, v = sp.symbols("u v", real=True)
@@ -189,14 +182,13 @@ def _sympy_jet(text, u0, v0):
                    locals={"u": u, "v": v, "e": sp.E, "pi": sp.pi,
                            "abs": sp.Abs})
     at = {u: sp.Float(u0, 30), v: sp.Float(v0, 30)}
+    return [float(sp.N(sp.diff(f, u, a, v, b).subs(at), 30)) for a, b in orders]
 
-    def num(ex):
-        return float(sp.N(ex.subs(at), 30))
 
-    grad = [sp.diff(f, t) for t in (u, v)]
-    hess = [[sp.diff(g, t) for t in (u, v)] for g in grad]
-    return num(f), np.array([num(g) for g in grad]), np.array(
-        [[num(h) for h in row] for row in hess])
+def _sympy_jet(text, u0, v0):
+    """Value, gradient and Hessian of an expression by sympy, at 30 digits."""
+    f, fu, fv, fuu, fuv, fvv = _sympy_partials(text, u0, v0, JET3_ORDERS[:6])
+    return f, np.array([fu, fv]), np.array([[fuu, fuv], [fuv, fvv]])
 
 
 # Every function of the grammar, '^' with an integer, a non-integer and a
@@ -225,6 +217,16 @@ class TestJetSympyOracle:
             assert val == pytest.approx(want_val, rel=1e-13, abs=1e-13)
             assert np.abs(grad - want_grad).max() <= 1e-13 * np.abs(want_grad).max()
             assert np.abs(hess - want_hess).max() <= 1e-13 * np.abs(want_hess).max()
+
+    @pytest.mark.parametrize("text", ORACLE_TEXTS)
+    def test_third_order_jet_matches_sympy(self, text, rng):
+        tree = calc.parse_graph_expr(text).ast
+        for _ in range(3):
+            u, v = rng.uniform(0.2, 1.5, 2)
+            got = calc.third_order_jet(tree, u, v).coefficients()
+            want = _sympy_partials(text, u, v, JET3_ORDERS)
+            for (a, b), g, w in zip(JET3_ORDERS, got, want):
+                assert g == pytest.approx(w, rel=1e-12, abs=1e-12), (a, b)
 
 
 class TestCharts:

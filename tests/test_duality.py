@@ -8,7 +8,8 @@ from gaussform import ambient as amb
 from gaussform import calculus as calc
 from gaussform import duality, forms, zoo
 from gaussform.errors import (BranchPoint, CausalityViolation, EquatorialNormal,
-                              NonPositiveHeight, OrientationUndefined)
+                              GaussformError, NonImmersed, NonPositiveHeight,
+                              OrientationUndefined, OutsideDomain, WrongCausalClass)
 
 H3 = amb.hyperbolic_space()
 DS3 = amb.de_sitter_space()
@@ -183,6 +184,112 @@ class TestTransferLaw:
                 V2 = duality.polar_of_polar_minkowski(chart, p)
                 err = min(np.abs(V2 - X).max(), np.abs(V2 + X).max())
                 assert err <= 1e-8, key
+
+
+def _sympy_polar_jet(chart, p):
+    """Polar position with its first and second derivatives, by sympy.diff.
+
+    An independent construction: the dual point is the centre and radius of
+    the totally geodesic plane tangent to the surface, a hemisphere (or
+    hyperboloid) orthogonal to the boundary through x with normal N, the
+    signature-weighted cross product of x_u and x_v.  Its centre is
+    x - (x3 / N3) N and its radius x3 sqrt(|<N, N>|) / |N3|; this is
+    graph_dualize for graphs.  The orientation sign of the two horizontal
+    coordinates is left open.  Rows: the three coordinates; columns: value,
+    d/du, d/dv, d2/du2, d2/dudv, d2/dv2.
+    """
+    import sympy as sp
+
+    u, v = sp.symbols("u v", real=True)
+    x = [sp.sympify(calc.unparse(a).replace("^", "**"),
+                    locals={"u": u, "v": v, "e": sp.E, "pi": sp.pi, "abs": sp.Abs})
+         for a in chart.evaluator.component_asts]
+    at = {u: sp.Float(p[0], 30), v: sp.Float(p[1], 30)}
+    eps = chart.ambient.signature
+    xu, xv = [sp.diff(c, u) for c in x], [sp.diff(c, v) for c in x]
+    n = [eps[0] * (xu[1] * xv[2] - xu[2] * xv[1]),
+         eps[1] * (xu[2] * xv[0] - xu[0] * xv[2]),
+         eps[2] * (xu[0] * xv[1] - xu[1] * xv[0])]
+    nn = sum(e * c * c for e, c in zip(eps, n))
+    nn_sign = 1 if sp.N(nn.subs(at)) > 0 else -1
+    n3_sign = 1 if sp.N(n[2].subs(at)) > 0 else -1
+    pos = [x[0] - x[2] * n[0] / n[2], x[1] - x[2] * n[1] / n[2],
+           x[2] * sp.sqrt(nn_sign * nn) / (n3_sign * n[2])]
+    orders = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    return np.array([[float(sp.N(sp.diff(c, u, a, v, b).subs(at), 30))
+                      for a, b in orders] for c in pos])
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except GaussformError as exc:
+        return type(exc)
+    return None
+
+
+class TestExactDualJets:
+    @pytest.mark.parametrize("key", ["translational-6.6", "corollary-6"])
+    def test_polar_chart_jet_matches_sympy(self, key, rng):
+        chart = zoo.make_surface(key)
+        dual = duality.polar_chart(chart)
+        for p in chart.interior_points(3, rng, margin_frac=0.1):
+            jet = calc.jet2_eval(dual, p)
+            got = np.column_stack([jet.x, jet.du[:, 0], jet.du[:, 1], jet.duu[:, 0, 0],
+                                   jet.duu[:, 0, 1], jet.duu[:, 1, 1]])
+            want = _sympy_polar_jet(chart, p)
+            if np.abs(got[:2, 0] + want[:2, 0]).max() < np.abs(got[:2, 0] - want[:2, 0]).max():
+                want[:2] *= -1
+            assert np.abs(got - want).max() <= 1e-11 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("key", ["translational-6.3", "corollary-6"])
+    def test_graph_duality_residual_at_rounding_level(self, key, rng):
+        # Exact second derivatives of the dual graph: far inside the 1e-6
+        # gate of criterion 5, which finite differences needed.
+        f = zoo.family_graph_expr(key)
+        chart = zoo.make_surface(key)
+        for p in chart.interior_points(30, rng, margin_frac=0.1):
+            assert abs(duality.graph_duality_residual(f, p, duality.DS3_TO_H3)) <= 1e-12
+
+    def test_polar_of_polar_takes_the_polar_variety_branch(self, rng):
+        for key in ["translational-6.6", "ruled-6.7", "ruled-6.8",
+                    "translational-6.4", "ruled-6.2-2", "ruled-7.4-3",
+                    "ruled-7.4-5"]:
+            chart = zoo.make_surface(key)
+            dual = duality.polar_chart(chart)
+            for p in chart.interior_points(8, rng, margin_frac=0.1):
+                jet = calc.jet2_eval(dual, p)
+                eta = forms.fundamental_forms(jet, dual.ambient).eta
+                branch = duality.polar_variety(chart, p).minkowski.branch_sign() or 1
+                _, want = duality.minkowski_normal(dual.ambient, jet.x, eta, branch)
+                assert np.array_equal(duality.polar_of_polar_minkowski(chart, p), want), key
+
+
+class TestPolarPosition:
+    @pytest.mark.parametrize("key", ["translational-6.6", "ruled-6.7", "ruled-6.8",
+                                     "ruled-7.4-3", "corollary-6", "control-bowl"])
+    def test_bitwise_polar_variety_position(self, key, rng):
+        chart = zoo.make_surface(key)
+        for p in chart.interior_points(20, rng, margin_frac=0.1):
+            got = duality.polar_position(chart, p).coords
+            want = duality.polar_variety(chart, p).position.coords
+            assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+    @pytest.mark.parametrize("chart,p,error", [
+        (zoo.make_surface("cylinder-7.4-2"), (1.0, 1.0), EquatorialNormal),
+        (zoo.make_surface("translational-6.6"), (-5.0, 1.0), OutsideDomain),
+        (calc.SurfaceChart((-1.0, 1.0, -1.0, 1.0), calc.GraphEvaluator(
+            calc.parse_graph_expr("2*u+0.5*v+3")), DS3), (0.2, 0.3), WrongCausalClass),
+        (calc.SurfaceChart((-1.0, 1.0, -1.0, 1.0), calc.ClosedFormEvaluator(
+            [calc.parse_graph_expr(t) for t in ("u", "u", "2")]), H3), (0.2, 0.3),
+         NonImmersed),
+        (dataclasses.replace(zoo.make_surface("translational-6.6"),
+                             orientation=np.array([0.0, 0.0, 0.0])), (1.0, 1.2),
+         OrientationUndefined),
+    ], ids=["equator", "outside", "wrong-class", "degenerate", "orientation-tie"])
+    def test_same_errors_as_polar_variety(self, chart, p, error):
+        assert _raised(duality.polar_variety, chart, p) is error
+        assert _raised(duality.polar_position, chart, p) is error
 
 
 class TestConformalityEquivalence:
