@@ -719,8 +719,6 @@ def jet_arrays(jets):
 class GraphEvaluator:
     """Graph (u, v, f(u, v)) with exact jets from the expression engine."""
 
-    kind = "graph"
-
     def __init__(self, expr: GraphExpr):
         self.expr = expr
 
@@ -742,8 +740,6 @@ class ClosedFormEvaluator:
     Built either from per-component expressions or from a callable returning
     (x, du, duu) directly.
     """
-
-    kind = "closed_form"
 
     def __init__(self, components=None, jet_fn=None):
         if (components is None) == (jet_fn is None):
@@ -771,7 +767,6 @@ class NumericEvaluator:
     stencil with step 1e-3 * max(1, |u|, |v|).
     """
 
-    kind = "numeric"
     first_step = 1e-5
     second_step = 1e-3
 
@@ -815,10 +810,6 @@ class SurfaceChart:
     # Normal orientation override: None for the default (last frame component
     # nonnegative), an int sign, a reference vector, or a callable (u, v) -> vector.
     orientation: object = None
-
-    @property
-    def kind(self):
-        return self.evaluator.kind
 
     def orientation_at(self, p):
         """The orientation override at parameter p, callables resolved."""

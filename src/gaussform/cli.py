@@ -33,17 +33,30 @@ from .errors import EmptyGrid, EmptyOutput, GaussformError, NonRealHeight
 
 SCHEMA_VERSION = 1
 
-# Pass/fail thresholds, identical to the module tolerances.
-TOL_ORTHOGONALITY = 1e-10
-TOL_UNIT = 1e-10
-TOL_THIRD_FORM = 1e-10
-TOL_OBATA = 1e-9
+# Pass/fail gates of the reports.  ``check forms`` reads FORMS_GATES by the
+# residual names it prints.  The acceptance suite and perfbench/checks.py keep
+# their own literal copies; tests/test_cli.py pins this block to them.
+FORMS_GATES = {"normal_orthogonality": 1e-10, "normal_unit": 1e-10,
+               "third_form_definition": 1e-10, "obata": 1e-9}
 TOL_K_RELATION = 1e-9
 TOL_RHO_FORMULA = 1e-8
 TOL_PDE = 1e-10
 TOL_TRANSFER = 1e-8
 TOL_FIT = 1e-6
 TOL_DISCRETE = 1e-10
+TOL_IDENTITY = 1e-10
+
+# Default check grid: samples per axis, and the fraction of each side kept
+# clear of the domain boundary.
+GRID_COUNT = 8
+GRID_INSET = 0.05
+
+# A point or sample that raises one of these is recorded as failed; float
+# overflow and division by zero come from extreme parameters.
+POINT_ERRORS = (GaussformError, ArithmeticError)
+
+SURFACE_COLUMNS = ["i", "j", "u", "v", "x1", "x2", "x3"]
+FIELD_COLUMNS = ["i", "j", "u", "v", "Re", "Im"]
 
 _EXPECTED_CLASS = {
     zoo.CONFORMAL: forms.ConformalityReport.CONFORMAL,
@@ -97,11 +110,11 @@ def _parse_params(items):
     return params
 
 
-def _default_grid(chart, count=8, inset=0.05):
+def _default_grid(chart):
     u0, u1, v0, v1 = chart.domain
-    mu, mv = inset * (u1 - u0), inset * (v1 - v0)
-    return (np.linspace(u0 + mu, u1 - mu, count),
-            np.linspace(v0 + mv, v1 - mv, count))
+    mu, mv = GRID_INSET * (u1 - u0), GRID_INSET * (v1 - v0)
+    return (np.linspace(u0 + mu, u1 - mu, GRID_COUNT),
+            np.linspace(v0 + mv, v1 - mv, GRID_COUNT))
 
 
 def _json_default(obj):
@@ -125,6 +138,29 @@ def _record_failure(rec, exc, kinds):
     kinds[name] = kinds.get(name, 0) + 1
 
 
+def _point_records(points, evaluate):
+    """One record per (u, v) point, filled in place by ``evaluate(rec, u, v)``.
+
+    An error of POINT_ERRORS marks the record failed and keeps the fields
+    written before it.  Returns (records, failures_by_kind).
+    """
+    records = []
+    kinds = {}
+    for u, v in points:
+        rec = {"u": u, "v": v}
+        try:
+            evaluate(rec, u, v)
+        except POINT_ERRORS as exc:
+            _record_failure(rec, exc, kinds)
+        records.append(rec)
+    return records, kinds
+
+
+def _largest(values):
+    """The largest of 0.0 and ``values``, taken in order like a running max."""
+    return max([0.0, *values])
+
+
 def _summary(fields, kinds, passes):
     """A report summary: ``fields``, then ``failures_by_kind`` when something
     failed, then the pass flags."""
@@ -135,10 +171,16 @@ def _summary(fields, kinds, passes):
     return summary
 
 
-def _emit(report, stream=None):
-    stream = stream if stream is not None else sys.stdout
-    json.dump(report, stream, indent=2, default=_json_default)
-    stream.write("\n")
+def _emit(report):
+    json.dump(report, sys.stdout, indent=2, default=_json_default)
+    sys.stdout.write("\n")
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _chart_from_args(args):
@@ -156,6 +198,12 @@ def _chart_from_args(args):
     return chart, None
 
 
+def _grid_points(spec, chart):
+    """Points of a ``--grid`` spec, or of the chart's default grid."""
+    us, vs = _parse_grid(spec) if spec is not None else _default_grid(chart)
+    return [(float(u), float(v)) for u in us for v in vs]
+
+
 def _points_from_args(args, chart):
     if args.at is not None:
         try:
@@ -163,11 +211,7 @@ def _points_from_args(args, chart):
         except ValueError:
             raise UsageError(f"--at {args.at!r} must be u,v") from None
         return [(u, v)]
-    if args.grid is not None:
-        us, vs = _parse_grid(args.grid)
-    else:
-        us, vs = _default_grid(chart)
-    return [(float(u), float(v)) for u in us for v in vs]
+    return _grid_points(args.grid, chart)
 
 
 # --------------------------------------------------------------------------
@@ -204,7 +248,7 @@ def _cmd_zoo_sample(args):
         for j, v in enumerate(vs):
             try:
                 x, _, _ = chart.evaluator.jet(float(u), float(v))
-            except GaussformError as exc:
+            except POINT_ERRORS as exc:
                 rec = {"i": i, "j": j, "u": float(u), "v": float(v)}
                 _record_failure(rec, exc, kinds)
                 failed.append(rec)
@@ -212,10 +256,7 @@ def _cmd_zoo_sample(args):
             rows.append((i, j, float(u), float(v), x[0], x[1], x[2]))
     failures = len(failed)
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["i", "j", "u", "v", "x1", "x2", "x3"])
-            writer.writerows(rows)
+        _write_csv(args.out, SURFACE_COLUMNS, rows)
     report = {"schema_version": SCHEMA_VERSION,
               "command": f"zoo sample {args.family}",
               "rows": len(rows), "failed_samples": failures,
@@ -235,46 +276,31 @@ def _cmd_zoo_sample(args):
 
 def _cmd_check_forms(args):
     chart, _ = _chart_from_args(args)
-    points = _points_from_args(args, chart)
-    records = []
-    maxima = {"normal_orthogonality": 0.0, "normal_unit": 0.0,
-              "third_form_definition": 0.0, "obata": 0.0}
-    kinds = {}
-    for (u, v) in points:
-        rec = {"u": u, "v": v}
-        try:
-            jet = calc.jet2_eval(chart, (u, v))
-            bundle = forms.fundamental_forms(jet, chart.ambient,
-                                             chart.orientation_at((u, v)))
-            metric = amb.metric_at_height(chart.ambient, jet.height)
-            n_coord = bundle.eta * jet.height
-            ortho = float(np.abs(jet.du.T @ metric @ n_coord).max())
-            unit = abs(float(n_coord @ metric @ n_coord) - chart.ambient.normal_sign)
-            third = float(np.linalg.norm(
+
+    def evaluate(rec, u, v):
+        jet = calc.jet2_eval(chart, (u, v))
+        bundle = forms.fundamental_forms(jet, chart.ambient,
+                                         chart.orientation_at((u, v)))
+        metric = amb.metric_at_height(chart.ambient, jet.height)
+        n_coord = bundle.eta * jet.height
+        residuals = {
+            "normal_orthogonality": float(np.abs(jet.du.T @ metric @ n_coord).max()),
+            "normal_unit": abs(float(n_coord @ metric @ n_coord)
+                               - chart.ambient.normal_sign),
+            "third_form_definition": float(np.linalg.norm(
                 bundle.third - bundle.second @ np.linalg.inv(bundle.first)
-                @ bundle.second))
-            obata = forms.obata_identity_residual(bundle)
-            rec.update({
-                "x": list(jet.x), "eta": list(bundle.eta),
-                "H": bundle.mean_curvature, "K": bundle.gauss_curvature,
-                "residuals": {"normal_orthogonality": ortho, "normal_unit": unit,
-                              "third_form_definition": third, "obata": obata},
-                "status": "ok",
-            })
-            maxima["normal_orthogonality"] = max(maxima["normal_orthogonality"], ortho)
-            maxima["normal_unit"] = max(maxima["normal_unit"], unit)
-            maxima["third_form_definition"] = max(maxima["third_form_definition"], third)
-            maxima["obata"] = max(maxima["obata"], obata)
-        except GaussformError as exc:
-            _record_failure(rec, exc, kinds)
-        records.append(rec)
-    passes = {
-        "normal_orthogonality": maxima["normal_orthogonality"] <= TOL_ORTHOGONALITY,
-        "normal_unit": maxima["normal_unit"] <= TOL_UNIT,
-        "third_form_definition": maxima["third_form_definition"] <= TOL_THIRD_FORM,
-        "obata": maxima["obata"] <= TOL_OBATA,
-        "all_points_evaluated": not kinds,
-    }
+                @ bundle.second)),
+            "obata": forms.obata_identity_residual(bundle),
+        }
+        rec.update({"x": list(jet.x), "eta": list(bundle.eta),
+                    "H": bundle.mean_curvature, "K": bundle.gauss_curvature,
+                    "residuals": residuals, "status": "ok"})
+
+    records, kinds = _point_records(_points_from_args(args, chart), evaluate)
+    maxima = {name: _largest(r["residuals"][name] for r in records if "residuals" in r)
+              for name in FORMS_GATES}
+    passes = {name: maxima[name] <= tol for name, tol in FORMS_GATES.items()}
+    passes["all_points_evaluated"] = not kinds
     _emit({"schema_version": SCHEMA_VERSION, "command": "check forms",
            "target": args.family or args.graph, "points": records,
            "summary": _summary({"maxima": maxima}, kinds, passes)})
@@ -284,34 +310,28 @@ def _cmd_check_forms(args):
 def _cmd_check_conformal(args):
     chart, fam = _chart_from_args(args)
     expected = _EXPECTED_CLASS[fam.conformal] if fam is not None else None
-    points = _points_from_args(args, chart)
-    records = []
-    max_k_rel = 0.0
-    max_rho_rel = 0.0
-    mismatches = 0
-    kinds = {}
-    for (u, v) in points:
-        rec = {"u": u, "v": v}
-        try:
-            bundle = forms.forms_at(chart, (u, v))
-            report = forms.conformality_test(bundle)
-            rec.update({"classification": report.classification,
-                        "rho": report.rho, "residual": report.residual,
-                        "K": bundle.gauss_curvature,
-                        "eta3": float(bundle.eta[2]), "status": "ok"})
-            if expected is not None and report.classification != expected:
-                mismatches += 1
-            if report.classification == forms.ConformalityReport.CONFORMAL:
-                k_rel = forms.curvature_relation_residual(bundle)
-                rec["k_relation_residual"] = k_rel
-                max_k_rel = max(max_k_rel, k_rel)
-                if chart.ambient.causal_class is amb.CausalClass.SPACE_LIKE:
-                    rho_rel = forms.rho_formula_residual(bundle, report.rho)
-                    rec["rho_formula_residual"] = rho_rel
-                    max_rho_rel = max(max_rho_rel, rho_rel)
-        except GaussformError as exc:
-            _record_failure(rec, exc, kinds)
-        records.append(rec)
+    space_like = chart.ambient.causal_class is amb.CausalClass.SPACE_LIKE
+
+    def evaluate(rec, u, v):
+        bundle = forms.forms_at(chart, (u, v))
+        report = forms.conformality_test(bundle)
+        rec.update({"classification": report.classification,
+                    "rho": report.rho, "residual": report.residual,
+                    "K": bundle.gauss_curvature,
+                    "eta3": float(bundle.eta[2]), "status": "ok"})
+        if report.classification == forms.ConformalityReport.CONFORMAL:
+            rec["k_relation_residual"] = forms.curvature_relation_residual(bundle)
+            if space_like:
+                rec["rho_formula_residual"] = forms.rho_formula_residual(bundle,
+                                                                         report.rho)
+
+    records, kinds = _point_records(_points_from_args(args, chart), evaluate)
+    max_k_rel = _largest(r["k_relation_residual"] for r in records
+                         if "k_relation_residual" in r)
+    max_rho_rel = _largest(r["rho_formula_residual"] for r in records
+                           if "rho_formula_residual" in r)
+    mismatches = 0 if expected is None else sum(
+        1 for r in records if r.get("classification", expected) != expected)
     passes = {"all_points_evaluated": not kinds}
     if expected is not None:
         passes["classification_matches"] = mismatches == 0
@@ -335,35 +355,26 @@ def _cmd_check_conformal(args):
 
 def _cmd_pde_residual(args):
     expr = calc.parse_graph_expr(args.graph)
-    us, vs = _parse_grid(args.grid)
-    records = []
-    worst = 0.0
-    kinds = {}
-    for u in us:
-        for v in vs:
-            rec = {"u": float(u), "v": float(v)}
-            try:
-                res = zoo.graph_pde_residual(expr, (u, v), args.eq)
-                rec["residual"] = res
-                if args.eq == zoo.PDE_DS3:
-                    grad_sq = zoo.gradient_square(expr, (u, v))
-                    rec["gradient_square"] = grad_sq
-                    rec["regime"] = ("space_like" if grad_sq < 1.0
-                                     else "time_like" if grad_sq > 1.0 else "null")
-                rec["status"] = "ok"
-                worst = max(worst, abs(res))
-            except GaussformError as exc:
-                _record_failure(rec, exc, kinds)
-            records.append(rec)
+
+    def evaluate(rec, u, v):
+        rec["residual"] = zoo.graph_pde_residual(expr, (u, v), args.eq)
+        if args.eq == zoo.PDE_DS3:
+            grad_sq = zoo.gradient_square(expr, (u, v))
+            rec["gradient_square"] = grad_sq
+            rec["regime"] = ("space_like" if grad_sq < 1.0
+                             else "time_like" if grad_sq > 1.0 else "null")
+        rec["status"] = "ok"
+
+    records, kinds = _point_records(_grid_points(args.grid, None), evaluate)
+    worst = _largest(abs(r["residual"]) for r in records if r["status"] == "ok")
     failures = sum(kinds.values())
-    passed = failures == 0 and worst <= TOL_PDE
+    passes = {"residual": worst <= TOL_PDE, "all_points_evaluated": failures == 0}
     _emit({"schema_version": SCHEMA_VERSION,
            "command": f"pde residual --eq {args.eq}",
            "graph": args.graph, "points": records,
            "summary": _summary({"max_abs_residual": worst, "failures": failures},
-                               kinds, {"residual": worst <= TOL_PDE,
-                                       "all_points_evaluated": failures == 0})})
-    return 0 if passed else 1
+                               kinds, passes)})
+    return 0 if all(passes.values()) else 1
 
 
 # --------------------------------------------------------------------------
@@ -374,45 +385,35 @@ def _cmd_dualize(args):
     params = _parse_params(args.param)
     chart = zoo.make_surface(args.family, params)
     dual = duality.polar_chart(chart)
-    if args.grid is not None:
-        us, vs = _parse_grid(args.grid)
-    else:
-        us, vs = _default_grid(chart)
-    records = []
-    max_transfer = 0.0
-    transfer_ok = True
-    kinds = {}
-    for u in us:
-        for v in vs:
-            rec = {"u": float(u), "v": float(v)}
-            try:
-                pp = duality.polar_variety(chart, (u, v))
-                rec.update({
-                    "dual_position": list(pp.position.coords),
-                    "source_K": pp.source_curvature,
-                    "volume_ratio": pp.volume_ratio,
-                    "branch": pp.branch_flag,
-                    "status": "ok",
-                })
-                if pp.branch_flag:
-                    rec["dual_K"] = None
-                else:
-                    rec["dual_K"] = pp.dual_curvature
-                    measured = forms.forms_at(dual, (u, v)).gauss_curvature
-                    err = abs(measured - pp.dual_curvature)
-                    rec["transfer_residual"] = err
-                    max_transfer = max(max_transfer, err)
-                    # Relative gate: near the branch locus the dual curvature
-                    # grows without bound and carries proportional rounding.
-                    if err > TOL_TRANSFER * max(1.0, abs(pp.dual_curvature)):
-                        transfer_ok = False
-            except GaussformError as exc:
-                _record_failure(rec, exc, kinds)
-            records.append(rec)
+
+    def evaluate(rec, u, v):
+        pp = duality.polar_variety(chart, (u, v))
+        rec.update({
+            "dual_position": list(pp.position.coords),
+            "source_K": pp.source_curvature,
+            "volume_ratio": pp.volume_ratio,
+            "branch": pp.branch_flag,
+            "status": "ok",
+        })
+        if pp.branch_flag:
+            rec["dual_K"] = None
+        else:
+            rec["dual_K"] = pp.dual_curvature
+            measured = forms.forms_at(dual, (u, v)).gauss_curvature
+            rec["transfer_residual"] = abs(measured - pp.dual_curvature)
+
+    records, kinds = _point_records(_grid_points(args.grid, chart), evaluate)
+    transferred = [r for r in records if "transfer_residual" in r]
     failures = sum(kinds.values())
-    passes = {"transfer_law": transfer_ok,
+    # Relative gate: near the branch locus the dual curvature grows without
+    # bound and carries proportional rounding.
+    passes = {"transfer_law": not any(
+                  r["transfer_residual"] > TOL_TRANSFER * max(1.0, abs(r["dual_K"]))
+                  for r in transferred),
               "all_points_evaluated": failures == 0}
-    fields = {"max_transfer_residual": max_transfer, "failures": failures}
+    fields = {"max_transfer_residual": _largest(r["transfer_residual"]
+                                                for r in transferred),
+              "failures": failures}
     if args.fit_isometry:
         target_key, fit = duality.fit_family_pairing(args.family, params)
         fields["isometry_fit"] = {
@@ -482,13 +483,15 @@ def _cmd_weierstrass_build(args):
         if reason:
             dropped[str(reason)] = int((built.drop_reason == reason).sum())
     if args.out:
-        _write_surface_csv(args.out, built)
+        _write_csv(args.out, SURFACE_COLUMNS,
+                   ([i, j, built.u_coords[i], built.v_coords[j], *built.samples[i, j]]
+                    for i, j in np.argwhere(built.kept).tolist()))
     if args.out_g:
-        _write_field_csv(args.out_g, g)
+        _write_csv(args.out_g, FIELD_COLUMNS, weierstrass.field_to_rows(g))
     if args.out_far:
-        _write_field_csv(args.out_far, solved)
+        _write_csv(args.out_far, FIELD_COLUMNS, weierstrass.field_to_rows(solved))
     passes = {"discrete_residual": discrete <= TOL_DISCRETE,
-              "identity": identity <= 1e-10,
+              "identity": identity <= TOL_IDENTITY,
               "built": built.kept_count > 0}
     _emit({"schema_version": SCHEMA_VERSION, "command": "weierstrass build",
            "summary": {
@@ -505,69 +508,63 @@ def _cmd_weierstrass_build(args):
     return 0 if all(passes.values()) else 1
 
 
-def _write_field_csv(path, fld: weierstrass.ComplexField):
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "j", "u", "v", "Re", "Im"])
-        writer.writerows(weierstrass.field_to_rows(fld))
-
-
-def _write_surface_csv(path, built: weierstrass.BuiltSurface):
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "j", "u", "v", "x1", "x2", "x3"])
-        ni, nj = built.kept.shape
-        for i in range(ni):
-            for j in range(nj):
-                if not built.kept[i, j]:
-                    continue
-                x = built.samples[i, j]
-                writer.writerow([i, j, built.u_coords[i], built.v_coords[j],
-                                 x[0], x[1], x[2]])
-
-
 # --------------------------------------------------------------------------
 # export
 # --------------------------------------------------------------------------
 
-def _cmd_export_obj(args):
+def _read_samples(path):
+    """{(i, j): (x1, x2, x3)} of a sample CSV, skipping rows with a NaN
+    coordinate.  A malformed file raises UsageError naming the file, and the
+    line where the CSV reader can tell it."""
     grid = {}
-    ni = nj = 0
-    with open(args.infile, newline="") as fh:
+    with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        needed = {"i", "j", "x1", "x2", "x3"}
-        if reader.fieldnames is None or not needed <= set(reader.fieldnames):
-            raise UsageError(f"{args.infile}: expected columns i,j,u,v,x1,x2,x3")
-        for row in reader:
-            i, j = int(row["i"]), int(row["j"])
-            x = (float(row["x1"]), float(row["x2"]), float(row["x3"]))
-            if any(math.isnan(c) for c in x):
-                continue
-            grid[(i, j)] = x
-            ni, nj = max(ni, i + 1), max(nj, j + 1)
+        try:
+            needed = {"i", "j", "x1", "x2", "x3"}
+            if reader.fieldnames is None or not needed <= set(reader.fieldnames):
+                raise UsageError(f"{path}: expected columns "
+                                 f"{','.join(SURFACE_COLUMNS)}")
+            for row in reader:
+                i, j = int(row["i"]), int(row["j"])
+                x = (float(row["x1"]), float(row["x2"]), float(row["x3"]))
+                if not any(math.isnan(c) for c in x):
+                    grid[(i, j)] = x
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path}: cannot decode the file ({exc.reason})") from None
+        except TypeError:             # a short row leaves its missing cells None
+            raise UsageError(f"{path}, line {reader.line_num}: too few cells") from None
+        except csv.Error as exc:      # raised before the reader counts the line
+            raise UsageError(f"{path}, line {reader.line_num + 1}: {exc}") from None
+        except ValueError as exc:
+            raise UsageError(f"{path}, line {reader.line_num}: {exc}") from None
+    return grid
+
+
+def _cmd_export_obj(args):
+    grid = _read_samples(args.infile)
     if not grid:
         raise EmptyGrid(f"{args.infile} has no usable samples")
 
+    # Row-major over the samples themselves, so the work grows with the rows
+    # and not with the largest index; a cell is meshed when its four corners
+    # were sampled.
     index = {}
     lines = []
-    for i in range(ni):
-        for j in range(nj):
-            if (i, j) in grid:
-                index[(i, j)] = len(index) + 1      # OBJ indices are 1-based
-                x = grid[(i, j)]
-                lines.append(f"v {x[0]:.17g} {x[1]:.17g} {x[2]:.17g}")
-    faces = 0
-    holes = 0
-    for i in range(ni - 1):
-        for j in range(nj - 1):
-            corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-            if all(c in index for c in corners):
-                a, b, c, d = (index[c] for c in corners)
-                lines.append(f"f {a} {b} {c}")
-                lines.append(f"f {a} {c} {d}")
-                faces += 2
-            else:
-                holes += 1
+    for key in sorted(k for k in grid if min(k) >= 0):
+        index[key] = len(index) + 1      # OBJ indices are 1-based
+        x = grid[key]
+        lines.append(f"v {x[0]:.17g} {x[1]:.17g} {x[2]:.17g}")
+    cells = 0
+    for i, j in index:
+        corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+        if all(c in index for c in corners):
+            a, b, c, d = (index[c] for c in corners)
+            lines.append(f"f {a} {b} {c}")
+            lines.append(f"f {a} {c} {d}")
+            cells += 1
+    faces = 2 * cells
+    holes = (max(0, max(i for i, _ in grid)) * max(0, max(j for _, j in grid))
+             - cells)
     with open(args.out, "w", newline="\n") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
@@ -608,8 +605,9 @@ def build_parser():
 
     zoo_p = top.add_parser("zoo", help="surface family registry")
     zoo_sub = zoo_p.add_subparsers(dest="zoo_command", required=True)
-    zoo_sub.add_parser("list", help="list families")
+    zoo_sub.add_parser("list", help="list families").set_defaults(run=_cmd_zoo_list)
     sample = zoo_sub.add_parser("sample", help="sample a family to CSV")
+    sample.set_defaults(run=_cmd_zoo_sample)
     sample.add_argument("family")
     sample.add_argument("--param", action="append", metavar="NAME=VALUE")
     sample.add_argument("--u", required=True, metavar="a:b:N")
@@ -619,18 +617,22 @@ def build_parser():
     check = top.add_parser("check", help="verification reports")
     check_sub = check.add_subparsers(dest="check_command", required=True)
     cf = check_sub.add_parser("forms", help="normal and form invariants")
+    cf.set_defaults(run=_cmd_check_forms)
     _add_check_common(cf)
     cc = check_sub.add_parser("conformal", help="conformality classification")
+    cc.set_defaults(run=_cmd_check_conformal)
     _add_check_common(cc)
 
     pde = top.add_parser("pde", help="graph PDE residuals")
     pde_sub = pde.add_subparsers(dest="pde_command", required=True)
     pr = pde_sub.add_parser("residual")
+    pr.set_defaults(run=_cmd_pde_residual)
     pr.add_argument("--eq", required=True, choices=[zoo.PDE_H3, zoo.PDE_DS3])
     pr.add_argument("--graph", required=True, metavar="EXPR")
     pr.add_argument("--grid", required=True, metavar="a:b:Nxc:d:M")
 
     dz = top.add_parser("dualize", help="polar variety of a family")
+    dz.set_defaults(run=_cmd_dualize)
     dz.add_argument("family")
     dz.add_argument("--param", action="append", metavar="NAME=VALUE")
     dz.add_argument("--grid", metavar="a:b:Nxc:d:M")
@@ -640,6 +642,7 @@ def build_parser():
     wb = top.add_parser("weierstrass", help="prescribed-Gauss-map builder")
     wb_sub = wb.add_subparsers(dest="weierstrass_command", required=True)
     build = wb_sub.add_parser("build")
+    build.set_defaults(run=_cmd_weierstrass_build)
     build.add_argument("--g", required=True,
                        help="normal map: builtin:z or EXPR in u, v, i")
     build.add_argument("--case", type=int, choices=[1, 2], default=1)
@@ -660,6 +663,7 @@ def build_parser():
     exp = top.add_parser("export", help="mesh export")
     exp_sub = exp.add_subparsers(dest="export_command", required=True)
     obj = exp_sub.add_parser("obj")
+    obj.set_defaults(run=_cmd_export_obj)
     obj.add_argument("--in", dest="infile", required=True, metavar="FILE.csv")
     obj.add_argument("--out", required=True, metavar="FILE.obj")
 
@@ -667,33 +671,13 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "zoo":
-            if args.zoo_command == "list":
-                return _cmd_zoo_list(args)
-            return _cmd_zoo_sample(args)
-        if args.command == "check":
-            if args.check_command == "forms":
-                return _cmd_check_forms(args)
-            return _cmd_check_conformal(args)
-        if args.command == "pde":
-            return _cmd_pde_residual(args)
-        if args.command == "dualize":
-            return _cmd_dualize(args)
-        if args.command == "weierstrass":
-            return _cmd_weierstrass_build(args)
-        if args.command == "export":
-            return _cmd_export_obj(args)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GaussformError as exc:
+        return args.run(args)
+    except POINT_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

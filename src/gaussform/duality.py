@@ -32,6 +32,7 @@ DS3_TIMELIKE = "ds3-timelike"
 EQUATORIAL_TOL = 1e-12
 BRANCH_K_TOL = 1e-6
 BRANCH_DET_TOL = 1e-10
+FIT_ANGLES = (math.pi / 2, -math.pi / 2)   # rotations fit_isometry searches
 
 
 def _branch_curvature(space: amb.AmbientSpace) -> float:
@@ -146,27 +147,27 @@ class PolarPoint:
         return self.dual_curvature
 
 
-def _checked_dual_point(space: amb.AmbientSpace, x, eta, sheet_sign):
+def _checked_dual_point(space: amb.AmbientSpace, x, eta):
     """The source lift X, the dual point V and its chart position, after the
     equator check and with the position's height checked positive."""
     _require_off_equator(eta)
-    X = amb.minkowski_coords(space, x, sheet_sign)
+    X = amb.minkowski_coords(space, x)
     V, pos = _dual_point(space, X, eta)
     if not pos[2] > 0.0:
         raise NonPositiveHeight("dual point left the upper half-space")
     return X, V, pos
 
 
-def polar_position(chart: calc.SurfaceChart, p, sheet_sign=1) -> amb.HalfSpacePoint:
-    """``polar_variety(chart, p, sheet_sign).position``, bit for bit and with
+def polar_position(chart: calc.SurfaceChart, p) -> amb.HalfSpacePoint:
+    """``polar_variety(chart, p).position``, bit for bit and with
     the same errors, without the forms and the curvature transfer."""
     jet = calc.jet2_eval(chart, p)
     eta = forms.frame_normal(chart.ambient, jet, chart.orientation_at(p))
-    _, _, pos = _checked_dual_point(chart.ambient, jet.x, eta, sheet_sign)
+    _, _, pos = _checked_dual_point(chart.ambient, jet.x, eta)
     return amb.HalfSpacePoint(tuple(pos))
 
 
-def polar_variety(chart: calc.SurfaceChart, p, sheet_sign=1) -> PolarPoint:
+def polar_variety(chart: calc.SurfaceChart, p) -> PolarPoint:
     """Polar point of the surface at parameter p, with curvature transfer.
 
     Branch points (source curvature at the branch value, or a singular second
@@ -175,7 +176,7 @@ def polar_variety(chart: calc.SurfaceChart, p, sheet_sign=1) -> PolarPoint:
     """
     jet = calc.jet2_eval(chart, p)
     bundle = forms.fundamental_forms(jet, chart.ambient, chart.orientation_at(p))
-    X, V, pos = _checked_dual_point(chart.ambient, jet.x, bundle.eta, sheet_sign)
+    X, V, pos = _checked_dual_point(chart.ambient, jet.x, bundle.eta)
 
     k = bundle.gauss_curvature
     k_branch = _branch_curvature(chart.ambient)
@@ -201,7 +202,7 @@ def polar_variety(chart: calc.SurfaceChart, p, sheet_sign=1) -> PolarPoint:
     )
 
 
-def _exact_polar_jet_fn(chart: calc.SurfaceChart, sheet_sign):
+def _exact_polar_jet_fn(chart: calc.SurfaceChart):
     """Polar map differentiated by running it on second-order jets.
 
     Works for charts whose evaluator exposes component expression trees: one
@@ -229,13 +230,13 @@ def _exact_polar_jet_fn(chart: calc.SurfaceChart, sheet_sign):
         _require_off_equator(eta)
         sigma = forms.orientation_sign(eta, chart.orientation_at((u, v)))
         eta = [sigma * c for c in eta]
-        _, pos = _dual_point(space, amb.minkowski_coords(space, x, sheet_sign), eta)
+        _, pos = _dual_point(space, amb.minkowski_coords(space, x), eta)
         return calc.jet_arrays(pos)
 
     return jet_fn
 
 
-def _fd_polar_jet_fn(chart: calc.SurfaceChart, sheet_sign):
+def _fd_polar_jet_fn(chart: calc.SurfaceChart):
     """Fallback for charts without expression trees: exact first derivatives
     by running the polar map on first-order jets of the point and normal,
     fourth-order differences of those for the second order."""
@@ -247,7 +248,7 @@ def _fd_polar_jet_fn(chart: calc.SurfaceChart, sheet_sign):
         _require_off_equator(bundle.eta)
         x = [calc.first_order_jet(jet.x[a], jet.du[a]) for a in range(3)]
         eta = [calc.first_order_jet(bundle.eta[a], bundle.eta_du[a]) for a in range(3)]
-        _, pos = _dual_point(space, amb.minkowski_coords(space, x, sheet_sign), eta)
+        _, pos = _dual_point(space, amb.minkowski_coords(space, x), eta)
         return np.array([c.val for c in pos]), np.array([(c.gu, c.gv) for c in pos])
 
     def jet_fn(u, v):
@@ -265,7 +266,7 @@ def _fd_polar_jet_fn(chart: calc.SurfaceChart, sheet_sign):
     return jet_fn
 
 
-def polar_chart(chart: calc.SurfaceChart, sheet_sign=1) -> calc.SurfaceChart:
+def polar_chart(chart: calc.SurfaceChart) -> calc.SurfaceChart:
     """The polar variety as a chart over the source parameters.
 
     Charts built from expressions get exact dual jets (the polar map is
@@ -275,21 +276,21 @@ def polar_chart(chart: calc.SurfaceChart, sheet_sign=1) -> calc.SurfaceChart:
     """
     target = dual_space(chart.ambient)
     if getattr(chart.evaluator, "component_asts", None) is not None:
-        jet_fn = _exact_polar_jet_fn(chart, sheet_sign)
+        jet_fn = _exact_polar_jet_fn(chart)
     else:
-        jet_fn = _fd_polar_jet_fn(chart, sheet_sign)
+        jet_fn = _fd_polar_jet_fn(chart)
     return calc.SurfaceChart(chart.domain, calc.ClosedFormEvaluator(jet_fn=jet_fn),
                              target)
 
 
-def polar_of_polar_minkowski(chart: calc.SurfaceChart, p, sheet_sign=1) -> np.ndarray:
+def polar_of_polar_minkowski(chart: calc.SurfaceChart, p) -> np.ndarray:
     """Minkowski position of the second polar (normal of the dual surface).
 
     The dual surface's normal is computed from its own exact first
     derivatives, not assumed; double polarity predicts this equals the source
     position up to overall sign.
     """
-    dual = polar_chart(chart, sheet_sign)
+    dual = polar_chart(chart)
     jet = calc.jet2_eval(dual, p)
     eta = forms.frame_normal(dual.ambient, jet, None)
     # The dual surface must be lifted on the branch its points actually
@@ -299,7 +300,7 @@ def polar_of_polar_minkowski(chart: calc.SurfaceChart, p, sheet_sign=1) -> np.nd
     if transfer_direction(chart.ambient) != DS3_TO_H3:
         src = calc.jet2_eval(chart, p)
         eta3 = forms.unit_normal(chart.ambient, src, chart.orientation_at(p))[2] / src.height
-        X = amb.minkowski_coords(chart.ambient, src.x, sheet_sign)
+        X = amb.minkowski_coords(chart.ambient, src.x)
         if eta3 * (X[3] - X[0]) < 0.0:
             branch = -1
     _, second = minkowski_normal(dual.ambient, jet.x, eta, branch)
@@ -436,14 +437,13 @@ def fit_family_pairing(source_key: str, params=None, count=100, seed=0):
     return fam.polar_partner, best
 
 
-def fit_isometry(points: np.ndarray, height_fn, thetas=(math.pi / 2, -math.pi / 2),
-                 label="") -> IsometryFit:
+def fit_isometry(points: np.ndarray, height_fn, label="") -> IsometryFit:
     """Fit the horizontal isometry mapping a target graph onto given points.
 
     ``height_fn(q1, q2)`` is the target surface's height over its own base
-    coordinates; the fit searches the given rotation angles with continuous
-    translation (a, b) by least squares and reports the largest vertical gap,
-    an upper bound for the point-to-surface distance.
+    coordinates; the fit searches the rotation angles FIT_ANGLES with
+    continuous translation (a, b) by least squares and reports the largest
+    vertical gap, an upper bound for the point-to-surface distance.
     """
     from scipy.optimize import least_squares
 
@@ -457,7 +457,7 @@ def fit_isometry(points: np.ndarray, height_fn, thetas=(math.pi / 2, -math.pi / 
         return pts[:, 2] - height_fn(q1, q2)
 
     best = None
-    for theta in thetas:
+    for theta in FIT_ANGLES:
         try:
             res = least_squares(gaps, x0=np.zeros(2), args=(theta,),
                                 xtol=1e-15, ftol=1e-15, gtol=1e-15)

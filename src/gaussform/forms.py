@@ -37,6 +37,8 @@ from .errors import (NonImmersed, NonPositiveHeight, OrientationUndefined,
 UMBILIC_REL_TOL = 1e-8
 TOTALLY_GEODESIC_TOL = 1e-12
 ORIENTATION_TIE_TOL = 1e-12
+FOURTH_FORM_STEP = 1e-4     # relative step of the oracle fourth_form_direct
+BRIOSCHI_STEP = 1e-3        # relative step of the Brioschi curvature oracle
 
 
 @dataclass(frozen=True)
@@ -378,7 +380,7 @@ def rho_formula_residual(bundle: FormBundle, rho: float) -> float:
     return abs(rho - 2.0 * (bundle.mean_curvature + s * bundle.eta[-1]))
 
 
-def fourth_form_direct(chart: calculus.SurfaceChart, p, step=1e-4) -> np.ndarray:
+def fourth_form_direct(chart: calculus.SurfaceChart, p) -> np.ndarray:
     """Fourth form by finite-differencing the normal over the parameter grid.
 
     Independent of the closed-form normal-derivative route and of the
@@ -387,7 +389,7 @@ def fourth_form_direct(chart: calculus.SurfaceChart, p, step=1e-4) -> np.ndarray
     invariant.
     """
     u, v = float(p[0]), float(p[1])
-    h = step * max(1.0, abs(u), abs(v))
+    h = FOURTH_FORM_STEP * max(1.0, abs(u), abs(v))
 
     def eta_at(uu, vv):
         jet = calculus.jet2_eval(chart, (uu, vv))
@@ -402,16 +404,16 @@ def fourth_form_direct(chart: calculus.SurfaceChart, p, step=1e-4) -> np.ndarray
     return np.einsum("a,ai,aj->ij", eps, deta, deta)
 
 
-def intrinsic_gauss_curvature(chart: calculus.SurfaceChart, p, step=1e-3) -> float:
+def intrinsic_gauss_curvature(chart: calculus.SurfaceChart, p) -> float:
     """Gauss curvature of the induced metric by the Brioschi formula.
 
     Metric samples come from exact jets; metric derivatives use central
-    differences with the given step.  Space-like charts only.
+    differences with step BRIOSCHI_STEP.  Space-like charts only.
     """
     if chart.ambient.causal_class is not amb.CausalClass.SPACE_LIKE:
         raise WrongCausalClass("intrinsic curvature path expects a space-like chart")
     u, v = float(p[0]), float(p[1])
-    h = step * max(1.0, abs(u), abs(v))
+    h = BRIOSCHI_STEP * max(1.0, abs(u), abs(v))
 
     def metric(uu, vv):
         jet = calculus.jet2_eval(chart, (uu, vv))

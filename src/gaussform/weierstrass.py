@@ -33,6 +33,8 @@ CASE_ANTIHOLOMORPHIC = 2   # |g| < 1
 
 DEFAULT_STANDOFF = 0.1     # minimum distance of |g| from the excluded circle
 MAX_GRID = 129             # solver guard; acceptance runs need 65^2
+RADIAL_F0 = 1.0            # radial test profile: F at the left end of its span
+RADIAL_SLOPE = -0.15       # and F' there
 
 ROLE_NORMAL_MAP = "normal_map_g"
 ROLE_FAR_MAP = "far_map_G"
@@ -87,20 +89,19 @@ class ComplexField:
         return cls(values, u0, v0, du, dv, role)
 
 
-def validate_normal_field(g: ComplexField, case: int,
-                          standoff: float = DEFAULT_STANDOFF):
+def validate_normal_field(g: ComplexField, case: int):
     """Modulus constraint of the normal-map field; constant fields rejected."""
     mod = np.abs(g.values)
     if case == CASE_HOLOMORPHIC:
         low = mod.min()
-        if low < 1.0 + standoff:
+        if low < 1.0 + DEFAULT_STANDOFF:
             raise ConstraintViolation(
-                f"min |g| = {low:.6g} violates |g| >= 1 + {standoff}")
+                f"min |g| = {low:.6g} violates |g| >= 1 + {DEFAULT_STANDOFF}")
     elif case == CASE_ANTIHOLOMORPHIC:
         high = mod.max()
-        if high > 1.0 - standoff:
+        if high > 1.0 - DEFAULT_STANDOFF:
             raise ConstraintViolation(
-                f"max |g| = {high:.6g} violates |g| <= 1 - {standoff}")
+                f"max |g| = {high:.6g} violates |g| <= 1 - {DEFAULT_STANDOFF}")
     else:
         raise ValueError(f"case must be 1 or 2, got {case!r}")
     if np.ptp(g.values.real) == 0.0 and np.ptp(g.values.imag) == 0.0:
@@ -138,15 +139,14 @@ def _coefficients(g: ComplexField, case: int):
 
 
 def compatibility_residual(g: ComplexField, G: ComplexField, idx,
-                           case: int = CASE_HOLOMORPHIC,
-                           standoff: float = DEFAULT_STANDOFF) -> complex:
+                           case: int = CASE_HOLOMORPHIC) -> complex:
     """Discrete residual of the compatibility PDE at one interior node."""
     i, j = idx
     nu, nv = g.shape
     if not (1 <= i <= nu - 2 and 1 <= j <= nv - 2):
         raise OutsideDomain(f"index {idx} is not interior to the {nu}x{nv} grid")
     gval = g.values[i, j]
-    if abs(abs(gval) - 1.0) < standoff / 2.0:
+    if abs(abs(gval) - 1.0) < DEFAULT_STANDOFF / 2.0:
         raise UnitModulusSingularity(
             f"|g| = {abs(gval):.6g} too close to the excluded circle")
     return compatibility_residual_field(g, G, case)[i - 1, j - 1]
@@ -163,8 +163,8 @@ def compatibility_residual_field(g: ComplexField, G: ComplexField,
     return Gzzb + a * Gzb - b * Gz
 
 
-def solve_far_map(g: ComplexField, boundary, case: int = CASE_HOLOMORPHIC,
-                  standoff: float = DEFAULT_STANDOFF) -> ComplexField:
+def solve_far_map(g: ComplexField, boundary,
+                  case: int = CASE_HOLOMORPHIC) -> ComplexField:
     """Dirichlet solve of the compatibility PDE for the far map G.
 
     ``boundary`` is a callable z -> complex or a full-grid array whose
@@ -179,7 +179,7 @@ def solve_far_map(g: ComplexField, boundary, case: int = CASE_HOLOMORPHIC,
         raise ConstraintViolation(f"grid {nu}x{nv} exceeds the {MAX_GRID} cap")
     if nu < 3 or nv < 3:
         raise ConstraintViolation("grid needs at least one interior node")
-    validate_normal_field(g, case, standoff)
+    validate_normal_field(g, case)
     from scipy import sparse
     from scipy.sparse.linalg import splu
 
@@ -271,8 +271,7 @@ class BuiltSurface:
 
 
 def build_surface(g: ComplexField, G: ComplexField, case: int = CASE_HOLOMORPHIC,
-                  im_tol: float = 1e-8,
-                  standoff: float = DEFAULT_STANDOFF) -> BuiltSurface:
+                  im_tol: float = 1e-8) -> BuiltSurface:
     """Assemble the surface from the two fields on the interior grid.
 
     Samples violating the pointwise constraints are dropped and recorded; a
@@ -281,7 +280,7 @@ def build_surface(g: ComplexField, G: ComplexField, case: int = CASE_HOLOMORPHIC
     from the Dirichlet solver carry O(h^2) imaginary contamination, so pass a
     discretization-sized tolerance for them).
     """
-    validate_normal_field(g, case, standoff)
+    validate_normal_field(g, case)
     gz, gzb = _first_derivatives(g.values, g.du, g.dv)
     Gz, Gzb = _first_derivatives(G.values, G.du, G.dv)
     core_g = g.values[1:-1, 1:-1]
@@ -363,11 +362,12 @@ def surface_identity_defect(built: BuiltSurface) -> float:
     return float(np.abs((lhs - built.far_core)[kept]).max())
 
 
-def radial_profile(s_span, f0=1.0, slope=-0.15, rtol=1e-12):
+def radial_profile(s_span):
     """Profile F for the rotationally equivariant far map of g(z) = z.
 
     Solves s^2 (s^2 - 1) F'' + s (s^2 - 1) F' + F = 0 across ``s_span`` with
-    F = f0, F' = slope at the left end; returns a vectorized callable F(s).
+    F = RADIAL_F0, F' = RADIAL_SLOPE at the left end; returns a vectorized
+    callable F(s).
     """
     lo, hi = float(s_span[0]), float(s_span[1])
     if lo <= 1.0:
@@ -378,8 +378,8 @@ def radial_profile(s_span, f0=1.0, slope=-0.15, rtol=1e-12):
         f, fp = y
         return [fp, -(s * (s * s - 1.0) * fp + f) / (s * s * (s * s - 1.0))]
 
-    sol = solve_ivp(rhs, (lo, hi), [f0, slope], rtol=rtol, atol=1e-14,
-                    dense_output=True).sol
+    sol = solve_ivp(rhs, (lo, hi), [RADIAL_F0, RADIAL_SLOPE], rtol=1e-12,
+                    atol=1e-14, dense_output=True).sol
 
     def profile(s):
         s = np.clip(np.asarray(s, dtype=float), lo, hi)
@@ -388,7 +388,7 @@ def radial_profile(s_span, f0=1.0, slope=-0.15, rtol=1e-12):
     return profile
 
 
-def radial_test_pair(domain, shape, slope=-0.15):
+def radial_test_pair(domain, shape):
     """Exact (g, G) = (z, z F(|z|^2)) fields on the grid for the test problem."""
     u0, u1, v0, v1 = domain
     umin = 0.0 if u0 <= 0.0 <= u1 else min(abs(u0), abs(u1))
@@ -397,7 +397,7 @@ def radial_test_pair(domain, shape, slope=-0.15):
     s_hi = max(abs(u0), abs(u1)) ** 2 + max(abs(v0), abs(v1)) ** 2
     if s_lo <= 1.0:
         raise ConstraintViolation("domain must keep |z| > 1 for the test problem")
-    profile = radial_profile((s_lo, s_hi), slope=slope)
+    profile = radial_profile((s_lo, s_hi))
     g = ComplexField.from_function(lambda z: z, domain, shape, ROLE_NORMAL_MAP)
     G = ComplexField.from_function(
         lambda z: z * profile(np.abs(z) ** 2), domain, shape, ROLE_FAR_MAP)

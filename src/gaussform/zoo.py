@@ -104,6 +104,10 @@ def resolve_params(fam: Family, params=None) -> dict:
             raise ParamConstraint(
                 f"family {fam.key!r} has no parameter {name!r} "
                 f"(takes: {', '.join(sorted(merged)) or 'none'})")
+        if isinstance(value, str) and not isinstance(merged[name], str):
+            raise ParamConstraint(
+                f"parameter {name!r} of family {fam.key!r} must be a number, "
+                f"got {value!r}")
         merged[name] = value
     if fam.check_params is not None:
         fam.check_params(merged)

@@ -1,8 +1,15 @@
+import contextlib
+import csv
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaussform import cli
 
@@ -347,3 +354,114 @@ class TestBadInputsExitTwo:
         assert code == 2
         assert out == ""
         assert "--graph-domain" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "forms", "ruled-6.7"),
+        ("check", "conformal", "ruled-6.7"),
+        ("dualize", "ruled-6.7"),
+        ("zoo", "sample", "ruled-6.7", "--u", "0.5:1:2", "--v", "0.5:1:2"),
+    ])
+    def test_non_numeric_param(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--param", "c=abc")
+        assert code == 2
+        assert out == ""
+        assert "ParamConstraint" in err and "'c'" in err
+
+    @pytest.mark.parametrize("row", ["a,0,0,0,1,1,1", "0,0,0,0,1", "0,0,0,0,x,1,1"],
+                             ids=["non_integer_index", "short_row",
+                                  "non_numeric_coordinate"])
+    def test_malformed_export_csv(self, capsys, tmp_path, row):
+        src = tmp_path / "bad.csv"
+        src.write_text("i,j,u,v,x1,x2,x3\n0,1,0,0,1,1,1\n" + row + "\n")
+        dst = tmp_path / "bad.obj"
+        code, out, err = run_cli(capsys, "export", "obj", "--in", str(src),
+                                 "--out", str(dst))
+        assert code == 2
+        assert out == ""
+        assert f"{src}, line 3" in err
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("cells", [b"0,0,0,0,\xff\xfe,1,1",
+                                       b"0,0,0,0," + b"1" * 200000 + b",1,1"],
+                             ids=["undecodable_bytes", "oversized_field"])
+    def test_unreadable_export_csv(self, capsys, tmp_path, cells):
+        src = tmp_path / "bad.csv"
+        src.write_bytes(b"i,j,u,v,x1,x2,x3\n" + cells + b"\n")
+        code, out, err = run_cli(capsys, "export", "obj", "--in", str(src),
+                                 "--out", str(tmp_path / "bad.obj"))
+        assert code == 2
+        assert out == ""
+        assert str(src) in err
+
+
+class TestGateTable:
+    def test_gates_are_the_acceptance_values(self):
+        # The literals are the acceptance criteria; an edit to the CLI table
+        # that loosens one, or a gate added without a value here, fails.
+        assert cli.FORMS_GATES == {"normal_orthogonality": 1e-10,
+                                   "normal_unit": 1e-10,
+                                   "third_form_definition": 1e-10,
+                                   "obata": 1e-9}
+        gates = {name: getattr(cli, name) for name in dir(cli)
+                 if name.startswith("TOL_")}
+        assert gates == {"TOL_K_RELATION": 1e-9, "TOL_RHO_FORMULA": 1e-8,
+                         "TOL_PDE": 1e-10, "TOL_TRANSFER": 1e-8,
+                         "TOL_FIT": 1e-6, "TOL_DISCRETE": 1e-10,
+                         "TOL_IDENTITY": 1e-10}
+
+
+def run_contract(argv):
+    """Run the CLI in-process; any exception but argparse's exit escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+PARAM_TARGETS = {"ruled-6.7": "c", "corollary-6": "c1", "horosphere": "c",
+                 "flaherty-plus": "psi"}
+CELLS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+
+
+class TestExitContract:
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(sorted(PARAM_TARGETS)),
+           command=st.sampled_from(["forms", "conformal"]),
+           value=st.one_of(st.floats().map(repr), CELLS))
+    @example(family="ruled-6.7", command="forms", value="abc")
+    @example(family="corollary-6", command="forms", value="1e300")
+    @example(family="horosphere", command="conformal", value="1e-300")
+    @example(family="flaherty-plus", command="forms", value="exp(1000)")
+    def test_param_values(self, family, command, value):
+        code, out, err = run_contract(
+            ["check", command, family, "--param", f"{PARAM_TARGETS[family]}={value}",
+             "--grid", "0.2:0.8:2x0.2:0.8:2"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code != 2:
+            assert json.loads(out)["schema_version"] == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.lists(st.one_of(st.integers(-2, 3).map(str), CELLS),
+                                  min_size=4, max_size=8),
+                         min_size=1, max_size=4))
+    @example(rows=[["a", "0", "0", "0", "1", "1", "1"]])
+    @example(rows=[["0", "0", "0", "0", "1"]])
+    @example(rows=[["0", "0", "0", "0", "x", "1", "1"]])
+    @example(rows=[["99999", "99999", "0", "0", "1", "1", "1"]])
+    def test_export_cells(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            src = os.path.join(tmp, "cells.csv")
+            with open(src, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(cli.SURFACE_COLUMNS)
+                writer.writerows(rows)
+            code, out, err = run_contract(
+                ["export", "obj", "--in", src, "--out", os.path.join(tmp, "cells.obj")])
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        if code == 0:
+            assert json.loads(out)["schema_version"] == 1
