@@ -384,6 +384,10 @@ def _cmd_pde_residual(args):
 def _cmd_dualize(args):
     params = _parse_params(args.param)
     chart = zoo.make_surface(args.family, params)
+    if args.fit_isometry and args.family not in duality.PAIRINGS:
+        raise UsageError(f"--fit-isometry: no recorded dual partner for "
+                         f"{args.family!r}; families with one: "
+                         f"{', '.join(duality.PAIRINGS)}")
     dual = duality.polar_chart(chart)
 
     def evaluate(rec, u, v):

@@ -8,7 +8,8 @@ path that runs on floats and on jets (so the dual chart has exact
 derivatives and double polarity can be checked at full precision), the
 curvature and volume transfer laws, the graph-level duality between the two
 fully nonlinear graph PDEs, and the isometry fitting used to match dual
-families.
+families (a damped Gauss-Newton fit of a horizontal translation at each of
+two rotation angles, on numpy arrays over all points, with no scipy).
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ EQUATORIAL_TOL = 1e-12
 BRANCH_K_TOL = 1e-6
 BRANCH_DET_TOL = 1e-10
 FIT_ANGLES = (math.pi / 2, -math.pi / 2)   # rotations fit_isometry searches
+FIT_STEP = 1e-6          # central-difference step of the fit's Jacobian in (a, b)
+FIT_DAMPING = 1e-3       # initial damping, relative to the trace of J^T J
+FIT_FTOL = 1e-15         # stop once a step lowers the sum of squares by a smaller fraction
+FIT_XTOL = 1e-13         # stop once a step is shorter than this times 1 + |(a, b)|
+FIT_MAX_STEPS = 100      # trial steps per rotation angle
 
 
 def _branch_curvature(space: amb.AmbientSpace) -> float:
@@ -441,31 +447,68 @@ def fit_isometry(points: np.ndarray, height_fn, label="") -> IsometryFit:
     """Fit the horizontal isometry mapping a target graph onto given points.
 
     ``height_fn(q1, q2)`` is the target surface's height over its own base
-    coordinates; the fit searches the rotation angles FIT_ANGLES with
-    continuous translation (a, b) by least squares and reports the largest
-    vertical gap, an upper bound for the point-to-surface distance.
+    coordinates, evaluated on whole arrays.  For each rotation angle in
+    FIT_ANGLES a damped Gauss-Newton iteration (Levenberg-Marquardt; More,
+    LNM 630, 1978) fits the translation (a, b) to the vertical gaps,
+    starting at (0, 0): central differences give the two Jacobian columns,
+    and the damped 2 x 2 normal equations are solved in closed form.  A step
+    is taken only if it lowers the sum of squared gaps, so a step to
+    non-finite gaps is rejected.  The angle with the smallest largest gap
+    wins (the first on a tie); that gap is reported and bounds the
+    point-to-surface distance.  An angle whose gaps at (0, 0) are not finite
+    is skipped; ValueError if every angle is.
     """
-    from scipy.optimize import least_squares
-
     pts = np.asarray(points, dtype=float)
-
-    def gaps(params, theta):
-        a, b = params
-        c, s = math.cos(theta), math.sin(theta)
-        q1 = (pts[:, 0] - a) * c + (pts[:, 1] - b) * s
-        q2 = -(pts[:, 0] - a) * s + (pts[:, 1] - b) * c
-        return pts[:, 2] - height_fn(q1, q2)
-
     best = None
     for theta in FIT_ANGLES:
-        try:
-            res = least_squares(gaps, x0=np.zeros(2), args=(theta,),
-                                xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        except (ValueError, FloatingPointError):
+        c, s = math.cos(theta), math.sin(theta)
+
+        def gaps(a, b):
+            q1 = (pts[:, 0] - a) * c + (pts[:, 1] - b) * s
+            q2 = -(pts[:, 0] - a) * s + (pts[:, 1] - b) * c
+            return pts[:, 2] - height_fn(q1, q2)
+
+        a = b = 0.0
+        r = gaps(a, b)
+        if not np.isfinite(r).all():
             continue
-        gap = float(np.abs(gaps(res.x, theta)).max())
+        ssq = float(r @ r)
+        damping, growth = FIT_DAMPING, 2.0
+        normal = None
+        for _ in range(FIT_MAX_STEPS):
+            if normal is None:
+                ja = (gaps(a + FIT_STEP, b) - gaps(a - FIT_STEP, b)) / (2.0 * FIT_STEP)
+                jb = (gaps(a, b + FIT_STEP) - gaps(a, b - FIT_STEP)) / (2.0 * FIT_STEP)
+                normal = (float(ja @ ja), float(ja @ jb), float(jb @ jb),
+                          float(ja @ r), float(jb @ r))
+            saa, sab, sbb, ga, gb = normal
+            mu = damping * (saa + sbb)
+            det = (saa + mu) * (sbb + mu) - sab * sab
+            if not 0.0 < det < math.inf:      # no descent direction to take
+                break
+            da = (sab * gb - (sbb + mu) * ga) / det
+            db = (sab * ga - (saa + mu) * gb) / det
+            if max(abs(da), abs(db)) <= FIT_XTOL * (1.0 + max(abs(a), abs(b))):
+                break
+            trial = gaps(a + da, b + db)
+            trial_ssq = float(trial @ trial)
+            if not trial_ssq < ssq:           # also rejects non-finite gaps
+                damping, growth = damping * growth, growth * 2.0
+                continue
+            # Nielsen's update (Madsen, Nielsen & Tingleff, Methods for
+            # non-linear least squares problems, 2004, sec. 3.2): relax the
+            # damping as far as the decrease matched the linear model's.
+            gain = (ssq - trial_ssq) / (mu * (da * da + db * db) - ga * da - gb * db)
+            damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            growth = 2.0
+            converged = ssq - trial_ssq <= FIT_FTOL * ssq
+            a, b, r, ssq = a + da, b + db, trial, trial_ssq
+            normal = None
+            if converged:
+                break
+        gap = float(np.abs(r).max())
         if best is None or gap < best.max_gap:
-            best = IsometryFit(theta, float(res.x[0]), float(res.x[1]), gap, label)
+            best = IsometryFit(theta, a, b, gap, label)
     if best is None:
         raise ValueError("no rotation angle produced a finite fit")
     return best

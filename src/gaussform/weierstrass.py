@@ -20,9 +20,8 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-# scipy is imported inside the functions that need it (here and in
-# duality.fit_isometry): it takes longer to import than numpy and the package
-# together, and most commands neither solve nor fit.
+# scipy is imported inside the functions that need it: it takes longer to
+# import than numpy and the package together, and most commands do not solve.
 
 from .errors import (ConstraintViolation, DegenerateInput, EmptyOutput,
                      NonRealHeight, OutsideDomain, SingularSystem,

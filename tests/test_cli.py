@@ -355,6 +355,13 @@ class TestBadInputsExitTwo:
         assert out == ""
         assert "--graph-domain" in err
 
+    def test_fit_without_dual_partner(self, capsys):
+        code, out, err = run_cli(capsys, "dualize", "horosphere", "--fit-isometry")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert "'horosphere'" in err and "translational-6.6" in err
+
     @pytest.mark.parametrize("argv", [
         ("check", "forms", "ruled-6.7"),
         ("check", "conformal", "ruled-6.7"),

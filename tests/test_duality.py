@@ -339,6 +339,111 @@ class TestFamilyPairings:
             duality.fit_family_pairing("horosphere")
 
 
+class TestIsometrySolver:
+    # Sign choice of each pairing under which its partner passes through the
+    # polar points exactly, so the optimum is the start point (0, 0).
+    EXACT_SIGNS = {"translational-6.6": (1, 1), "ruled-6.7": (1, 1),
+                   "ruled-6.8": (-1, 1)}
+    SHIFT = (0.3, -0.2)
+
+    @staticmethod
+    def cloud(source):
+        chart = zoo.make_surface(source)
+        rng = np.random.default_rng(5)
+        return np.array([duality.polar_position(chart, p).coords
+                         for p in chart.interior_points(100, rng, margin_frac=0.1)])
+
+    def exact_height(self, source):
+        builder, sign_choices = duality.PAIRINGS[source]
+        assert self.EXACT_SIGNS[source] in sign_choices
+        params = zoo.resolve_params(zoo.get_family(source), None)
+        return builder(params, *self.EXACT_SIGNS[source])
+
+    def shifted(self, source):
+        return self.cloud(source) + np.array([*self.SHIFT, 0.0])
+
+    def test_pairings_are_exact_at_the_origin(self):
+        assert set(self.EXACT_SIGNS) == set(duality.PAIRINGS)
+        for source in duality.PAIRINGS:
+            fit = duality.fit_isometry(self.cloud(source), self.exact_height(source))
+            assert fit.max_gap <= 1e-12
+
+    @pytest.mark.parametrize("source", sorted(EXACT_SIGNS))
+    def test_recovers_a_horizontal_shift(self, source):
+        fit = duality.fit_isometry(self.shifted(source), self.exact_height(source))
+        assert abs(fit.a - self.SHIFT[0]) <= 1e-9
+        assert abs(fit.b - self.SHIFT[1]) <= 1e-9
+        assert fit.max_gap <= 1e-6
+
+    @pytest.mark.parametrize("source", sorted(EXACT_SIGNS))
+    def test_matches_scipy_least_squares(self, source):
+        from scipy.optimize import least_squares
+
+        pts, height = self.shifted(source), self.exact_height(source)
+        fit = duality.fit_isometry(pts, height)
+        c, s = math.cos(fit.theta), math.sin(fit.theta)
+
+        def gaps(x):
+            dx, dy = pts[:, 0] - x[0], pts[:, 1] - x[1]
+            return pts[:, 2] - height(dx * c + dy * s, -dx * s + dy * c)
+
+        oracle = least_squares(gaps, x0=np.zeros(2), xtol=1e-15, ftol=1e-15,
+                               gtol=1e-15).x
+        assert abs(fit.a - oracle[0]) <= 1e-9
+        assert abs(fit.b - oracle[1]) <= 1e-9
+
+    @pytest.mark.parametrize("bad,kept", [(0, 1), (1, 0)])
+    def test_non_finite_angle_is_skipped(self, bad, kept):
+        pts = self.cloud("ruled-6.7")
+        height = self.exact_height("ruled-6.7")
+        # Every x > 0, so the rotated coordinate q2 is about -x at +pi/2 and
+        # +x at -pi/2: its sign tells the two angles apart.
+        assert pts[:, 0].min() > 0.0
+        sign = 1.0 if duality.FIT_ANGLES[bad] > 0 else -1.0
+
+        def nan_at_bad_angle(q1, q2):
+            return np.where(sign * q2 < 0.0, np.nan, height(q1, q2))
+
+        fit = duality.fit_isometry(pts, nan_at_bad_angle)
+        assert fit.theta == duality.FIT_ANGLES[kept]
+        assert fit.max_gap <= 1e-6
+
+    def test_non_finite_trial_step_is_rejected(self):
+        pts, height = self.shifted("ruled-6.7"), self.exact_height("ruled-6.7")
+        # The mean of (q1, q2) moves by |(a, b)|; the first evaluation farther
+        # from the start than the difference step is the first trial step.
+        start, spoiled = [], []
+
+        def nan_at_first_trial(q1, q2):
+            centre = np.array([q1.mean(), q2.mean()])
+            if not start:
+                start.append(centre)
+            elif not spoiled and np.abs(centre - start[0]).max() > 1e-3:
+                spoiled.append(centre)
+                return np.full_like(q1, np.nan)
+            return height(q1, q2)
+
+        fit = duality.fit_isometry(pts, nan_at_first_trial)
+        assert spoiled
+        assert abs(fit.a - self.SHIFT[0]) <= 1e-9
+        assert abs(fit.b - self.SHIFT[1]) <= 1e-9
+
+    def test_no_finite_angle_raises(self):
+        with pytest.raises(ValueError, match="no rotation angle"):
+            duality.fit_isometry(self.cloud("ruled-6.7"),
+                                 lambda q1, q2: np.full_like(q1, np.nan))
+
+    @pytest.mark.parametrize("source", sorted(EXACT_SIGNS))
+    def test_deterministic(self, source):
+        builder, sign_choices = duality.PAIRINGS[source]
+        params = zoo.resolve_params(zoo.get_family(source), None)
+        pts = self.shifted(source)
+        for signs in sign_choices:
+            first = duality.fit_isometry(pts, builder(params, *signs))
+            second = duality.fit_isometry(pts, builder(params, *signs))
+            assert first == second
+
+
 class TestGraphDuality:
     def test_constant_graph(self):
         p = duality.graph_dualize(0.7, -0.2, 1.0, 0.0, 0.0, duality.H3_TO_DS3)

@@ -1,4 +1,4 @@
-"""Import budget of the CLI: commands that neither solve nor fit run without
+"""Import budget of the CLI: only the solve of `weierstrass build` loads
 scipy.  pytest has already imported scipy, so each check runs in a fresh
 interpreter."""
 
@@ -60,11 +60,11 @@ def test_commands_without_solve_or_fit_load_no_scipy(tmp_path):
     assert loaded == []
 
 
-def test_fit_loads_scipy(tmp_path):
+def test_fit_loads_no_scipy(tmp_path):
     loaded = run_fresh("""
         run("dualize", "translational-6.6", "--fit-isometry")
     """, tmp_path)
-    assert "scipy.optimize" in loaded
+    assert loaded == []
 
 
 def test_solve_loads_scipy(tmp_path):
