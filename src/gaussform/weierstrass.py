@@ -2,10 +2,10 @@
 
 Given a normal-map field g on a rectangular grid (holomorphic with |g| > 1,
 or antiholomorphic with |g| < 1) and boundary values for the far map G, the
-module solves the compatibility PDE coupling the two maps, linear over C in
-G, by one direct sparse LU of the complex 5-point system, screens the
-pointwise constraints, and builds the surface from the closed-form component
-formulas.  All grid derivatives are second-order central differences in z.
+module solves the compatibility PDE (linear over C in G) by one direct sparse
+LU of the complex 5-point system, screens the pointwise constraints, builds
+the surface from the closed-form component formulas and recomputes g from the
+samples alone, on whole grid arrays.  Derivatives are central differences.
 
 The canonical test problem g(z) = z has a rotationally equivariant companion
 far map G = z F(|z|^2) with F solving a real second-order ODE; `radial_profile`
@@ -23,6 +23,7 @@ import numpy as np
 # scipy is imported inside the functions that need it: it takes longer to
 # import than numpy and the package together, and most commands do not solve.
 
+from . import calculus, errors, forms, gaussmaps
 from .errors import (ConstraintViolation, DegenerateInput, EmptyOutput,
                      NonRealHeight, OutsideDomain, SingularSystem,
                      UnitModulusSingularity)
@@ -403,64 +404,64 @@ def radial_test_pair(domain, shape):
     return g, G
 
 
-def sample_jets(built: BuiltSurface):
-    """Grid-difference two-jets at every node whose 3x3 neighborhood was kept.
-
-    Yields (i, j, Jet2); jets come from the discrete samples only, so
-    downstream forms are independent of the construction formulas.
-    """
-    from . import calculus as calc
-
-    kept = built.kept
-    ni, nj = kept.shape
-    if min(ni, nj) < 3:
-        return                                # no node has a whole 3x3 block
-    du = built.u_coords[1] - built.u_coords[0]
-    dv = built.v_coords[1] - built.v_coords[0]
-    x = built.samples
-    core = x[1:-1, 1:-1]
-    east, west = x[2:, 1:-1], x[:-2, 1:-1]        # samples at i + 1, i - 1
-    north, south = x[1:-1, 2:], x[1:-1, :-2]      # samples at j + 1, j - 1
-    first = np.stack([(east - west) / (2 * du), (north - south) / (2 * dv)],
-                     axis=-1)
-    cross = (x[2:, 2:] - x[2:, :-2] - x[:-2, 2:] + x[:-2, :-2]) / (4 * du * dv)
-    second = np.stack([
-        np.stack([(east - 2 * core + west) / du**2, cross], axis=-1),
-        np.stack([cross, (north - 2 * core + south) / dv**2], axis=-1),
-    ], axis=-2)
-    whole = np.logical_and.reduce([kept[di:ni - 2 + di, dj:nj - 2 + dj]
-                                   for di in range(3) for dj in range(3)])
-    for ci, cj in np.argwhere(whole).tolist():
-        yield ci + 1, cj + 1, calc.Jet2(core[ci, cj], first[ci, cj], second[ci, cj])
-
-
 def recovered_gauss_map(built: BuiltSurface):
     """Normal Gauss map recomputed from the built samples by grid differences.
 
-    Independent of the construction formulas: jets come from the sample grid,
-    the normal from orthogonality in the ambient metric, and the map from
-    stereographic projection.  Returns (mask, g_rec, eta3) where the mask
-    marks nodes whose full 3x3 neighborhood was kept.  A node whose induced
-    metric is degenerate or not space-like raises, as in fundamental_forms.
+    Reads only the samples, kept mask, grid and case, so it is independent of
+    the construction formulas.  Works on whole interior arrays, rounding each
+    step as forms.frame_normal and gaussmaps.stereo_project do at one node;
+    the first node in row-major order that fails one of their checks raises
+    the error of its first failed check.  Returns (mask, g_rec, eta3); the
+    mask marks nodes with a kept 3x3 neighborhood whose image is not the pole.
     """
-    from . import ambient as amb
-    from . import forms, gaussmaps
-
-    space = amb.de_sitter_space()
-    orientation = 1 if built.case == CASE_HOLOMORPHIC else -1
     ni, nj = built.kept.shape
-    mask = np.zeros((ni, nj), dtype=bool)
-    g_rec = np.zeros((ni, nj), dtype=complex)
-    eta3 = np.zeros((ni, nj))
-    for i, j, jet in sample_jets(built):
-        eta = forms.frame_normal(space, jet, orientation)
-        value = gaussmaps.stereo_project(eta, space)
-        if gaussmaps.is_infinity(value):
-            continue
-        mask[i, j] = True
-        g_rec[i, j] = value
-        eta3[i, j] = eta[2]
-    return mask, g_rec, eta3
+    if min(ni, nj) < 3:                       # no node has a whole 3x3 block
+        return tuple(np.zeros((ni, nj), t) for t in (bool, complex, float))
+    whole = np.lib.stride_tricks.sliding_window_view(built.kept, (3, 3)).all((2, 3))
+    x, h = built.samples, built.samples[1:-1, 1:-1, 2]
+    du, dv = (c[1] - c[0] for c in (built.u_coords, built.v_coords))
+    u1, u2, u3 = np.moveaxis((x[2:, 1:-1] - x[:-2, 1:-1]) / (2 * du), -1, 0)
+    v1, v2, v3 = np.moveaxis((x[1:-1, 2:] - x[1:-1, :-2]) / (2 * dv), -1, 0)
+    with np.errstate(all="ignore"):
+        # Cofactors weighted by the signature (1, 1, -1), and their square.
+        n = np.stack([u2 * v3 - v2 * u3, 0.0 - (u1 * v3 - v1 * u3),
+                      -(u1 * v2 - v1 * u2)])
+        nn = n[0] * n[0] + n[1] * n[1] - n[2] * n[2]
+        n *= h / np.sqrt(np.abs(nn))
+        last = n[2] / h
+        n = np.where(np.signbit(last) != (built.case != CASE_HOLOMORPHIC), 0.0 - n, n)
+        w = 1.0 / np.float_power(h, 2)        # rounded as Python's h**2
+        guu = w * u1 * u1 + w * u2 * u2 - w * u3 * u3
+        guv = w * u1 * v1 + w * u2 * v2 - w * u3 * v3
+        gvu = w * v1 * u1 + w * v2 * u2 - w * v3 * u3
+        det = guu * (w * v1 * v1 + w * v2 * v2 - w * v3 * v3) - guv * gvu
+        e1, e2, e3 = n / h
+        defect = np.abs(e1 * e1 + e2 * e2 - e3 * e3 + 1.0)
+        # 1 - e3 cancels near the pole; above it the quadric gives it exactly.
+        denom = np.where(e3 > 0.0, -(e1 * e1 + e2 * e2) / (1.0 + e3), 1.0 - e3)
+        # complex / float divides the two parts separately
+        g = (np.stack([e1, e2], axis=-1) / denom[..., None]).view(complex)[..., 0]
+    checks = [      # (fails, error, message, value) in the scalar route's order
+        (~(h > 0.0), errors.NonPositiveHeight, "height {} is not positive", h),
+        (nn == 0.0, errors.NonImmersed,
+         "tangent map is degenerate: the cofactor normal vanishes", nn),
+        (~np.signbit(nn), errors.WrongCausalClass,
+         "normal has scalar square of sign {:+.0f}, expected -1", np.copysign(1.0, nn)),
+        (np.abs(last) <= forms.ORIENTATION_TIE_TOL, errors.OrientationUndefined,
+         "last normal component vanishes; give a reference-vector override", last),
+        (np.abs(det) < calculus.GRAM_DET_TOL, errors.NonImmersed,
+         "induced metric is degenerate (det {:.3e})", det),
+        (~((guu > 0.0) & (det > 0.0)), errors.WrongCausalClass,
+         "induced metric is not positive definite", det),
+        (defect > gaussmaps.QUADRIC_TOL, errors.QuadricViolation,
+         "normal misses its quadric by {:.3e}", defect),
+    ]
+    code = np.select([whole & c for c, *_ in checks], range(1, len(checks) + 1))
+    for node in zip(*np.nonzero(code)):       # the first failing node, if any
+        _, error, message, value = checks[code[node] - 1]
+        raise error(message.format(float(value[node])))
+    keep = whole & ~(np.abs(denom) < gaussmaps.POLE_TOL)
+    return tuple(np.pad(np.where(keep, v, False), 1) for v in (keep, g, e3))
 
 
 def field_to_rows(fld: ComplexField):

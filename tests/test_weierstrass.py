@@ -7,8 +7,8 @@ from gaussform import ambient as amb
 from gaussform import calculus, forms, gaussmaps
 from gaussform import weierstrass as ws
 from gaussform.errors import (ConstraintViolation, DegenerateInput, EmptyOutput,
-                              GaussformError, NonImmersed, NonRealHeight,
-                              OutsideDomain, SingularSystem,
+                              GaussformError, NonImmersed, NonPositiveHeight,
+                              NonRealHeight, OutsideDomain, SingularSystem,
                               UnitModulusSingularity, WrongCausalClass)
 
 DOMAIN = (1.5, 2.5, 0.1, 0.9)
@@ -263,7 +263,7 @@ class TestBuild:
 
     def test_recovers_normal_map(self):
         errors = {}
-        for n in (33, 65):
+        for n in (33, 65, 129):
             g, Gex = ws.radial_test_pair(DOMAIN, (n, n))
             built = ws.build_surface(g, Gex, im_tol=1e-3)
             mask, grec, eta3 = ws.recovered_gauss_map(built)
@@ -272,6 +272,7 @@ class TestBuild:
             assert errors[n] <= 3e-2
             assert np.abs(eta3[mask] - built.eta3_predicted[mask]).max() <= 3e-2
         assert np.log2(errors[33] / errors[65]) >= 1.0
+        assert np.log2(errors[65] / errors[129]) >= 1.0
 
     def test_solved_field_build(self):
         g, Gex = ws.radial_test_pair(DOMAIN, (33, 33))
@@ -294,7 +295,7 @@ class TestBuild:
             g, Gex = ws.radial_test_pair(DOMAIN, (n, n))
             built = ws.build_surface(g, Gex, im_tol=1e-3)
             residuals = []
-            for _, _, jet in ws.sample_jets(built):
+            for jet in _grid_jets(built):
                 bundle = forms.fundamental_forms(jet, space, 1)
                 rep = forms.conformality_test(bundle, tol=5e-2)
                 assert rep.classification == forms.ConformalityReport.CONFORMAL
@@ -338,6 +339,29 @@ class TestBuild:
             pass  # constraints may carve away everything; screen behavior is the point
 
 
+def _grid_jets(built):
+    """Two-jets from central differences of the samples at every interior
+    node whose 3x3 neighborhood was kept, in row-major order."""
+    du = built.u_coords[1] - built.u_coords[0]
+    dv = built.v_coords[1] - built.v_coords[0]
+    ni, nj = built.kept.shape
+    x = built.samples
+    for i in range(1, ni - 1):
+        for j in range(1, nj - 1):
+            if not built.kept[i - 1:i + 2, j - 1:j + 2].all():
+                continue
+            cross = (x[i + 1, j + 1] - x[i + 1, j - 1]
+                     - x[i - 1, j + 1] + x[i - 1, j - 1]) / (4 * du * dv)
+            second = np.stack([
+                np.stack([(x[i + 1, j] - 2 * x[i, j] + x[i - 1, j]) / du**2, cross],
+                         axis=-1),
+                np.stack([cross, (x[i, j + 1] - 2 * x[i, j] + x[i, j - 1]) / dv**2],
+                         axis=-1)], axis=-2)
+            first = np.stack([(x[i + 1, j] - x[i - 1, j]) / (2 * du),
+                              (x[i, j + 1] - x[i, j - 1]) / (2 * dv)], axis=-1)
+            yield calculus.Jet2(x[i, j], first, second)
+
+
 def _recovery_by_forms(built):
     """The recovery through per-node difference quotients, fundamental_forms
     and stereo_project, written out node by node as the reference."""
@@ -378,12 +402,12 @@ def _raised(fn, *args):
     try:
         fn(*args)
     except GaussformError as exc:
-        return type(exc)
+        return type(exc), str(exc)
     return None
 
 
 class TestRecoveryPin:
-    @pytest.mark.parametrize("n", [17, 33])
+    @pytest.mark.parametrize("n", [17, 33, 65])
     def test_matches_forms_route_bitwise(self, n):
         g, Gex = ws.radial_test_pair(DOMAIN, (n, n))
         doctored = Gex.values.copy()
@@ -413,10 +437,28 @@ class TestRecoveryPin:
         for samples in (steep, flat):
             bad = dataclasses.replace(built, samples=samples)
             want = _raised(_recovery_by_forms, bad)
-            assert want in (WrongCausalClass, NonImmersed)
-            assert _raised(ws.recovered_gauss_map, bad) is want
-            seen.add(want)
+            assert want[0] in (WrongCausalClass, NonImmersed)
+            assert _raised(ws.recovered_gauss_map, bad) == want
+            seen.add(want[0])
         assert seen == {WrongCausalClass, NonImmersed}
+
+    def test_first_failure_in_row_major_order(self):
+        # One node gets a non-positive height, another a time-like slope (the
+        # height of its i + 1 neighbour raised, which touches no node before
+        # it); whichever comes first in row-major order decides the error.
+        g, Gex = ws.radial_test_pair(DOMAIN, (17, 17))
+        built = ws.build_surface(g, Gex, im_tol=1e-3)
+        early, late = (1, 1), (12, 12)
+        seen = []
+        for low, steep in ((early, late), (late, early)):
+            samples = built.samples.copy()
+            samples[low][2] = 0.0
+            samples[steep[0] + 1, steep[1], 2] += 2.0
+            bad = dataclasses.replace(built, samples=samples)
+            want = _raised(_recovery_by_forms, bad)
+            assert _raised(ws.recovered_gauss_map, bad) == want
+            seen.append(want[0])
+        assert seen == [NonPositiveHeight, WrongCausalClass]
 
 
 class TestRadialProfile:
