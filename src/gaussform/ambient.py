@@ -3,9 +3,8 @@
 Both spaces live on the same chart ``{x : x_{n+1} > 0}``; they differ only in
 the sign vector of the conformally flat metric ``sum_A eps_A dx_A^2 / x_{n+1}^2``
 (all signs +1 for the hyperbolic space, last sign -1 for de Sitter).  The
-module also provides the closed-form Christoffel symbols of that metric, the
-three-dimensional Minkowski-model conversions, and the horizontal rigid
-motions that act as isometries of either space.
+module also provides the metric matrix at a height and the
+three-dimensional lift from the half-space chart to the Minkowski model.
 """
 
 from __future__ import annotations
@@ -16,11 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSet, NonPositiveHeight, QuadricViolation
+from .errors import NonPositiveHeight, QuadricViolation
 
 QUADRIC_PRODUCE_TOL = 1e-12   # conversions must land on the quadric this well
-QUADRIC_ACCEPT_TOL = 1e-9     # inputs are rejected beyond this
-DEGENERATE_SET_TOL = 1e-12
 
 
 class Kind(enum.Enum):
@@ -139,69 +136,11 @@ class MinkowskiPoint:
         return 0 if d == 0.0 else int(math.copysign(1.0, d))
 
 
-def metric_at(space: AmbientSpace, p: HalfSpacePoint) -> np.ndarray:
-    """Metric matrix diag(eps_A) / x_{n+1}^2 at ``p``."""
-    p.require_valid()
-    return np.diag(space.eps) / p.height**2
-
-
 def metric_at_height(space: AmbientSpace, height: float) -> np.ndarray:
-    """Metric matrix for a raw height (internal fast path for jet pipelines)."""
+    """Metric matrix diag(eps_A) / x_{n+1}^2 at a point of the given height."""
     if not (height > 0.0):
         raise NonPositiveHeight(f"height {height} is not positive")
     return np.diag(space.eps) / height**2
-
-
-def christoffel_at(space: AmbientSpace, p: HalfSpacePoint) -> np.ndarray:
-    """Christoffel symbols Gamma^A_{BC} of the half-space metric, indexed [A, B, C].
-
-    Closed form for the conformally flat metric eps_A dx_A^2 / x_{n+1}^2:
-    Gamma^A_{B,n+1} = -delta^A_B / x_{n+1}, Gamma^{n+1}_{BB} = eps_B eps_{n+1} / x_{n+1}
-    for B <= n, Gamma^{n+1}_{n+1,n+1} = -1 / x_{n+1}, symmetric in the lower pair.
-    """
-    p.require_valid()
-    return christoffel_at_height(space, p.height)
-
-
-def christoffel_at_height(space: AmbientSpace, height: float) -> np.ndarray:
-    if not (height > 0.0):
-        raise NonPositiveHeight(f"height {height} is not positive")
-    m = space.dim
-    last = m - 1
-    gamma = np.zeros((m, m, m))
-    inv_h = 1.0 / height
-    for a in range(m):
-        gamma[a, a, last] -= inv_h
-        gamma[a, last, a] -= inv_h
-    gamma[last, last, last] += inv_h  # the two loops above counted it twice
-    eps = space.signature
-    for b in range(m - 1):
-        gamma[last, b, b] = eps[b] * eps[last] * inv_h
-    return gamma
-
-
-def _require_quadric(point: MinkowskiPoint, tol=QUADRIC_ACCEPT_TOL):
-    res = point.quadric_residual()
-    if res > tol:
-        raise QuadricViolation(
-            f"point {point.coords} misses the {point.quadric.value} quadric by {res:.3e}")
-    if point.quadric is Quadric.H and point.coords[0] <= 0.0:
-        raise QuadricViolation("hyperboloid model requires X0 > 0")
-
-
-def to_half_space(space: AmbientSpace, point: MinkowskiPoint) -> HalfSpacePoint:
-    """Minkowski model -> half-space chart (three-dimensional spaces only)."""
-    if space.dim != 3:
-        raise ValueError("Minkowski-model conversion is defined for dim 3")
-    _require_quadric(point)
-    x0, x1, x2, x3 = point.coords
-    d = x0 - x3
-    if point.quadric is Quadric.DS:
-        if abs(d) < DEGENERATE_SET_TOL:
-            raise DegenerateSet("point lies on the X0 = X3 slice of the de Sitter quadric")
-        d = abs(d)
-    # For the hyperboloid X0 - X3 > 0 automatically.
-    return HalfSpacePoint((x1 / d, x2 / d, 1.0 / d))
 
 
 def minkowski_coords(space: AmbientSpace, x, sheet_sign=1) -> list:
@@ -234,33 +173,3 @@ def to_minkowski(space: AmbientSpace, p: HalfSpacePoint, sheet_sign=1) -> Minkow
     if point.quadric_residual() > QUADRIC_PRODUCE_TOL * max(1.0, np.abs(point.coords).max()**2):
         raise QuadricViolation("conversion failed to land on the quadric")
     return point
-
-
-def isometry_shift(p: HalfSpacePoint, theta: float, a: float, b: float) -> HalfSpacePoint:
-    """Horizontal rotation by ``theta`` followed by translation (a, b); height fixed.
-
-    This is an isometry of both three-dimensional model spaces.
-    """
-    x1, x2, x3 = p.coords
-    c, s = math.cos(theta), math.sin(theta)
-    return HalfSpacePoint((x1 * c - x2 * s + a, x1 * s + x2 * c + b, x3))
-
-
-def frame_components(space: AmbientSpace, surface_point: MinkowskiPoint,
-                     normal: np.ndarray) -> np.ndarray:
-    """Left-invariant frame components of a Minkowski normal vector.
-
-    Given a surface point ``X`` on a quadric and a unit normal ``V`` tangent to
-    Minkowski space there, return (eta_1, eta_2, eta_3) of the same vector in
-    the orthonormal frame of the half-space chart at the corresponding point:
-    eta_3 = (V0 - V3)/(X3 - X0), eta_i = V_i + (X_i) eta_3 for i = 1, 2, where
-    X_i are Minkowski coordinates.
-    """
-    x = surface_point.coords
-    d = x[3] - x[0]
-    if abs(d) < DEGENERATE_SET_TOL:
-        raise DegenerateSet("frame undefined on the X0 = X3 slice")
-    eta3 = (normal[0] - normal[3]) / d
-    eta1 = normal[1] + x[1] * eta3
-    eta2 = normal[2] + x[2] * eta3
-    return np.array([eta1, eta2, eta3])

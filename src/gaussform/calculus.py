@@ -5,8 +5,7 @@ f(u, v) and evaluates it as plain numbers or as forward jets carried through
 every node as plain scalars: of order two (value, gradient, Hessian), so
 graph charts have exact derivatives, and of order three, so the polar map,
 which differentiates a chart, has them too.  Parametric charts built from
-closed-form components reuse the same jet engine; position-only callables
-fall back to central finite differences.
+closed-form components reuse the same jet engine.
 
 Grammar (stable public contract)::
 
@@ -749,8 +748,6 @@ class ClosedFormEvaluator:
 
     @property
     def component_asts(self):
-        if self.components is None:
-            return None
         return tuple(c.ast for c in self.components)
 
     def jet(self, u, v):
@@ -758,46 +755,6 @@ class ClosedFormEvaluator:
             return self._jet_fn(u, v)
         return jet_arrays([_jet_eval(c.ast, u, v, dict(c.constants))
                            for c in self.components])
-
-
-class NumericEvaluator:
-    """Position-only callable; jets by central finite differences.
-
-    First partials use step 1e-5 * max(1, |u|, |v|); second partials a 9-point
-    stencil with step 1e-3 * max(1, |u|, |v|).
-    """
-
-    first_step = 1e-5
-    second_step = 1e-3
-
-    def __init__(self, position_fn):
-        self.position = position_fn
-
-    def jet(self, u, v):
-        f = self.position
-        scale = max(1.0, abs(u), abs(v))
-        h1 = self.first_step * scale
-        h2 = self.second_step * scale
-        x = np.asarray(f(u, v), dtype=float)
-        du = np.stack([(np.asarray(f(u + h1, v)) - np.asarray(f(u - h1, v))) / (2 * h1),
-                       (np.asarray(f(u, v + h1)) - np.asarray(f(u, v - h1))) / (2 * h1)],
-                      axis=1)
-        m = x.shape[0]
-        duu = np.empty((m, 2, 2))
-        fpp = np.asarray(f(u + h2, v))
-        fmm = np.asarray(f(u - h2, v))
-        duu[:, 0, 0] = (fpp - 2 * x + fmm) / h2**2
-        gpp = np.asarray(f(u, v + h2))
-        gmm = np.asarray(f(u, v - h2))
-        duu[:, 1, 1] = (gpp - 2 * x + gmm) / h2**2
-        cross = (np.asarray(f(u + h2, v + h2)) - np.asarray(f(u + h2, v - h2))
-                 - np.asarray(f(u - h2, v + h2)) + np.asarray(f(u - h2, v - h2))) / (4 * h2**2)
-        duu[:, 0, 1] = cross
-        duu[:, 1, 0] = cross
-        return x, du, duu
-
-    def boundary_margin(self, u, v):
-        return 2.0 * self.second_step * max(1.0, abs(u), abs(v))
 
 
 @dataclass(frozen=True)
@@ -817,9 +774,9 @@ class SurfaceChart:
             return self.orientation(float(p[0]), float(p[1]))
         return self.orientation
 
-    def contains(self, u, v, margin=0.0):
+    def contains(self, u, v):
         u0, u1, v0, v1 = self.domain
-        return (u0 + margin < u < u1 - margin) and (v0 + margin < v < v1 - margin)
+        return u0 < u < u1 and v0 < v < v1
 
     def interior_points(self, count, rng, margin_frac=0.05):
         """Uniform random interior points, keeping a fractional margin."""
@@ -838,10 +795,7 @@ def jet2_eval(chart: SurfaceChart, p) -> Jet2:
     metric.
     """
     u, v = float(p[0]), float(p[1])
-    margin = 0.0
-    if isinstance(chart.evaluator, NumericEvaluator):
-        margin = chart.evaluator.boundary_margin(u, v)
-    if not chart.contains(u, v, margin):
+    if not chart.contains(u, v):
         raise OutsideDomain(f"({u}, {v}) is not interior to {chart.domain}")
     x, du, duu = chart.evaluator.jet(u, v)
     x = np.asarray(x, dtype=float)

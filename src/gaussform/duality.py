@@ -208,14 +208,15 @@ def polar_variety(chart: calc.SurfaceChart, p) -> PolarPoint:
     )
 
 
-def _exact_polar_jet_fn(chart: calc.SurfaceChart):
-    """Polar map differentiated by running it on second-order jets.
+def polar_chart(chart: calc.SurfaceChart) -> calc.SurfaceChart:
+    """The polar variety as a chart over the source parameters.
 
-    Works for charts whose evaluator exposes component expression trees: one
-    third-order jet per component gives second-order jets of x, x_u and x_v.
-    The whole pipeline (sign-weighted cross product, normalization,
-    Minkowski lift, projection to the dual chart) is rational-plus-sqrt, so
-    jets pass through it exactly.
+    The polar map is differentiated by running it on second-order jets: one
+    third-order jet per component expression of the source chart gives
+    second-order jets of x, x_u and x_v.  The whole pipeline (sign-weighted
+    cross product, normalization, Minkowski lift, projection to the dual
+    chart) is rational-plus-sqrt, so jets pass through it exactly.  Building
+    the chart does no symbolic work.
     """
     asts = chart.evaluator.component_asts
     space = chart.ambient
@@ -239,54 +240,8 @@ def _exact_polar_jet_fn(chart: calc.SurfaceChart):
         _, pos = _dual_point(space, amb.minkowski_coords(space, x), eta)
         return calc.jet_arrays(pos)
 
-    return jet_fn
-
-
-def _fd_polar_jet_fn(chart: calc.SurfaceChart):
-    """Fallback for charts without expression trees: exact first derivatives
-    by running the polar map on first-order jets of the point and normal,
-    fourth-order differences of those for the second order."""
-    space = chart.ambient
-
-    def first_order(u, v):
-        jet = calc.jet2_eval(chart, (u, v))
-        bundle = forms.fundamental_forms(jet, space, chart.orientation_at((u, v)))
-        _require_off_equator(bundle.eta)
-        x = [calc.first_order_jet(jet.x[a], jet.du[a]) for a in range(3)]
-        eta = [calc.first_order_jet(bundle.eta[a], bundle.eta_du[a]) for a in range(3)]
-        _, pos = _dual_point(space, amb.minkowski_coords(space, x), eta)
-        return np.array([c.val for c in pos]), np.array([(c.gu, c.gv) for c in pos])
-
-    def jet_fn(u, v):
-        pos, dpos = first_order(u, v)
-        h = 1e-3 * max(1.0, abs(u), abs(v))
-        duu = np.empty((3, 2, 2))
-        for axis in range(2):
-            step = (h, 0.0) if axis == 0 else (0.0, h)
-            d = [first_order(u + k * step[0], v + k * step[1])[1]
-                 for k in (-2, -1, 1, 2)]
-            duu[:, :, axis] = (d[0] - 8.0 * d[1] + 8.0 * d[2] - d[3]) / (12.0 * h)
-        duu = 0.5 * (duu + duu.transpose(0, 2, 1))
-        return pos, dpos, duu
-
-    return jet_fn
-
-
-def polar_chart(chart: calc.SurfaceChart) -> calc.SurfaceChart:
-    """The polar variety as a chart over the source parameters.
-
-    Charts built from expressions get exact dual jets (the polar map is
-    differentiated by jet arithmetic); position-only sources fall back to
-    finite differences of the exact first derivatives.  Building it does no
-    symbolic work.
-    """
-    target = dual_space(chart.ambient)
-    if getattr(chart.evaluator, "component_asts", None) is not None:
-        jet_fn = _exact_polar_jet_fn(chart)
-    else:
-        jet_fn = _fd_polar_jet_fn(chart)
     return calc.SurfaceChart(chart.domain, calc.ClosedFormEvaluator(jet_fn=jet_fn),
-                             target)
+                             dual_space(space))
 
 
 def polar_of_polar_minkowski(chart: calc.SurfaceChart, p) -> np.ndarray:
@@ -317,19 +272,15 @@ def polar_of_polar_minkowski(chart: calc.SurfaceChart, p) -> np.ndarray:
 # Graph-level duality
 # --------------------------------------------------------------------------
 
-def graph_dualize(u, v, f, fu, fv, direction: str) -> amb.HalfSpacePoint:
-    """Map one graph jet to the dual surface point.
+def graph_dualize(u, v, f, fu, fv, direction: str):
+    """Map one graph jet to the coordinates of the dual surface point.
 
+    Plain arithmetic, so it runs on floats and on calculus jets alike.
     Directions: hyperbolic graph -> space-like de Sitter ('h3-to-ds3'),
     space-like de Sitter graph -> hyperbolic ('ds3-to-h3', needs gradient
     square < 1), time-like de Sitter graph -> time-like de Sitter
     ('ds3-timelike', needs gradient square > 1).
     """
-    return amb.HalfSpacePoint(_graph_dual(u, v, f, fu, fv, direction))
-
-
-def _graph_dual(u, v, f, fu, fv, direction):
-    """The coordinates of graph_dualize, by plain arithmetic on floats or jets."""
     if float(f) <= 0.0:
         raise NonPositiveHeight(f"graph height {float(f)} is not positive")
     grad_sq = fu * fu + fv * fv
@@ -359,7 +310,7 @@ def dual_graph_jet(expr: calc.GraphExpr, p, direction: str):
     u, v = float(p[0]), float(p[1])
     f, fu, fv = calc.jet_partials(
         calc.third_order_jet(expr.ast, u, v, dict(expr.constants)))
-    pos, dpos, ddpos = calc.jet_arrays(_graph_dual(
+    pos, dpos, ddpos = calc.jet_arrays(graph_dualize(
         calc.first_order_jet(u, (1.0, 0.0)), calc.first_order_jet(v, (0.0, 1.0)),
         f, fu, fv, direction))
     # With J = d(p1, p2)/d(u, v): grad_uv w = J^T grad w and

@@ -11,10 +11,6 @@ class NonPositiveHeight(GaussformError):
     """Point left the upper half-space (last coordinate <= 0)."""
 
 
-class DegenerateSet(GaussformError):
-    """Minkowski point lies on the X0 = X3 slice, which has no half-space chart."""
-
-
 class QuadricViolation(GaussformError):
     """Coordinates do not satisfy their quadric equation within tolerance."""
 
@@ -68,10 +64,6 @@ class OrientationUndefined(GaussformError):
 
 # -- gaussmaps -------------------------------------------------------------
 
-class UnitCircleSingularity(GaussformError):
-    """Stereographic inverse requested on the excluded circle |g| = 1."""
-
-
 class InfiniteG(GaussformError):
     """Far Gauss map undefined: the normal geodesic ends at infinity."""
 
@@ -105,10 +97,6 @@ class DomainConstraint(GaussformError):
 
 
 # -- weierstrass -----------------------------------------------------------
-
-class UnitModulusSingularity(GaussformError):
-    """Normal-map field too close to |g| = 1 for the compatibility operator."""
-
 
 class ConstraintViolation(GaussformError):
     """Field violates its modulus constraint."""

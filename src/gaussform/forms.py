@@ -71,7 +71,6 @@ class FormBundle:
 
     space: amb.AmbientSpace
     eta: np.ndarray            # frame components of the unit normal
-    eta_du: np.ndarray         # closed-form parameter derivative of eta
     first: np.ndarray
     second: np.ndarray
     third: np.ndarray
@@ -79,23 +78,6 @@ class FormBundle:
     mean_curvature: float
     gauss_curvature: float
     shape_spectrum: ShapeSpectrum
-
-    # Aliases matching the classical numerals.
-    @property
-    def I(self):  # noqa: E743 - the classical name
-        return self.first
-
-    @property
-    def II(self):
-        return self.second
-
-    @property
-    def III(self):
-        return self.third
-
-    @property
-    def IV(self):
-        return self.fourth
 
 
 def _det(a):
@@ -287,9 +269,8 @@ def fundamental_forms(jet: calculus.Jet2, space: amb.AmbientSpace,
         else:
             spectrum = ShapeSpectrum.complexified()
 
-    return FormBundle(space, np.array(eta), np.array(eta_du), np.array(first),
-                      np.array(second), np.array(third), np.array(fourth),
-                      mean, gauss, spectrum)
+    return FormBundle(space, np.array(eta), np.array(first), np.array(second),
+                      np.array(third), np.array(fourth), mean, gauss, spectrum)
 
 
 def forms_at(chart: calculus.SurfaceChart, p) -> FormBundle:

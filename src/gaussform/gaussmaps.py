@@ -13,14 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import ambient as amb
-from .errors import InfiniteG, QuadricViolation, UnitCircleSingularity
+from .errors import InfiniteG, QuadricViolation
 
 QUADRIC_TOL = 1e-9
 POLE_TOL = 1e-14
-UNIT_CIRCLE_TOL = 1e-9
 
 
 class _Infinity:
@@ -92,27 +89,6 @@ def stereo_project(eta, space: amb.AmbientSpace):
     return complex(e1, e2) / denom
 
 
-def stereo_unproject(g, space: amb.AmbientSpace):
-    """Inverse stereographic projection back to the normal quadric.
-
-    For de Sitter space the unit circle |g| = 1 has no preimage and raises
-    UnitCircleSingularity.
-    """
-    if space.kind is amb.Kind.HYPERBOLIC:
-        if is_infinity(g):
-            return np.array([0.0, 0.0, 1.0])
-        g = complex(g)
-        m2 = abs(g) ** 2
-        return np.array([2.0 * g.real, 2.0 * g.imag, m2 - 1.0]) / (m2 + 1.0)
-    if is_infinity(g):
-        return np.array([0.0, 0.0, 1.0])
-    g = complex(g)
-    m2 = abs(g) ** 2
-    if abs(abs(g) - 1.0) <= UNIT_CIRCLE_TOL:
-        raise UnitCircleSingularity(f"|g| = {abs(g)} is on the excluded circle")
-    return np.array([2.0 * g.real, 2.0 * g.imag, -(1.0 + m2)]) / (1.0 - m2)
-
-
 def far_gauss_map(x, g):
     """Ideal endpoint G = x1 + i x2 + x3 g of the oriented normal geodesic.
 
@@ -124,20 +100,6 @@ def far_gauss_map(x, g):
     coords = x.coords if isinstance(x, amb.HalfSpacePoint) else x
     x1, x2, x3 = (float(c) for c in coords)
     return complex(x1, x2) + x3 * complex(g)
-
-
-def relabel_far_map(value, branch: str):
-    """Sign relation between the de Sitter and hyperbolic far maps.
-
-    On the eta_3 > 0 sheet the two maps are negatives of each other; on the
-    eta_3 < 0 sheet they agree.  The relation is an involution, so the same
-    helper converts either way.
-    """
-    if branch == BRANCH_ETA_POS:
-        return -value
-    if branch == BRANCH_ETA_NEG:
-        return value
-    raise ValueError(f"no sign relation for branch {branch!r}")
 
 
 @dataclass(frozen=True)

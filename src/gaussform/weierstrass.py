@@ -15,9 +15,8 @@ data and theorem-valid fields can be manufactured.
 
 from __future__ import annotations
 
-import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 # scipy is imported inside the functions that need it: it takes longer to
@@ -25,8 +24,7 @@ import numpy as np
 
 from . import calculus, errors, forms, gaussmaps
 from .errors import (ConstraintViolation, DegenerateInput, EmptyOutput,
-                     NonRealHeight, OutsideDomain, SingularSystem,
-                     UnitModulusSingularity)
+                     NonRealHeight, SingularSystem)
 
 CASE_HOLOMORPHIC = 1       # |g| > 1
 CASE_ANTIHOLOMORPHIC = 2   # |g| < 1
@@ -136,20 +134,6 @@ def _coefficients(g: ComplexField, case: int):
         a = np.conj(gzb) / (m4 * np.conj(core))
         b = m2 * np.conj(core) * gzb / m4
     return a, b
-
-
-def compatibility_residual(g: ComplexField, G: ComplexField, idx,
-                           case: int = CASE_HOLOMORPHIC) -> complex:
-    """Discrete residual of the compatibility PDE at one interior node."""
-    i, j = idx
-    nu, nv = g.shape
-    if not (1 <= i <= nu - 2 and 1 <= j <= nv - 2):
-        raise OutsideDomain(f"index {idx} is not interior to the {nu}x{nv} grid")
-    gval = g.values[i, j]
-    if abs(abs(gval) - 1.0) < DEFAULT_STANDOFF / 2.0:
-        raise UnitModulusSingularity(
-            f"|g| = {abs(gval):.6g} too close to the excluded circle")
-    return compatibility_residual_field(g, G, case)[i - 1, j - 1]
 
 
 def compatibility_residual_field(g: ComplexField, G: ComplexField,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from gaussform import calculus as calc
 from gaussform import forms, zoo
 from gaussform.errors import (GaussformError, NonImmersed, OrientationUndefined,
                               WrongCausalClass)
+from oracles import NumericEvaluator, christoffel_at_height
 
 H3 = amb.hyperbolic_space()
 DS3 = amb.de_sitter_space()
@@ -203,10 +205,7 @@ class TestConformality:
         # Synthetic bundle: umbilic spectrum but a fourth form that is not
         # proportional to the second; the classifier must flag the umbilic.
         base = forms.forms_at(_graph_chart("1", H3), (0.0, 0.0))
-        tweaked = forms.FormBundle(
-            base.space, base.eta, base.eta_du, base.first, base.second,
-            base.third, np.array([[1.0, 0.0], [0.0, 2.0]]),
-            base.mean_curvature, base.gauss_curvature, base.shape_spectrum)
+        tweaked = dataclasses.replace(base, fourth=np.array([[1.0, 0.0], [0.0, 2.0]]))
         rep = forms.conformality_test(tweaked)
         assert rep.classification == forms.ConformalityReport.UMBILIC
 
@@ -217,10 +216,7 @@ class TestConformality:
         assert not base.fourth.any()
         for _ in range(20):
             noise = 1e-16 * rng.standard_normal((2, 2))
-            noisy = forms.FormBundle(
-                base.space, base.eta, base.eta_du, base.first, base.second,
-                base.third, base.fourth + noise, base.mean_curvature,
-                base.gauss_curvature, base.shape_spectrum)
+            noisy = dataclasses.replace(base, fourth=base.fourth + noise)
             rep = forms.conformality_test(noisy)
             assert rep.classification == forms.ConformalityReport.CONFORMAL
             assert abs(rep.rho) <= 1e-15
@@ -251,7 +247,7 @@ class TestObata:
             chart = zoo.make_surface(key)
             numeric = calc.SurfaceChart(
                 chart.domain,
-                calc.NumericEvaluator(lambda u, v, c=chart: c.evaluator.jet(u, v)[0]),
+                NumericEvaluator(lambda u, v, c=chart: c.evaluator.jet(u, v)[0]),
                 chart.ambient)
             for p in chart.interior_points(10, rng, margin_frac=0.1):
                 bundle = forms.forms_at(numeric, p)
@@ -379,7 +375,7 @@ def _forms_by_numpy(jet, space, orientation=None):
             raise WrongCausalClass("induced metric is not positive definite")
     elif det >= 0:
         raise WrongCausalClass("induced metric is not Lorentzian")
-    gamma = amb.christoffel_at_height(space, h)
+    gamma = christoffel_at_height(space, h)
     d2 = duu + np.einsum("abc,bi,cj->aij", gamma, du, du)
     second = space.normal_sign * np.einsum("aij,a->ij", d2, g @ n)
     second = 0.5 * (second + second.T)

@@ -8,8 +8,7 @@ from gaussform import calculus, forms, gaussmaps
 from gaussform import weierstrass as ws
 from gaussform.errors import (ConstraintViolation, DegenerateInput, EmptyOutput,
                               GaussformError, NonImmersed, NonPositiveHeight,
-                              NonRealHeight, OutsideDomain, SingularSystem,
-                              UnitModulusSingularity, WrongCausalClass)
+                              NonRealHeight, SingularSystem, WrongCausalClass)
 
 DOMAIN = (1.5, 2.5, 0.1, 0.9)
 
@@ -111,7 +110,7 @@ class TestCompatibilityResidual:
         G = ws.ComplexField.from_function(lambda z: z, DOMAIN, (17, 17))
         z = g.z_grid()[5, 7]
         expected = 1.0 / ((abs(z) ** 4 - 1.0) * np.conj(z))
-        got = ws.compatibility_residual(g, G, (5, 7))
+        got = ws.compatibility_residual_field(g, G)[5 - 1, 7 - 1]   # interior node (5, 7)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_constant_fields_zero_residual(self):
@@ -119,23 +118,10 @@ class TestCompatibilityResidual:
                                           DOMAIN, (9, 9), ws.ROLE_NORMAL_MAP)
         G = ws.ComplexField.from_function(lambda z: np.full_like(z, 1.0 + 1j),
                                           DOMAIN, (9, 9))
-        assert ws.compatibility_residual(g, G, (4, 4)) == 0j
+        assert ws.compatibility_residual_field(g, G)[4 - 1, 4 - 1] == 0j
         # but the solver refuses such degenerate input
         with pytest.raises(DegenerateInput):
             ws.solve_far_map(g, G.values)
-
-    def test_boundary_index_rejected(self):
-        g, G = ws.radial_test_pair(DOMAIN, (9, 9))
-        with pytest.raises(OutsideDomain):
-            ws.compatibility_residual(g, G, (0, 4))
-
-    def test_unit_modulus_guard(self):
-        g = ws.ComplexField.from_function(lambda z: z / 2.4, DOMAIN, (9, 9),
-                                          ws.ROLE_NORMAL_MAP)
-        G = ws.ComplexField.from_function(lambda z: z, DOMAIN, (9, 9))
-        # |g| wanders close to 1 near the far corner
-        with pytest.raises(UnitModulusSingularity):
-            ws.compatibility_residual(g, G, (7, 7))
 
     def test_truncation_error_second_order(self):
         errs = {}
