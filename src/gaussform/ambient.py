@@ -10,10 +10,7 @@ three-dimensional lift from the half-space chart to the Minkowski model.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import NonPositiveHeight, QuadricViolation
 
@@ -72,10 +69,6 @@ class AmbientSpace:
         """Hypersurface dimension."""
         return self.dim - 1
 
-    @property
-    def eps(self):
-        return np.array(self.signature, dtype=float)
-
 
 def hyperbolic_space(dim=3):
     return AmbientSpace(Kind.HYPERBOLIC, dim)
@@ -98,9 +91,6 @@ class HalfSpacePoint:
     def height(self):
         return self.coords[-1]
 
-    def array(self):
-        return np.array(self.coords, dtype=float)
-
     def require_valid(self):
         if not (self.height > 0.0):
             raise NonPositiveHeight(f"height {self.height} is not positive")
@@ -120,6 +110,8 @@ class MinkowskiPoint:
         object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
 
     def array(self):
+        import numpy as np
+
         return np.array(self.coords, dtype=float)
 
     def lorentz_square(self):
@@ -130,17 +122,15 @@ class MinkowskiPoint:
         target = -1.0 if self.quadric is Quadric.H else 1.0
         return abs(self.lorentz_square() - target)
 
-    def branch_sign(self):
-        """Sign of X0 - X3 (de Sitter branch membership; +1 on S+, -1 on S-)."""
-        d = self.coords[0] - self.coords[3]
-        return 0 if d == 0.0 else int(math.copysign(1.0, d))
 
-
-def metric_at_height(space: AmbientSpace, height: float) -> np.ndarray:
-    """Metric matrix diag(eps_A) / x_{n+1}^2 at a point of the given height."""
+def metric_at_height(space: AmbientSpace, height: float) -> list:
+    """Metric matrix diag(eps_A) / x_{n+1}^2 at a point of the given height,
+    as nested lists."""
     if not (height > 0.0):
         raise NonPositiveHeight(f"height {height} is not positive")
-    return np.diag(space.eps) / height**2
+    h2 = height**2
+    return [[(s if a == b else 0.0) / h2 for b in range(space.dim)]
+            for a, s in enumerate(space.signature)]
 
 
 def minkowski_coords(space: AmbientSpace, x, sheet_sign=1) -> list:
@@ -170,6 +160,6 @@ def to_minkowski(space: AmbientSpace, p: HalfSpacePoint, sheet_sign=1) -> Minkow
     p.require_valid()
     quadric = Quadric.H if space.kind is Kind.HYPERBOLIC else Quadric.DS
     point = MinkowskiPoint(minkowski_coords(space, p.coords, sheet_sign), quadric)
-    if point.quadric_residual() > QUADRIC_PRODUCE_TOL * max(1.0, np.abs(point.coords).max()**2):
+    if point.quadric_residual() > QUADRIC_PRODUCE_TOL * max(1.0, max(map(abs, point.coords))**2):
         raise QuadricViolation("conversion failed to land on the quadric")
     return point

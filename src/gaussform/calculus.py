@@ -26,8 +26,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import ambient
 from .errors import (DomainError, EvaluationError, HeightViolation, NonImmersed,
                      OutsideDomain, ParseError)
@@ -37,6 +35,7 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 VARIABLES = ("u", "v")
 
 GRAM_DET_TOL = 1e-12
+MAX_DEPTH = 200     # levels of the deepest tree; evaluation recurses once per level
 
 
 # --------------------------------------------------------------------------
@@ -272,10 +271,10 @@ class GraphExpr:
         return evaluate(self.ast, u, v, dict(self.constants))
 
     def jet(self, u, v):
-        """Value, gradient (2,), Hessian (2, 2) at (u, v), exact to rounding."""
+        """Value, gradient (fu, fv) and Hessian ((fuu, fuv), (fuv, fvv)) at
+        (u, v) as floats and tuples, exact to rounding."""
         j = _jet_eval(self.ast, u, v, dict(self.constants))
-        return (j.val, np.array([j.gu, j.gv]),
-                np.array([[j.huu, j.huv], [j.huv, j.hvv]]))
+        return j.val, (j.gu, j.gv), ((j.huu, j.huv), (j.huv, j.hvv))
 
 
 def parse_graph_expr(text: str, extra_constants=()) -> GraphExpr:
@@ -285,8 +284,24 @@ def parse_graph_expr(text: str, extra_constants=()) -> GraphExpr:
     uses it to allow the imaginary unit in complex field expressions).
     """
     extra = dict(extra_constants)
-    tree = _Parser(text, {**CONSTANTS, **extra}).parse()
+    try:
+        tree = _Parser(text, {**CONSTANTS, **extra}).parse()
+    except RecursionError:      # nested parentheses, calls or signs
+        tree = None
+    if tree is None or _depth(tree) > MAX_DEPTH:
+        raise ParseError("expression nests too deeply", 0)
     return GraphExpr(tree, tuple(sorted(extra.items())))
+
+
+def _depth(node):
+    """Levels of a tree, counted without recursion."""
+    depth, level = 0, [node]
+    while level:
+        depth += 1
+        level = [c for n in level for c in
+                 ((n.left, n.right) if type(n) is Bin
+                  else (n.arg,) if type(n) in (Neg, Call) else ())]
+    return depth
 
 
 # --------------------------------------------------------------------------
@@ -331,11 +346,16 @@ def evaluate(node, u, v, constants=None):
         if isinstance(n, Call):
             x = rec(n.arg)
             if isinstance(x, complex) or is_complex:
-                return _COMPLEX_FUNCS[n.fn](x)
+                try:
+                    return _COMPLEX_FUNCS[n.fn](x)
+                except ValueError:      # cmath at some infinite arguments
+                    raise DomainError(f"{n.fn} of {x!r} is undefined") from None
             if n.fn == "sqrt" and x < 0:
                 raise DomainError("sqrt of negative value")
             if n.fn == "log" and x <= 0:
                 raise DomainError("log of nonpositive value")
+            if n.fn in ("sin", "cos") and math.isinf(x):
+                raise DomainError(f"{n.fn} of an infinite value")
             return _REAL_FUNCS[n.fn](x)
         if isinstance(n, Bin):
             a, b = rec(n.left), rec(n.right)
@@ -392,6 +412,8 @@ def _jet_call(fn, x):
     """A function of the grammar applied to a jet: f, f', f'' at x.val, with
     the domain errors, composed by x.chain; order three adds f'''."""
     v = x.val
+    if fn in ("sin", "cos") and math.isinf(v):
+        raise DomainError(f"{fn} of an infinite value")
     if fn == "sqrt":
         if v <= 0.0:
             raise DomainError("sqrt needs a positive argument for derivatives")
@@ -667,17 +689,18 @@ def _jet_eval(node, u, v, constants=None, jet=_Jet) -> _Jet:
 class Jet2:
     """Position with first and second parameter derivatives at one point.
 
-    ``x`` has the ambient dimension m; ``du`` is (m, k) and ``duu`` (m, k, k)
-    for k parameters (k = 2 for surface charts).
+    Floats in nested sequences (tuples from the evaluators): ``x`` holds the
+    m ambient coordinates, ``du[a][i]`` the first and ``duu[a][i][j]`` the
+    second derivatives for k parameters (k = 2 for surface charts).
     """
 
-    x: np.ndarray
-    du: np.ndarray
-    duu: np.ndarray
+    x: tuple
+    du: tuple
+    duu: tuple
 
     @property
     def height(self):
-        return float(self.x[-1])
+        return self.x[-1]
 
 
 def third_order_jet(node, u, v, constants=None) -> _Jet3:
@@ -708,11 +731,14 @@ def jet_sqrt(x):
     return math.sqrt(x)
 
 
-def jet_arrays(jets):
-    """(x, du, duu) arrays of a list of component jets, built once."""
-    return (np.array([j.val for j in jets]),
-            np.array([(j.gu, j.gv) for j in jets]),
-            np.array([((j.huu, j.huv), (j.huv, j.hvv)) for j in jets]))
+def jet_tuples(jets):
+    """(x, du, duu) of a list of component jets, as tuples of floats."""
+    return (tuple(j.val for j in jets),
+            tuple((j.gu, j.gv) for j in jets),
+            tuple(((j.huu, j.huv), (j.huv, j.hvv)) for j in jets))
+
+
+_ZERO_HESSIAN = ((0.0, 0.0), (0.0, 0.0))
 
 
 class GraphEvaluator:
@@ -727,17 +753,15 @@ class GraphEvaluator:
 
     def jet(self, u, v):
         j = _jet_eval(self.expr.ast, u, v, dict(self.expr.constants))
-        return (np.array([u, v, j.val]),
-                np.array([(1.0, 0.0), (0.0, 1.0), (j.gu, j.gv)]),
-                np.array([((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)),
-                          ((j.huu, j.huv), (j.huv, j.hvv))]))
+        return ((u, v, j.val), ((1.0, 0.0), (0.0, 1.0), (j.gu, j.gv)),
+                (_ZERO_HESSIAN, _ZERO_HESSIAN, ((j.huu, j.huv), (j.huv, j.hvv))))
 
 
 class ClosedFormEvaluator:
     """Parametric chart with exact jets.
 
     Built either from per-component expressions or from a callable returning
-    (x, du, duu) directly.
+    (x, du, duu) directly, as nested sequences of floats.
     """
 
     def __init__(self, components=None, jet_fn=None):
@@ -753,7 +777,7 @@ class ClosedFormEvaluator:
     def jet(self, u, v):
         if self._jet_fn is not None:
             return self._jet_fn(u, v)
-        return jet_arrays([_jet_eval(c.ast, u, v, dict(c.constants))
+        return jet_tuples([_jet_eval(c.ast, u, v, dict(c.constants))
                            for c in self.components])
 
 
@@ -780,6 +804,8 @@ class SurfaceChart:
 
     def interior_points(self, count, rng, margin_frac=0.05):
         """Uniform random interior points, keeping a fractional margin."""
+        import numpy as np
+
         u0, u1, v0, v1 = self.domain
         mu, mv = margin_frac * (u1 - u0), margin_frac * (v1 - v0)
         us = rng.uniform(u0 + mu, u1 - mu, count)
@@ -792,20 +818,19 @@ def jet2_eval(chart: SurfaceChart, p) -> Jet2:
 
     Raises OutsideDomain / HeightViolation / NonImmersed per the chart
     contract; the Gram determinant is taken with respect to the ambient
-    metric.
+    metric.  The jet keeps the evaluator's float containers.
     """
     u, v = float(p[0]), float(p[1])
     if not chart.contains(u, v):
         raise OutsideDomain(f"({u}, {v}) is not interior to {chart.domain}")
     x, du, duu = chart.evaluator.jet(u, v)
-    x = np.asarray(x, dtype=float)
-    h = float(x[-1])
+    h = x[-1]
     if not (h > 0.0):
-        raise HeightViolation(f"surface point {x} has nonpositive height")
-    du = np.asarray(du, dtype=float)
+        raise HeightViolation(
+            f"surface point {tuple(map(float, x))} has nonpositive height")
     # Gram matrix of the induced metric sum_a eps_a du_a du_a / h^2, in closed form.
     e = f = g = 0.0
-    for s, (xu, xv) in zip(chart.ambient.signature, du.tolist()):
+    for s, (xu, xv) in zip(chart.ambient.signature, du):
         e += s * xu * xu
         f += s * xu * xv
         g += s * xv * xv
@@ -813,4 +838,19 @@ def jet2_eval(chart: SurfaceChart, p) -> Jet2:
     det = (e / h2) * (g / h2) - (f / h2) * (f / h2)
     if abs(det) < GRAM_DET_TOL:
         raise NonImmersed(f"Gram determinant {det:.3e} at ({u}, {v})")
-    return Jet2(x, du, np.asarray(duu, dtype=float))
+    return Jet2(x, du, duu)
+
+
+def linspace(start, stop, num):
+    """``num`` evenly spaced floats from start to stop inclusive, the bits of
+    ``numpy.linspace(start, stop, num)``: i * step + start with the last
+    point set to stop, and (i / div) * delta + start where the step
+    underflows to zero."""
+    div = num - 1
+    delta = stop - start
+    if div <= 0:
+        return [0.0 * delta + start] * num
+    step = delta / div
+    if step == 0.0:
+        return [i / div * delta + start for i in range(div)] + [stop]
+    return [i * step + start for i in range(div)] + [stop]

@@ -24,11 +24,11 @@ import json
 import math
 import sys
 
-import numpy as np
-
+# numpy, duality and weierstrass are imported by the commands that use them,
+# so the point commands start without numpy.
 from . import ambient as amb
 from . import calculus as calc
-from . import duality, forms, weierstrass, zoo
+from . import forms, zoo
 from .errors import EmptyGrid, EmptyOutput, GaussformError, NonRealHeight
 
 SCHEMA_VERSION = 1
@@ -79,7 +79,7 @@ def _parse_axis(spec: str):
         raise UsageError(f"grid axis {spec!r} must be a:b:N") from None
     if count < 1:
         raise UsageError(f"grid axis {spec!r} needs at least one sample")
-    return np.linspace(lo, hi, count)
+    return calc.linspace(lo, hi, count)
 
 
 def _parse_grid(spec: str):
@@ -113,19 +113,21 @@ def _parse_params(items):
 def _default_grid(chart):
     u0, u1, v0, v1 = chart.domain
     mu, mv = GRID_INSET * (u1 - u0), GRID_INSET * (v1 - v0)
-    return (np.linspace(u0 + mu, u1 - mu, GRID_COUNT),
-            np.linspace(v0 + mv, v1 - mv, GRID_COUNT))
+    return (calc.linspace(u0 + mu, u1 - mu, GRID_COUNT),
+            calc.linspace(v0 + mv, v1 - mv, GRID_COUNT))
 
 
 def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+    np = sys.modules.get("numpy")     # no numpy value exists before its import
+    if np is not None:
+        if isinstance(obj, np.bool_):
+            return bool(obj)
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.floating):
+            return float(obj)
+        if isinstance(obj, np.ndarray):
+            return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
@@ -201,7 +203,7 @@ def _chart_from_args(args):
 def _grid_points(spec, chart):
     """Points of a ``--grid`` spec, or of the chart's default grid."""
     us, vs = _parse_grid(spec) if spec is not None else _default_grid(chart)
-    return [(float(u), float(v)) for u in us for v in vs]
+    return [(u, v) for u in us for v in vs]
 
 
 def _points_from_args(args, chart):
@@ -247,13 +249,13 @@ def _cmd_zoo_sample(args):
     for i, u in enumerate(us):
         for j, v in enumerate(vs):
             try:
-                x, _, _ = chart.evaluator.jet(float(u), float(v))
+                x, _, _ = chart.evaluator.jet(u, v)
             except POINT_ERRORS as exc:
-                rec = {"i": i, "j": j, "u": float(u), "v": float(v)}
+                rec = {"i": i, "j": j, "u": u, "v": v}
                 _record_failure(rec, exc, kinds)
                 failed.append(rec)
                 continue
-            rows.append((i, j, float(u), float(v), x[0], x[1], x[2]))
+            rows.append((i, j, u, v, x[0], x[1], x[2]))
     failures = len(failed)
     if args.out:
         _write_csv(args.out, SURFACE_COLUMNS, rows)
@@ -281,20 +283,10 @@ def _cmd_check_forms(args):
         jet = calc.jet2_eval(chart, (u, v))
         bundle = forms.fundamental_forms(jet, chart.ambient,
                                          chart.orientation_at((u, v)))
-        metric = amb.metric_at_height(chart.ambient, jet.height)
-        n_coord = bundle.eta * jet.height
-        residuals = {
-            "normal_orthogonality": float(np.abs(jet.du.T @ metric @ n_coord).max()),
-            "normal_unit": abs(float(n_coord @ metric @ n_coord)
-                               - chart.ambient.normal_sign),
-            "third_form_definition": float(np.linalg.norm(
-                bundle.third - bundle.second @ np.linalg.inv(bundle.first)
-                @ bundle.second)),
-            "obata": forms.obata_identity_residual(bundle),
-        }
-        rec.update({"x": list(jet.x), "eta": list(bundle.eta),
+        rec.update({"x": list(jet.x), "eta": bundle.eta,
                     "H": bundle.mean_curvature, "K": bundle.gauss_curvature,
-                    "residuals": residuals, "status": "ok"})
+                    "residuals": forms.check_residuals(jet, bundle),
+                    "status": "ok"})
 
     records, kinds = _point_records(_points_from_args(args, chart), evaluate)
     maxima = {name: _largest(r["residuals"][name] for r in records if "residuals" in r)
@@ -382,6 +374,8 @@ def _cmd_pde_residual(args):
 # --------------------------------------------------------------------------
 
 def _cmd_dualize(args):
+    from . import duality
+
     params = _parse_params(args.param)
     chart = zoo.make_surface(args.family, params)
     if args.fit_isometry and args.family not in duality.PAIRINGS:
@@ -437,6 +431,10 @@ def _cmd_dualize(args):
 # --------------------------------------------------------------------------
 
 def _complex_field_from_spec(spec, domain, n, role):
+    import numpy as np
+
+    from . import weierstrass
+
     if spec == "builtin:z":
         return weierstrass.ComplexField.from_function(
             lambda z: z, domain, (n, n), role)
@@ -452,6 +450,10 @@ def _complex_field_from_spec(spec, domain, n, role):
 
 
 def _cmd_weierstrass_build(args):
+    import numpy as np
+
+    from . import weierstrass
+
     try:
         u0, u1, v0, v1 = (float(t) for t in args.domain.split(":"))
     except ValueError:

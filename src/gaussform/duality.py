@@ -147,11 +147,6 @@ class PolarPoint:
     branch_flag: bool
     direction: str
 
-    def require_dual_curvature(self) -> float:
-        if self.dual_curvature is None:
-            raise BranchPoint("dual curvature requested at a branch point")
-        return self.dual_curvature
-
 
 def _checked_dual_point(space: amb.AmbientSpace, x, eta):
     """The source lift X, the dual point V and its chart position, after the
@@ -238,7 +233,7 @@ def polar_chart(chart: calc.SurfaceChart) -> calc.SurfaceChart:
         sigma = forms.orientation_sign(eta, chart.orientation_at((u, v)))
         eta = [sigma * c for c in eta]
         _, pos = _dual_point(space, amb.minkowski_coords(space, x), eta)
-        return calc.jet_arrays(pos)
+        return calc.jet_tuples(pos)
 
     return calc.SurfaceChart(chart.domain, calc.ClosedFormEvaluator(jet_fn=jet_fn),
                              dual_space(space))
@@ -310,9 +305,9 @@ def dual_graph_jet(expr: calc.GraphExpr, p, direction: str):
     u, v = float(p[0]), float(p[1])
     f, fu, fv = calc.jet_partials(
         calc.third_order_jet(expr.ast, u, v, dict(expr.constants)))
-    pos, dpos, ddpos = calc.jet_arrays(graph_dualize(
+    pos, dpos, ddpos = (np.array(t) for t in calc.jet_tuples(graph_dualize(
         calc.first_order_jet(u, (1.0, 0.0)), calc.first_order_jet(v, (0.0, 1.0)),
-        f, fu, fv, direction))
+        f, fu, fv, direction)))
     # With J = d(p1, p2)/d(u, v): grad_uv w = J^T grad w and
     # hess_uv w = J^T (hess w) J + sum_k (grad w)_k hess_uv p_k.
     jac_inv = np.linalg.inv(dpos[:2])

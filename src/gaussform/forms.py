@@ -16,9 +16,12 @@ The per-point pipeline works component-wise on Python floats, written as
 loops over the m ambient and k = m - 1 parameter indices with plain
 operators: the normal is the vector of signed cofactors of the tangent map
 weighted by the metric signature, the Christoffel contraction, the k x k
-determinant and inverse and the 2 x 2 shape spectrum are closed-form.  The
-oracles keep their own numerics: fourth_form_direct takes the SVD null
-vector as the normal and intrinsic_gauss_curvature a numpy stencil.
+determinant and inverse and the 2 x 2 shape spectrum are closed-form, and
+the bundle holds the results as floats and nested lists.  The residuals of
+``check forms`` recompute what they check with their own arithmetic.  The
+oracles keep their own numerics and import numpy where they run:
+fourth_form_direct takes the SVD null vector as the normal and
+intrinsic_gauss_curvature a numpy stencil.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
-
-import numpy as np
 
 from . import ambient as amb
 from . import calculus
@@ -67,14 +68,17 @@ class ShapeSpectrum:
 
 @dataclass(frozen=True)
 class FormBundle:
-    """The four fundamental forms and derived curvature data at one point."""
+    """The four fundamental forms and derived curvature data at one point.
+
+    ``eta`` is a list of floats, the forms are k x k nested lists.
+    """
 
     space: amb.AmbientSpace
-    eta: np.ndarray            # frame components of the unit normal
-    first: np.ndarray
-    second: np.ndarray
-    third: np.ndarray
-    fourth: np.ndarray
+    eta: list                  # frame components of the unit normal
+    first: list
+    second: list
+    third: list
+    fourth: list
     mean_curvature: float
     gauss_curvature: float
     shape_spectrum: ShapeSpectrum
@@ -112,11 +116,9 @@ def _matmul(a, b):
 
 
 def check_causal_class(space, first):
-    """Determinant of the induced metric (nested lists or an array), which
-    must be nondegenerate and of the causal class of ``space``; raises
-    NonImmersed or WrongCausalClass."""
-    if not isinstance(first, list):
-        first = np.asarray(first, dtype=float).tolist()
+    """Determinant of the induced metric (nested lists), which must be
+    nondegenerate and of the causal class of ``space``; raises NonImmersed
+    or WrongCausalClass."""
     det = _det(first)
     if abs(det) < calculus.GRAM_DET_TOL:
         raise NonImmersed(f"induced metric is degenerate (det {det:.3e})")
@@ -185,7 +187,7 @@ def unit_normal(space, jet, orientation):
     """Coordinate components of the unit normal, oriented per orientation_sign;
     raises NonImmersed when the tangent map is degenerate and WrongCausalClass
     when the normal's scalar square has the wrong sign."""
-    return np.array(_oriented_normal(space, jet.height, jet.du.tolist(), orientation))
+    return _oriented_normal(space, jet.height, jet.du, orientation)
 
 
 def induced_metric(space, h, du):
@@ -200,10 +202,10 @@ def frame_normal(space, jet, orientation):
     """Frame components eta = N / h of the oriented unit normal, with the
     checks of fundamental_forms in its order (the normal, then the causal
     class of the induced metric) but none of the forms."""
-    h, du = jet.height, jet.du.tolist()
-    n = np.array(_oriented_normal(space, h, du, orientation))
+    h, du = jet.height, jet.du
+    n = _oriented_normal(space, h, du, orientation)
     check_causal_class(space, induced_metric(space, h, du))
-    return n / h
+    return [c / h for c in n]
 
 
 def fundamental_forms(jet: calculus.Jet2, space: amb.AmbientSpace,
@@ -214,8 +216,8 @@ def fundamental_forms(jet: calculus.Jet2, space: amb.AmbientSpace,
     (default nonnegative).  Computed component-wise on Python floats, for
     hypersurfaces of any dimension (k = m - 1 parameters).
     """
-    du, duu = jet.du.tolist(), jet.duu.tolist()
-    h = float(jet.x[-1])
+    du, duu = jet.du, jet.duu
+    h = jet.height
     k = len(du[0])
     eps, eps_n = space.signature, space.normal_sign
     n = _oriented_normal(space, h, du, orientation)
@@ -263,14 +265,15 @@ def fundamental_forms(jet: calculus.Jet2, space: amb.AmbientSpace,
         else:
             spectrum = ShapeSpectrum.complexified()
     else:
+        import numpy as np
+
         eigs = np.linalg.eigvals(np.array(shape_op))
         if np.abs(eigs.imag).max() < 1e-10 * (1.0 + np.abs(eigs).max()):
             spectrum = ShapeSpectrum.real_pair(eigs.real)
         else:
             spectrum = ShapeSpectrum.complexified()
 
-    return FormBundle(space, np.array(eta), np.array(first), np.array(second),
-                      np.array(third), np.array(fourth), mean, gauss, spectrum)
+    return FormBundle(space, eta, first, second, third, fourth, mean, gauss, spectrum)
 
 
 def forms_at(chart: calculus.SurfaceChart, p) -> FormBundle:
@@ -305,8 +308,8 @@ def conformality_test(bundle: FormBundle, tol: float = 1e-8) -> ConformalityRepo
     residual are classified instead of failing; rho is reported only for
     conformal points.
     """
-    ii = [c for row in bundle.second.tolist() for c in row]
-    iv = [c for row in bundle.fourth.tolist() for c in row]
+    ii = [c for row in bundle.second for c in row]
+    iv = [c for row in bundle.fourth for c in row]
     ii_sq = sum(c * c for c in ii)
     ii_norm = math.sqrt(ii_sq)
     if ii_norm <= TOTALLY_GEODESIC_TOL:
@@ -325,6 +328,10 @@ def conformality_test(bundle: FormBundle, tol: float = 1e-8) -> ConformalityRepo
     return ConformalityReport(ConformalityReport.NOT_CONFORMAL, False, None, residual)
 
 
+def _frobenius(rows):
+    return math.sqrt(sum(c * c for row in rows for c in row))
+
+
 def obata_identity_residual(bundle: FormBundle) -> float:
     """Frobenius residual of IV = eta_last^2 I + s 2 eta_last II + III.
 
@@ -332,10 +339,55 @@ def obata_identity_residual(bundle: FormBundle) -> float:
     de Sitter space, -1 for time-like ones; uniformly s = -eps_N.
     """
     s = -bundle.space.normal_sign
-    eta_last = bundle.eta[-1]
-    predicted = (eta_last**2 * bundle.first
-                 + 2.0 * s * eta_last * bundle.second + bundle.third)
-    return float(np.linalg.norm(bundle.fourth - predicted))
+    e = bundle.eta[-1]
+    return _frobenius([[d - (e**2 * a + 2.0 * s * e * b + c)
+                        for a, b, c, d in zip(*rows)]
+                       for rows in zip(bundle.first, bundle.second,
+                                       bundle.third, bundle.fourth)])
+
+
+def _solve(a, b):
+    """X with a X = b, by Gauss-Jordan elimination with partial pivoting."""
+    k = len(a)
+    rows = [[*ra, *rb] for ra, rb in zip(a, b)]
+    for c in range(k):
+        p = max(range(c, k), key=lambda r: abs(rows[r][c]))
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c]
+        for r in range(k):
+            if r != c:
+                f = rows[r][c] / pivot[c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], pivot)]
+    return [[x / row[i] for x in row[k:]] for i, row in enumerate(rows)]
+
+
+def check_residuals(jet: calculus.Jet2, bundle: FormBundle) -> dict:
+    """The residuals that ``check forms`` gates, by name.
+
+    The coordinate normal N = h eta against the tangents and against its
+    unit scalar square, both in the full metric matrix of
+    ``ambient.metric_at_height``; III against II I^-1 II by a Gauss-Jordan
+    solve; and the four-forms identity.  None of them reuses the pipeline's
+    cofactors, adjugate inverse or matrix products, so each checks them.
+    """
+    space, h = bundle.space, jet.height
+    metric = amb.metric_at_height(space, h)
+    n = [e * h for e in bundle.eta]
+
+    def row_metric(w):              # the row vector w^T g
+        return [sum(c * g_row[b] for c, g_row in zip(w, metric)) for b in range(len(w))]
+
+    tangents_g = [row_metric(t) for t in zip(*jet.du)]
+    x = _solve(bundle.first, bundle.second)                 # I^-1 II
+    predicted = [[sum(a * x[m][j] for m, a in enumerate(row)) for j in range(len(row))]
+                 for row in bundle.second]
+    return {
+        "normal_orthogonality": max(abs(sum(map(mul, t, n))) for t in tangents_g),
+        "normal_unit": abs(sum(map(mul, row_metric(n), n)) - space.normal_sign),
+        "third_form_definition": _frobenius(
+            [[t - p for t, p in zip(*rows)] for rows in zip(bundle.third, predicted)]),
+        "obata": obata_identity_residual(bundle),
+    }
 
 
 def curvature_relation_residual(bundle: FormBundle) -> float:
@@ -372,16 +424,18 @@ def fourth_form_direct(chart: calculus.SurfaceChart, p) -> np.ndarray:
     u, v = float(p[0]), float(p[1])
     h = FOURTH_FORM_STEP * max(1.0, abs(u), abs(v))
 
+    import numpy as np
+
     def eta_at(uu, vv):
         jet = calculus.jet2_eval(chart, (uu, vv))
-        g = amb.metric_at_height(chart.ambient, jet.height)
-        n0 = np.linalg.svd(jet.du.T @ g)[2][-1]
+        g = np.array(amb.metric_at_height(chart.ambient, jet.height))
+        n0 = np.linalg.svd(np.array(jet.du).T @ g)[2][-1]
         eta = n0 / (math.sqrt(abs(float(n0 @ g @ n0))) * jet.height)
         return orientation_sign(eta, chart.orientation_at((uu, vv))) * eta
 
     deta = np.stack([(eta_at(u + h, v) - eta_at(u - h, v)) / (2 * h),
                      (eta_at(u, v + h) - eta_at(u, v - h)) / (2 * h)], axis=1)
-    eps = chart.ambient.eps
+    eps = np.array(chart.ambient.signature, dtype=float)
     return np.einsum("a,ai,aj->ij", eps, deta, deta)
 
 
@@ -391,6 +445,8 @@ def intrinsic_gauss_curvature(chart: calculus.SurfaceChart, p) -> float:
     Metric samples come from exact jets; metric derivatives use central
     differences with step BRIOSCHI_STEP.  Space-like charts only.
     """
+    import numpy as np
+
     if chart.ambient.causal_class is not amb.CausalClass.SPACE_LIKE:
         raise WrongCausalClass("intrinsic curvature path expects a space-like chart")
     u, v = float(p[0]), float(p[1])
@@ -398,8 +454,9 @@ def intrinsic_gauss_curvature(chart: calculus.SurfaceChart, p) -> float:
 
     def metric(uu, vv):
         jet = calculus.jet2_eval(chart, (uu, vv))
-        g = amb.metric_at_height(chart.ambient, jet.height)
-        return jet.du.T @ g @ jet.du
+        g = np.array(amb.metric_at_height(chart.ambient, jet.height))
+        du = np.array(jet.du)
+        return du.T @ g @ du
 
     # 3x3 stencil of induced metrics, indexed [iu][iv] with offsets -h, 0, +h.
     s = [[metric(u + (iu - 1) * h, v + (iv - 1) * h) for iv in range(3)]

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import ambient as amb
 from . import calculus as calc
 from .errors import (DomainConstraint, DomainError, EvaluationError,
@@ -119,17 +117,17 @@ def _scan_domain(fam: Family, params, domain, evaluator):
     u0, u1, v0, v1 = domain
     if not (u0 < u1 and v0 < v1):
         raise DomainConstraint(f"empty rectangle {domain}")
-    us = np.linspace(u0, u1, 9)
-    vs = np.linspace(v0, v1, 9)
+    us = calc.linspace(u0, u1, 9)
+    vs = calc.linspace(v0, v1, 9)
     preds = fam.domain_predicates(params) if fam.domain_predicates else []
     for u in us:
         for v in vs:
             for name, pred in preds:
-                if not pred(float(u), float(v)):
+                if not pred(u, v):
                     raise DomainConstraint(
                         f"domain {domain} violates {name} at ({u:.3g}, {v:.3g})")
             try:
-                x, _, _ = evaluator.jet(float(u), float(v))
+                x, _, _ = evaluator.jet(u, v)
             except (DomainError, EvaluationError) as exc:
                 raise DomainConstraint(
                     f"family {fam.key!r} undefined at ({u:.3g}, {v:.3g}): {exc}"
@@ -186,15 +184,14 @@ def pde_residual_values(f, fu, fv, fuu, fuv, fvv, which: str) -> float:
 
 def graph_pde_residual(f: calc.GraphExpr, p, which: str) -> float:
     """Residual of equation 6.1 or 6.2 for the graph of f at p, exact jets."""
-    val, grad, hess = f.jet(float(p[0]), float(p[1]))
-    return float(pde_residual_values(val, grad[0], grad[1],
-                                     hess[0, 0], hess[0, 1], hess[1, 1], which))
+    val, (fu, fv), ((fuu, fuv), (_, fvv)) = f.jet(float(p[0]), float(p[1]))
+    return pde_residual_values(val, fu, fv, fuu, fuv, fvv, which)
 
 
 def gradient_square(f: calc.GraphExpr, p) -> float:
     """f_u^2 + f_v^2 at p; the causal regime indicator for equation 6.2."""
-    _, grad, _ = f.jet(float(p[0]), float(p[1]))
-    return float(grad @ grad)
+    _, (fu, fv), _ = f.jet(float(p[0]), float(p[1]))
+    return fu * fu + fv * fv
 
 
 # --------------------------------------------------------------------------
@@ -212,8 +209,8 @@ def _parametric_builder(texts_fn, orientation_fn=None):
 def _expr_derivative_scan(text, lo, hi, what):
     """Check an expression of v has nonvanishing derivative over [lo, hi]."""
     expr = calc.parse_graph_expr(text)
-    for v in np.linspace(lo, hi, 33):
-        _, grad, _ = expr.jet(0.0, float(v))
+    for v in calc.linspace(lo, hi, 33):
+        _, grad, _ = expr.jet(0.0, v)
         if abs(grad[1]) < 1e-12:
             raise ParamConstraint(f"{what} must have nonvanishing derivative "
                                   f"(fails near v = {v:.3g})")
@@ -243,7 +240,7 @@ _register(Family(
     defaults={},
     conformal=GEODESIC,
     builder=_parametric_builder(lambda p: ("u", "0", "v"),
-                                orientation_fn=lambda p: np.array([0.0, 1.0, 0.0])),
+                                orientation_fn=lambda p: (0.0, 1.0, 0.0)),
     default_domain=lambda p: (-2.0, 2.0, 0.3, 3.0),
 ))
 
@@ -365,7 +362,7 @@ def _gradient_predicate(text_fn, want_spacelike):
                 _, grad, _ = expr.jet(u, v)
             except (DomainError, EvaluationError):
                 return False
-            sq = float(grad @ grad)
+            sq = grad[0] * grad[0] + grad[1] * grad[1]
             return sq < 1.0 if want_spacelike else sq > 1.0
 
         regime = "< 1 (space-like)" if want_spacelike else "> 1 (time-like)"
@@ -658,15 +655,15 @@ def _cylinder_orientation(params):
     def reference(u, v):
         _, g1, _ = a1.jet(0.0, v)
         _, g2, _ = a2.jet(0.0, v)
-        return np.array([g2[1], -g1[1], 0.0])
+        return (g2[1], -g1[1], 0.0)
 
     return reference
 
 
 def _cylinder_check(params):
     a = [calc.parse_graph_expr(str(params[k])) for k in ("alpha1", "alpha2", "alpha3")]
-    for v in np.linspace(0.0, 3.2, 33):
-        d = [expr.jet(0.0, float(v))[1][1] for expr in a]
+    for v in calc.linspace(0.0, 3.2, 33):
+        d = [expr.jet(0.0, v)[1][1] for expr in a]
         if d[0]**2 + d[1]**2 - d[2]**2 <= 0.0:
             raise ParamConstraint(
                 f"directrix must be space-like (fails near v = {v:.3g})")

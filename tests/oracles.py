@@ -4,8 +4,11 @@ None of these is reached by a command: each is the independent side of a
 check.  The finite-difference evaluator checks exact jets, the Christoffel
 symbols check the closed-form second fundamental form, and the inverse maps
 check ``ambient.to_minkowski``, ``duality.minkowski_normal`` and
-``gaussmaps.stereo_project`` by round trips.
+``gaussmaps.stereo_project`` by round trips; ``branch_sign`` reads back the
+de Sitter branch that ``to_minkowski`` was asked for.
 """
+
+import math
 
 import numpy as np
 
@@ -49,7 +52,8 @@ class NumericEvaluator:
                  - np.asarray(f(u - h2, v + h2)) + np.asarray(f(u - h2, v - h2))) / (4 * h2**2)
         duu[:, 0, 1] = cross
         duu[:, 1, 0] = cross
-        return x, du, duu
+        # The float containers the package's evaluators return.
+        return x.tolist(), du.tolist(), duu.tolist()
 
 
 def christoffel_at_height(space: amb.AmbientSpace, height: float) -> np.ndarray:
@@ -82,6 +86,12 @@ def to_half_space(point: amb.MinkowskiPoint) -> amb.HalfSpacePoint:
     x0, x1, x2, x3 = point.coords
     d = abs(x0 - x3)
     return amb.HalfSpacePoint((x1 / d, x2 / d, 1.0 / d))
+
+
+def branch_sign(point: amb.MinkowskiPoint) -> int:
+    """Sign of X0 - X3 (de Sitter branch membership; +1 on S+, -1 on S-)."""
+    d = point.coords[0] - point.coords[3]
+    return 0 if d == 0.0 else int(math.copysign(1.0, d))
 
 
 def frame_components(X, V) -> np.ndarray:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussform import ambient as amb
@@ -148,9 +148,9 @@ class TestJets:
             fd_vv = (expr(u, v + h) - 2 * val + expr(u, v - h)) / h**2
             fd_uv = (expr(u + h, v + h) - expr(u + h, v - h)
                      - expr(u - h, v + h) + expr(u - h, v - h)) / (4 * h**2)
-            assert hess[0, 0] == pytest.approx(fd_uu, rel=1e-4, abs=1e-5)
-            assert hess[1, 1] == pytest.approx(fd_vv, rel=1e-4, abs=1e-5)
-            assert hess[0, 1] == pytest.approx(fd_uv, rel=1e-4, abs=1e-5)
+            assert hess[0][0] == pytest.approx(fd_uu, rel=1e-4, abs=1e-5)
+            assert hess[1][1] == pytest.approx(fd_vv, rel=1e-4, abs=1e-5)
+            assert hess[0][1] == pytest.approx(fd_uv, rel=1e-4, abs=1e-5)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -230,6 +230,11 @@ class TestJetSympyOracle:
                 assert g == pytest.approx(w, rel=1e-12, abs=1e-12), (a, b)
 
 
+def _arrays(jet):
+    """A jet with numpy arrays in place of its nested tuples."""
+    return calc.Jet2(np.array(jet.x), np.array(jet.du), np.array(jet.duu))
+
+
 class TestCharts:
     def test_horosphere_jet(self):
         chart = calc.SurfaceChart((-2, 2, -2, 2),
@@ -245,7 +250,7 @@ class TestCharts:
                                  domain=(0.5, 2.0, 0.1, 1.5))
         jet = calc.jet2_eval(chart, (1.0, 1.0))
         assert np.allclose(jet.x, [math.cosh(1), math.sinh(1), math.sinh(1)])
-        assert np.allclose(jet.du[:, 0], [math.cosh(1), 0.0, math.sinh(1)])
+        assert np.allclose(np.array(jet.du)[:, 0], [math.cosh(1), 0.0, math.sinh(1)])
 
     def test_numeric_evaluator_matches_closed_form(self):
         chart = zoo.make_surface("ruled-6.2-2", {"c": 1.0},
@@ -254,8 +259,8 @@ class TestCharts:
             chart.domain,
             NumericEvaluator(lambda u, v: chart.evaluator.jet(u, v)[0]),
             chart.ambient)
-        exact = calc.jet2_eval(chart, (1.0, 1.0))
-        approx = calc.jet2_eval(numeric, (1.0, 1.0))
+        exact = _arrays(calc.jet2_eval(chart, (1.0, 1.0)))
+        approx = _arrays(calc.jet2_eval(numeric, (1.0, 1.0)))
         assert np.abs(exact.x - approx.x).max() < 1e-12
         assert np.abs(exact.du - approx.du).max() < 1e-6
         assert np.abs(exact.duu - approx.duu).max() < 1e-4
@@ -271,8 +276,8 @@ class TestCharts:
                 NumericEvaluator(lambda u, v, c=chart: c.evaluator.jet(u, v)[0]),
                 chart.ambient)
             for p in chart.interior_points(25, rng, margin_frac=0.1):
-                exact = calc.jet2_eval(chart, p)
-                approx = calc.jet2_eval(numeric, p)
+                exact = _arrays(calc.jet2_eval(chart, p))
+                approx = _arrays(calc.jet2_eval(numeric, p))
                 scale = 1.0 + np.abs(exact.duu).max() + np.abs(exact.du).max()
                 assert np.abs(exact.du - approx.du).max() < 1e-6 * scale, key
                 assert np.abs(exact.duu - approx.duu).max() < 1e-4 * scale, key
@@ -281,8 +286,8 @@ class TestCharts:
         for key in ["translational-6.4", "corollary-7-plus", "cylinder-7.4-2"]:
             chart = zoo.make_surface(key)
             for p in chart.interior_points(10, rng):
-                jet = calc.jet2_eval(chart, p)
-                assert np.array_equal(jet.duu, jet.duu.transpose(0, 2, 1))
+                duu = np.array(calc.jet2_eval(chart, p).duu)
+                assert np.array_equal(duu, duu.transpose(0, 2, 1))
 
     def test_outside_domain(self):
         chart = zoo.make_surface("horosphere")
@@ -296,6 +301,19 @@ class TestCharts:
         with pytest.raises(HeightViolation):
             calc.jet2_eval(chart, (-1.0, 0.0))
 
+    def test_height_violation_message(self):
+        # The point is printed as a tuple of floats, whatever container the
+        # evaluator returns, so the report's error text does not depend on it.
+        graph = calc.GraphEvaluator(calc.parse_graph_expr("u"))
+        as_arrays = calc.ClosedFormEvaluator(
+            jet_fn=lambda u, v: tuple(np.array(t) for t in graph.jet(u, v)))
+        want = "surface point (-1.0, 0.5, -1.0) has nonpositive height"
+        for evaluator in (graph, as_arrays):
+            chart = calc.SurfaceChart((-2, 2, -2, 2), evaluator, H3)
+            with pytest.raises(HeightViolation) as info:
+                calc.jet2_eval(chart, (-1.0, 0.5))
+            assert str(info.value) == want
+
     def test_non_immersed(self):
         # both partials along the same direction
         ev = calc.ClosedFormEvaluator(components=(
@@ -304,3 +322,91 @@ class TestCharts:
         chart = calc.SurfaceChart((-1, 1, -1, 1), ev, H3)
         with pytest.raises(NonImmersed):
             calc.jet2_eval(chart, (0.1, 0.2))
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestLinspace:
+    """calc.linspace gives the bits of numpy.linspace, so the CLI grids and
+    the zoo's domain scan keep their points."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(start=st.floats(allow_nan=False, allow_infinity=False),
+           stop=st.floats(allow_nan=False, allow_infinity=False),
+           num=st.integers(0, 40))
+    @example(start=0.0, stop=1.0, num=1)
+    @example(start=0.0, stop=1.0, num=2)
+    @example(start=2.5, stop=-1.5, num=7)          # reversed
+    @example(start=-3.0, stop=-0.5, num=5)         # negative
+    @example(start=-1e308, stop=1e308, num=3)      # the span overflows
+    @example(start=0.0, stop=5e-324, num=3)        # the step underflows to 0
+    @example(start=-0.0, stop=0.0, num=1)
+    def test_matches_numpy_bitwise(self, start, stop, num):
+        with np.errstate(all="ignore"):
+            want = np.linspace(start, stop, num)
+        assert _bits(calc.linspace(start, stop, num)) == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=st.floats(-1e-300, 1e-300), ulps=st.integers(-6, 6),
+           num=st.integers(1, 12))
+    @example(start=5e-324, ulps=1, num=4)
+    @example(start=0.0, ulps=-2, num=9)
+    def test_tiny_spans_bitwise(self, start, ulps, num):
+        stop = start
+        for _ in range(abs(ulps)):
+            stop = math.nextafter(stop, math.copysign(math.inf, ulps))
+        assert _bits(calc.linspace(start, stop, num)) == np.linspace(start, stop, num).tobytes()
+
+    def test_default_check_grid_unchanged(self):
+        from gaussform import cli
+
+        chart = zoo.make_surface("corollary-6")
+        u0, u1, v0, v1 = chart.domain
+        mu, mv = cli.GRID_INSET * (u1 - u0), cli.GRID_INSET * (v1 - v0)
+        us = np.linspace(u0 + mu, u1 - mu, cli.GRID_COUNT)
+        vs = np.linspace(v0 + mv, v1 - mv, cli.GRID_COUNT)
+        want = [(float(u), float(v)) for u in us for v in vs]
+        got = cli._grid_points(None, chart)
+        assert [(u.hex(), v.hex()) for u, v in got] == [(u.hex(), v.hex()) for u, v in want]
+
+    @pytest.mark.parametrize("key", zoo.family_keys())
+    def test_scan_domain_nodes_unchanged(self, key):
+        # The 9 x 9 nodes the domain scan evaluates, as numpy.linspace gave them.
+        chart = zoo.make_surface(key)
+        nodes = []
+
+        class Recorder:
+            def jet(self, u, v):
+                nodes.append((u, v))
+                return chart.evaluator.jet(u, v)
+
+        fam = zoo.get_family(key)
+        zoo._scan_domain(fam, zoo.resolve_params(fam), chart.domain, Recorder())
+        u0, u1, v0, v1 = chart.domain
+        want = [(float(u), float(v)) for u in np.linspace(u0, u1, 9)
+                for v in np.linspace(v0, v1, 9)]
+        assert _bits(nodes) == _bits(want)
+
+
+class TestNonFiniteAndDeep:
+    def test_sin_and_cos_of_infinity_are_domain_errors(self):
+        for text in ("sin(u*1e308*10)", "cos((1e308)*(10))"):
+            expr = calc.parse_graph_expr(text)
+            with pytest.raises(DomainError):
+                expr.jet(0.5, 0.5)
+            with pytest.raises(DomainError):
+                expr(0.5, 0.5)
+            with pytest.raises(DomainError):
+                expr(complex(0.5), complex(0.5))
+
+    @pytest.mark.parametrize("text", ["+".join(["u"] * 1500), "(" * 400 + "u" + ")" * 400,
+                                      "-" * 600 + "u", "sin(" * 300 + "u" + ")" * 300])
+    def test_too_deep_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nests too deeply"):
+            calc.parse_graph_expr(text)
+
+    def test_deepest_allowed_tree_evaluates(self):
+        expr = calc.parse_graph_expr("+".join(["u"] * calc.MAX_DEPTH))
+        assert expr.jet(0.5, 0.0)[0] == 0.5 * calc.MAX_DEPTH

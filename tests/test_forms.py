@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gaussform import ambient as amb
 from gaussform import calculus as calc
-from gaussform import forms, zoo
+from gaussform import cli, forms, zoo
 from gaussform.errors import (GaussformError, NonImmersed, OrientationUndefined,
                               WrongCausalClass)
 from oracles import NumericEvaluator, christoffel_at_height
@@ -157,7 +157,7 @@ class TestCalibrationSurfaces:
         assert np.allclose(bundle.eta, [0, 0, 1])
         assert bundle.mean_curvature == pytest.approx(-1.0)
         assert bundle.gauss_curvature == pytest.approx(0.0)
-        assert np.allclose(bundle.second, -bundle.first)
+        assert np.allclose(bundle.second, -np.array(bundle.first))
 
     def test_wrong_causal_class(self):
         chart = _graph_chart("1", DS3_TL)
@@ -213,7 +213,7 @@ class TestConformality:
         # The horosphere has IV = 0 exactly; noise at the 1e-16 level must
         # leave it conformal with rho about 0 instead of flipping the class.
         base = forms.forms_at(_graph_chart("1", H3), (0.2, -0.1))
-        assert not base.fourth.any()
+        assert not np.any(base.fourth)
         for _ in range(20):
             noise = 1e-16 * rng.standard_normal((2, 2))
             noisy = dataclasses.replace(base, fourth=base.fourth + noise)
@@ -259,12 +259,74 @@ class TestObata:
             for p in chart.interior_points(5, rng):
                 jet = calc.jet2_eval(chart, p)
                 bundle = forms.forms_at(chart, p)
-                g = amb.metric_at_height(chart.ambient, jet.height)
-                n_coord = bundle.eta * jet.height
-                assert np.abs(jet.du.T @ g @ n_coord).max() <= 1e-10
+                g = np.array(amb.metric_at_height(chart.ambient, jet.height))
+                n_coord = np.array(bundle.eta) * jet.height
+                assert np.abs(np.array(jet.du).T @ g @ n_coord).max() <= 1e-10
                 assert abs(n_coord @ g @ n_coord - chart.ambient.normal_sign) <= 1e-10
                 third_def = bundle.second @ np.linalg.inv(bundle.first) @ bundle.second
                 assert np.abs(bundle.third - third_def).max() <= 1e-10
+
+
+class TestCheckResiduals:
+    """The residuals of `check forms`, written on lists with their own
+    arithmetic, against the same formulas in numpy and against bundles
+    broken on purpose."""
+
+    POINTS = [("translational-6.6", (1.0, 1.2)), ("corollary-6", (0.3, 0.6)),
+              ("ruled-7.4-3", (3.0, 0.5))]
+
+    @staticmethod
+    def _numpy_residuals(jet, bundle):
+        g = np.array(amb.metric_at_height(bundle.space, jet.height))
+        n = np.array(bundle.eta) * jet.height
+        first, second = np.array(bundle.first), np.array(bundle.second)
+        return {
+            "normal_orthogonality": float(np.abs(np.array(jet.du).T @ g @ n).max()),
+            "normal_unit": abs(float(n @ g @ n) - bundle.space.normal_sign),
+            "third_form_definition": float(np.linalg.norm(
+                np.array(bundle.third) - second @ np.linalg.inv(first) @ second)),
+            "obata": float(np.linalg.norm(
+                np.array(bundle.fourth) - (bundle.eta[-1] ** 2 * first
+                                           - 2.0 * bundle.space.normal_sign
+                                           * bundle.eta[-1] * second
+                                           + np.array(bundle.third)))),
+        }
+
+    def _point(self, key, p):
+        chart = zoo.make_surface(key)
+        jet = calc.jet2_eval(chart, p)
+        return jet, forms.fundamental_forms(jet, chart.ambient, chart.orientation_at(p))
+
+    @pytest.mark.parametrize("key,p", POINTS)
+    def test_match_numpy_formulas(self, key, p):
+        jet, bundle = self._point(key, p)
+        got = forms.check_residuals(jet, bundle)
+        want = self._numpy_residuals(jet, bundle)
+        assert list(got) == list(cli.FORMS_GATES)
+        for name, tol in cli.FORMS_GATES.items():
+            assert got[name] <= tol, name
+            assert abs(got[name] - want[name]) <= 1e-14, name
+
+    @pytest.mark.parametrize("key,p", POINTS)
+    def test_broken_bundles_fail_their_gates(self, key, p):
+        jet, bundle = self._point(key, p)
+        (a, b), (c, d) = bundle.third
+        (e, f), (g, h) = bundle.fourth
+        eta = bundle.eta
+        tangent = [row[0] / jet.height for row in jet.du]
+        broken = {
+            "third_form_definition": dataclasses.replace(
+                bundle, third=[[a * (1 + 1e-6) + 1e-6, b], [c, d]]),
+            "obata": dataclasses.replace(bundle, fourth=[[e, f + 1e-6], [g + 1e-6, h]]),
+            "normal_unit": dataclasses.replace(bundle, eta=[x * (1 + 1e-6) for x in eta]),
+            "normal_orthogonality": dataclasses.replace(
+                bundle, eta=[x + 1e-6 * t for x, t in zip(eta, tangent)]),
+        }
+        for name, doctored in broken.items():
+            got = forms.check_residuals(jet, doctored)
+            assert got[name] > cli.FORMS_GATES[name], name
+            want = self._numpy_residuals(jet, doctored)[name]
+            assert got[name] == pytest.approx(want, rel=1e-6), name
 
 
 class TestFourthFormDirect:
@@ -323,7 +385,7 @@ class TestGeneralDimension:
         x = np.array([0.3, -0.2, 0.5, 1.0])
         du = np.zeros((4, 3))
         du[0, 0] = du[1, 1] = du[2, 2] = 1.0
-        jet = calc.Jet2(x, du, np.zeros((4, 3, 3)))
+        jet = calc.Jet2(x.tolist(), du.tolist(), np.zeros((4, 3, 3)).tolist())
         return forms.fundamental_forms(jet, h4)
 
     def test_h4_horosphere_forms(self):
@@ -357,8 +419,8 @@ def _forms_by_numpy(jet, space, orientation=None):
     """The forms as the numpy route computed them before the component-wise
     pipeline: SVD null-vector normal, einsum Christoffel contraction and
     matrix inverse.  Returns (eta, I, II, III, IV, H, K)."""
-    h, du, duu = jet.height, jet.du, jet.duu
-    g = amb.metric_at_height(space, h)
+    h, du, duu = jet.height, np.array(jet.du), np.array(jet.duu)
+    g = np.array(amb.metric_at_height(space, h))
     n0 = np.linalg.svd(du.T @ g)[2][-1]
     normsq = float(n0 @ g @ n0)
     if normsq == 0.0 or math.copysign(1.0, normsq) != space.normal_sign:
@@ -383,7 +445,8 @@ def _forms_by_numpy(jet, space, orientation=None):
     shape_op = first_inv @ second
     eta = n / h
     eta_du = (eta[-1] * du - space.normal_sign * (du @ shape_op)) / h
-    fourth = np.einsum("a,ai,aj->ij", space.eps, eta_du, eta_du)
+    fourth = np.einsum("a,ai,aj->ij", np.array(space.signature, dtype=float),
+                       eta_du, eta_du)
     curv_const = -1.0 if space.kind is amb.Kind.HYPERBOLIC else 1.0
     gauss = curv_const + space.normal_sign * np.linalg.det(second) / det
     return (eta, first, second, second @ first_inv @ second, fourth,
@@ -403,7 +466,7 @@ def _random_jets(draw, m):
         for i in range(k):
             for j in range(i, k):
                 duu[a, i, j] = duu[a, j, i] = draw(_entry)
-    return calc.Jet2(np.array(x), np.array(du), duu)
+    return calc.Jet2(x, du, duu.tolist())
 
 
 def _raised(fn, *args):
@@ -423,8 +486,8 @@ class TestComponentPipelineReference:
     @given(data=st.data())
     def test_matches_numpy_route(self, space, data):
         jet = data.draw(_random_jets(space.dim))
-        g = amb.metric_at_height(space, jet.height)
-        first = jet.du.T @ g @ jet.du
+        g = np.array(amb.metric_at_height(space, jet.height))
+        first = np.array(jet.du).T @ g @ np.array(jet.du)
         # Away from degenerate tangent maps, where the reference's SVD normal
         # is an arbitrary null vector and neither route is well conditioned.
         assume(np.linalg.cond(first) < 1e3)
@@ -444,8 +507,8 @@ class TestComponentPipelineReference:
                              ids=["h3", "ds3", "ds3-timelike", "h4"])
     def test_zero_tangent_map_is_not_immersed(self, space):
         m = space.dim
-        jet = calc.Jet2(np.r_[np.zeros(m - 1), 1.0], np.zeros((m, m - 1)),
-                        np.zeros((m, m - 1, m - 1)))
+        jet = calc.Jet2([0.0] * (m - 1) + [1.0], np.zeros((m, m - 1)).tolist(),
+                        np.zeros((m, m - 1, m - 1)).tolist())
         with pytest.raises(NonImmersed):
             forms.fundamental_forms(jet, space)
         with pytest.raises(NonImmersed):
@@ -455,8 +518,8 @@ class TestComponentPipelineReference:
                              ids=["ds3", "ds3-timelike"])
     def test_wrong_causal_class(self, space, slope):
         # The graph of x3 = 2 + slope * x1: time-like for slope > 1.
-        du = np.array([[1.0, 0.0], [0.0, 1.0], [slope, 0.0]])
-        jet = calc.Jet2(np.array([0.0, 0.0, 2.0]), du, np.zeros((3, 2, 2)))
+        du = [[1.0, 0.0], [0.0, 1.0], [slope, 0.0]]
+        jet = calc.Jet2([0.0, 0.0, 2.0], du, np.zeros((3, 2, 2)).tolist())
         with pytest.raises(WrongCausalClass):
             forms.fundamental_forms(jet, space)
         assert _raised(_forms_by_numpy, jet, space) is WrongCausalClass

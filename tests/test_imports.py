@@ -1,6 +1,8 @@
-"""Import budget of the CLI: only the solve of `weierstrass build` loads
-scipy.  pytest has already imported scipy, so each check runs in a fresh
-interpreter."""
+"""Import budget of the CLI.  Only the solve of `weierstrass build` loads
+scipy, and only `dualize` and `weierstrass build` load numpy: the package
+loads its modules on first access, and the point commands compute on Python
+floats.  pytest has already imported numpy and scipy, so each check runs in
+a fresh interpreter."""
 
 import os
 import subprocess
@@ -15,8 +17,9 @@ SRC = str(Path(gaussform.__file__).resolve().parents[1])
 DOMAIN = "1.5:2.5:0.1:0.9"
 
 
-def run_fresh(code, tmp_path):
-    """Run ``code`` in a new interpreter; return the scipy modules it loaded."""
+def run_fresh(code, tmp_path, package="scipy"):
+    """Run ``code`` in a new interpreter; return the modules of ``package``
+    it loaded."""
     script = textwrap.dedent("""
         import contextlib, io, sys
         from gaussform import cli
@@ -26,9 +29,9 @@ def run_fresh(code, tmp_path):
                     contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(list(argv))
             assert code == expect, (argv, code)
-    """) + textwrap.dedent(code) + textwrap.dedent("""
+    """) + textwrap.dedent(code) + textwrap.dedent(f"""
         print(" ".join(sorted(m for m in sys.modules
-                              if m == "scipy" or m.startswith("scipy."))))
+                              if m == {package!r} or m.startswith({package + "."!r}))))
     """)
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -73,3 +76,41 @@ def test_solve_loads_scipy(tmp_path):
             "--domain", "{DOMAIN}", "--grid", "9", "--boundary", "builtin:radial")
     """, tmp_path)
     assert "scipy.sparse.linalg" in loaded and "scipy.integrate" in loaded
+
+
+def test_import_loads_no_numpy(tmp_path):
+    assert run_fresh("import gaussform", tmp_path, "numpy") == []
+
+
+def test_point_commands_load_no_numpy(tmp_path):
+    # The twelve cli-session commands that need no array, with their
+    # arguments.  `export obj` reads a `zoo sample` CSV here, because the
+    # benchmark's input comes from `weierstrass build`, which loads numpy.
+    loaded = run_fresh("""
+        run("zoo", "list")
+        run("zoo", "sample", "ruled-6.2-2", "--param", "c=1", "--u", "0.3:0.8:16",
+            "--v", "0.2:1.4:16", "--out", "ruled.csv")
+        run("zoo", "sample", "no-such-family", "--u", "0:1:4", "--v", "0:1:4",
+            expect=2)
+        run("check", "forms", "translational-6.4", "--grid", "0.1:0.5:6x0.1:0.5:6")
+        run("check", "forms", "corollary-6")
+        run("check", "forms", "--graph", "1+u^2/8", "--space", "h3",
+            "--graph-domain", "-1", "1", "-1", "1")
+        run("check", "conformal", "ruled-6.7")
+        run("check", "conformal", "control-bowl")
+        run("pde", "residual", "--eq", "6.2", "--graph", "u*v/sqrt(1+v^2)",
+            "--grid", "0.1:0.9:9x0.1:0.9:9")
+        run("pde", "residual", "--eq", "6.1", "--graph", "1+u^2+v^2",
+            "--grid=-0.2:0.2:5x-0.2:0.2:5", expect=1)
+        run("export", "obj", "--in", "ruled.csv", "--out", "ruled.obj")
+        run("check", "forms", "--graph", "1+*u", expect=2)
+    """, tmp_path, "numpy")
+    assert loaded == []
+
+
+def test_submodules_load_on_first_access(tmp_path):
+    started = run_fresh("", tmp_path, "gaussform")
+    accessed = run_fresh("import gaussform; gaussform.duality.PAIRINGS", tmp_path,
+                         "gaussform")
+    assert "gaussform.duality" not in started and "gaussform.weierstrass" not in started
+    assert "gaussform.duality" in accessed

@@ -1,10 +1,14 @@
-"""Every module-level function and class of the package has a caller outside
-the tests.
+"""Every module-level function and class of the package, and every public
+method of its classes, has a caller outside the tests.
 
 A name counts as reached when the package or the benchmark harness mentions
 it as a name, an attribute or an import anywhere but inside its own
-definition; strings and docstrings do not count.  A helper that only tests
-call belongs next to those tests (see ``oracles.py``), not in the package.
+definition; strings and docstrings do not count.  Names are matched without
+types, so a method is also reached by an attribute of the same name on
+another object.  Dunder names are hooks the interpreter calls (``__init__``,
+``__add__``, a module's ``__getattr__``) and are not checked.  A helper that
+only tests call belongs next to those tests (see ``oracles.py``), not in the
+package.
 """
 
 import ast
@@ -17,31 +21,43 @@ SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _mentions(tree):
-    """(name, enclosing top-level definition or None) for every mention."""
+def _mentions(node, owners=()):
+    """(name, enclosing definitions) for every mention below ``node``."""
+    if isinstance(node, DEFINITIONS):
+        owners = owners + (node,)
+    if isinstance(node, ast.Name):
+        yield node.id, owners
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, owners
+    elif isinstance(node, ast.alias):
+        yield node.name, owners
+        if node.asname:
+            yield node.asname, owners
+    for child in ast.iter_child_nodes(node):
+        yield from _mentions(child, owners)
+
+
+def _checked(tree):
+    """The module-level definitions and the public methods of its classes."""
     for top in tree.body:
-        owner = top.name if isinstance(top, DEFINITIONS) else None
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                yield node.id, owner
-            elif isinstance(node, ast.Attribute):
-                yield node.attr, owner
-            elif isinstance(node, ast.alias):
-                yield node.name, owner
-                if node.asname:
-                    yield node.asname, owner
+        if not isinstance(top, DEFINITIONS):
+            continue
+        yield top.name, top
+        if isinstance(top, ast.ClassDef):
+            for member in top.body:
+                if isinstance(member, DEFINITIONS) and not member.name.startswith("_"):
+                    yield f"{top.name}.{member.name}", member
 
 
 def test_every_package_definition_is_reached():
     trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-    mentions = {path: set(_mentions(tree)) for path, tree in trees.items()}
+    mentions = [found for tree in trees.values() for found in _mentions(tree)]
     unreached = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for top in trees[path].body:
-            if not isinstance(top, DEFINITIONS):
+        for label, node in _checked(trees[path]):
+            if node.name.startswith("__") and node.name.endswith("__"):
                 continue
-            if not any(name == top.name and (other != path or owner != top.name)
-                       for other, found in mentions.items()
-                       for name, owner in found):
-                unreached.append(f"{path.stem}.{top.name}")
+            if not any(name == node.name and node not in owners
+                       for name, owners in mentions):
+                unreached.append(f"{path.stem}.{label}")
     assert not unreached, f"only tests reach: {', '.join(unreached)}"

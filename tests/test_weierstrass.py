@@ -345,7 +345,7 @@ def _grid_jets(built):
                          axis=-1)], axis=-2)
             first = np.stack([(x[i + 1, j] - x[i - 1, j]) / (2 * du),
                               (x[i, j + 1] - x[i, j - 1]) / (2 * dv)], axis=-1)
-            yield calculus.Jet2(x[i, j], first, second)
+            yield calculus.Jet2(x[i, j].tolist(), first.tolist(), second.tolist())
 
 
 def _recovery_by_forms(built):
@@ -373,7 +373,7 @@ def _recovery_by_forms(built):
                      - x[i - 1, j + 1] + x[i - 1, j - 1]) / (4 * du * dv)
             second[:, 0, 1] = cross
             second[:, 1, 0] = cross
-            jet = calculus.Jet2(x[i, j], first, second)
+            jet = calculus.Jet2(x[i, j].tolist(), first.tolist(), second.tolist())
             bundle = forms.fundamental_forms(jet, space, orientation)
             value = gaussmaps.stereo_project(bundle.eta, space)
             if gaussmaps.is_infinity(value):

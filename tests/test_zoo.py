@@ -150,8 +150,9 @@ class TestCurvatureRelations:
             chart = zoo.make_surface(key)
             for p in chart.interior_points(10, rng):
                 jet = calc.jet2_eval(chart, p)
-                g = amb.metric_at_height(chart.ambient, jet.height)
-                gram = jet.du.T @ g @ jet.du
+                g = np.array(amb.metric_at_height(chart.ambient, jet.height))
+                du = np.array(jet.du)
+                gram = du.T @ g @ du
                 det = np.linalg.det(gram)
                 if chart.ambient.causal_class is amb.CausalClass.SPACE_LIKE:
                     assert det > 0, key
