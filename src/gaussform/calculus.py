@@ -372,6 +372,8 @@ def evaluate(node, u, v, constants=None):
             # power
             if isinstance(a, complex) or isinstance(b, complex):
                 return a ** b
+            if not math.isfinite(b):
+                raise DomainError("power with a non-finite exponent")
             if b != round(b) and a <= 0:
                 raise DomainError("non-integer power of nonpositive base")
             try:
@@ -545,6 +547,8 @@ class _Jet:
                     raise DomainError("variable power of nonpositive base")
                 return _jet_call("exp", o * _jet_call("log", self))
             o = o.val
+        if not math.isfinite(o):
+            raise DomainError("power with a non-finite exponent")
         v = self.val
         if o == round(o):
             n = int(round(o))
@@ -816,21 +820,28 @@ class SurfaceChart:
 def jet2_eval(chart: SurfaceChart, p) -> Jet2:
     """Evaluate the two-jet of a chart at an interior parameter point.
 
-    Raises OutsideDomain / HeightViolation / NonImmersed per the chart
-    contract; the Gram determinant is taken with respect to the ambient
-    metric.  The jet keeps the evaluator's float containers.
+    Raises OutsideDomain, then the errors of check_chart_jet.  The jet keeps
+    the evaluator's float containers.
     """
     u, v = float(p[0]), float(p[1])
     if not chart.contains(u, v):
         raise OutsideDomain(f"({u}, {v}) is not interior to {chart.domain}")
     x, du, duu = chart.evaluator.jet(u, v)
+    check_chart_jet(chart.ambient, u, v, x, du)
+    return Jet2(x, du, duu)
+
+
+def check_chart_jet(space: ambient.AmbientSpace, u, v, x, du):
+    """The chart contract on a jet's values x and du at (u, v): raises
+    HeightViolation for a nonpositive height and NonImmersed for a vanishing
+    Gram determinant, taken with respect to the ambient metric."""
     h = x[-1]
     if not (h > 0.0):
         raise HeightViolation(
             f"surface point {tuple(map(float, x))} has nonpositive height")
     # Gram matrix of the induced metric sum_a eps_a du_a du_a / h^2, in closed form.
     e = f = g = 0.0
-    for s, (xu, xv) in zip(chart.ambient.signature, du):
+    for s, (xu, xv) in zip(space.signature, du):
         e += s * xu * xu
         f += s * xu * xv
         g += s * xv * xv
@@ -838,7 +849,6 @@ def jet2_eval(chart: SurfaceChart, p) -> Jet2:
     det = (e / h2) * (g / h2) - (f / h2) * (f / h2)
     if abs(det) < GRAM_DET_TOL:
         raise NonImmersed(f"Gram determinant {det:.3e} at ({u}, {v})")
-    return Jet2(x, du, duu)
 
 
 def linspace(start, stop, num):

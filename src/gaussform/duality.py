@@ -4,12 +4,13 @@ The unit normal of a surface, parallel translated to the origin of Minkowski
 4-space, lands on the opposite quadric: de Sitter for sources in hyperbolic
 space and vice versa (time-like de Sitter surfaces stay on the de Sitter
 quadric).  This module computes that dual point through one polar-map code
-path that runs on floats and on jets (so the dual chart has exact
-derivatives and double polarity can be checked at full precision), the
-curvature and volume transfer laws, the graph-level duality between the two
-fully nonlinear graph PDEs, and the isometry fitting used to match dual
-families (a damped Gauss-Newton fit of a horizontal translation at each of
-two rotation angles, on numpy arrays over all points, with no scipy).
+path, with the normal and checks of ``forms.frame_normal``, that runs on
+floats and on jets (so the dual chart has exact derivatives and double
+polarity can be checked at full precision), the curvature and volume
+transfer laws, the graph-level duality between the two fully nonlinear graph
+PDEs, and the isometry fitting used to match dual families (a damped
+Gauss-Newton fit of a horizontal translation at one rotation angle, on numpy
+arrays over all points, with no scipy).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import calculus as calc
 from . import forms
 from . import zoo
 from .errors import (BranchPoint, CausalityViolation, EquatorialNormal,
-                     NonPositiveHeight, WrongCausalClass)
+                     NonPositiveHeight)
 
 H3_TO_DS3 = "h3-to-ds3"
 DS3_TO_H3 = "ds3-to-h3"
@@ -33,12 +34,14 @@ DS3_TIMELIKE = "ds3-timelike"
 EQUATORIAL_TOL = 1e-12
 BRANCH_K_TOL = 1e-6
 BRANCH_DET_TOL = 1e-10
-FIT_ANGLES = (math.pi / 2, -math.pi / 2)   # rotations fit_isometry searches
+# The rotation of fit_isometry.  Every height in PAIRINGS is invariant under
+# (q1, q2) -> (-q1, -q2), so the fit at -pi/2 would repeat this one.
+FIT_ANGLE = math.pi / 2
 FIT_STEP = 1e-6          # central-difference step of the fit's Jacobian in (a, b)
 FIT_DAMPING = 1e-3       # initial damping, relative to the trace of J^T J
 FIT_FTOL = 1e-15         # stop once a step lowers the sum of squares by a smaller fraction
 FIT_XTOL = 1e-13         # stop once a step is shorter than this times 1 + |(a, b)|
-FIT_MAX_STEPS = 100      # trial steps per rotation angle
+FIT_MAX_STEPS = 100      # trial steps of one fit
 
 
 def _branch_curvature(space: amb.AmbientSpace) -> float:
@@ -150,11 +153,12 @@ class PolarPoint:
 
 def _checked_dual_point(space: amb.AmbientSpace, x, eta):
     """The source lift X, the dual point V and its chart position, after the
-    equator check and with the position's height checked positive."""
+    equator check and with the position's height checked positive.  Runs on
+    floats and on calculus jets."""
     _require_off_equator(eta)
     X = amb.minkowski_coords(space, x)
     V, pos = _dual_point(space, X, eta)
-    if not pos[2] > 0.0:
+    if not float(pos[2]) > 0.0:
         raise NonPositiveHeight("dual point left the upper half-space")
     return X, V, pos
 
@@ -163,7 +167,7 @@ def polar_position(chart: calc.SurfaceChart, p) -> amb.HalfSpacePoint:
     """``polar_variety(chart, p).position``, bit for bit and with
     the same errors, without the forms and the curvature transfer."""
     jet = calc.jet2_eval(chart, p)
-    eta = forms.frame_normal(chart.ambient, jet, chart.orientation_at(p))
+    eta = forms.frame_normal(chart.ambient, jet.height, jet.du, chart.orientation_at(p))
     _, _, pos = _checked_dual_point(chart.ambient, jet.x, eta)
     return amb.HalfSpacePoint(tuple(pos))
 
@@ -208,31 +212,23 @@ def polar_chart(chart: calc.SurfaceChart) -> calc.SurfaceChart:
 
     The polar map is differentiated by running it on second-order jets: one
     third-order jet per component expression of the source chart gives
-    second-order jets of x, x_u and x_v.  The whole pipeline (sign-weighted
-    cross product, normalization, Minkowski lift, projection to the dual
-    chart) is rational-plus-sqrt, so jets pass through it exactly.  Building
-    the chart does no symbolic work.
+    second-order jets of x, x_u and x_v.  The point path's checks run in its
+    order: the chart checks of ``calc.jet2_eval`` on the jets' values, then
+    ``forms.frame_normal`` and ``_checked_dual_point``, which are plain
+    arithmetic, so jets pass through them exactly.  Building the chart does
+    no symbolic work.
     """
     asts = chart.evaluator.component_asts
     space = chart.ambient
-    eps = space.signature
 
     def jet_fn(u, v):
-        x, xu, xv = zip(*(calc.jet_partials(calc.third_order_jet(a, u, v))
-                          for a in asts))
-        w = [xu[1] * xv[2] - xu[2] * xv[1],
-             xu[2] * xv[0] - xu[0] * xv[2],
-             xu[0] * xv[1] - xu[1] * xv[0]]
-        nd = [eps[a] * w[a] for a in range(3)]
-        nn = eps[0] * nd[0] * nd[0] + eps[1] * nd[1] * nd[1] + eps[2] * nd[2] * nd[2]
-        if nn.val == 0.0 or math.copysign(1.0, nn.val) != space.normal_sign:
-            raise WrongCausalClass(
-                "normal scalar square has the wrong sign for the declared class")
-        eta = [c / calc.jet_sqrt(space.normal_sign * nn) for c in nd]
-        _require_off_equator(eta)
-        sigma = forms.orientation_sign(eta, chart.orientation_at((u, v)))
-        eta = [sigma * c for c in eta]
-        _, pos = _dual_point(space, amb.minkowski_coords(space, x), eta)
+        jets = [calc.third_order_jet(a, u, v) for a in asts]
+        x, du, _ = calc.jet_tuples(jets)
+        calc.check_chart_jet(space, u, v, x, du)
+        x, xu, xv = zip(*map(calc.jet_partials, jets))
+        eta = forms.frame_normal(space, x[-1], tuple(zip(xu, xv)),
+                                 chart.orientation_at((u, v)))
+        _, _, pos = _checked_dual_point(space, x, eta)
         return calc.jet_tuples(pos)
 
     return calc.SurfaceChart(chart.domain, calc.ClosedFormEvaluator(jet_fn=jet_fn),
@@ -244,22 +240,26 @@ def polar_of_polar_minkowski(chart: calc.SurfaceChart, p) -> np.ndarray:
 
     The dual surface's normal is computed from its own exact first
     derivatives, not assumed; double polarity predicts this equals the source
-    position up to overall sign.
+    position up to overall sign.  The polar map runs, with the point path's
+    checks, on first-order jets of x, x_u and x_v from the source's two-jet:
+    first derivatives of jet arithmetic never read second ones, so the dual
+    point and its first derivatives have the bits of ``polar_chart``'s jet.
+    The dual surface is lifted on the de Sitter branch its point V occupies,
+    the sign of V0 - V3 (a hyperbolic dual has one sheet).
     """
-    dual = polar_chart(chart)
-    jet = calc.jet2_eval(dual, p)
-    eta = forms.frame_normal(dual.ambient, jet, None)
-    # The dual surface must be lifted on the branch its points actually
-    # occupy.  A de Sitter dual point V has V0 - V3 = eta3 (X3 - X0) with X
-    # the source lift (_normal_from_lift); a hyperbolic dual has one sheet.
-    branch = 1
-    if transfer_direction(chart.ambient) != DS3_TO_H3:
-        src = calc.jet2_eval(chart, p)
-        eta3 = forms.unit_normal(chart.ambient, src, chart.orientation_at(p))[2] / src.height
-        X = amb.minkowski_coords(chart.ambient, src.x)
-        if eta3 * (X[3] - X[0]) < 0.0:
-            branch = -1
-    _, second = minkowski_normal(dual.ambient, jet.x, eta, branch)
+    src = calc.jet2_eval(chart, p)
+    x = [calc.first_order_jet(c, d) for c, d in zip(src.x, src.du)]
+    xu, xv = ([calc.first_order_jet(d[i], dd[i]) for d, dd in zip(src.du, src.duu)]
+              for i in (0, 1))
+    eta = forms.frame_normal(chart.ambient, x[-1], tuple(zip(xu, xv)),
+                             chart.orientation_at(p))
+    _, V, pos = _checked_dual_point(chart.ambient, x, eta)
+    y, dy, _ = calc.jet_tuples(pos)
+    space = dual_space(chart.ambient)
+    calc.check_chart_jet(space, float(p[0]), float(p[1]), y, dy)
+    eta = forms.frame_normal(space, y[-1], dy, None)
+    branch = -1 if float(V[0] - V[3]) < 0.0 else 1
+    _, second = minkowski_normal(space, y, eta, branch)
     return second
 
 
@@ -393,68 +393,60 @@ def fit_isometry(points: np.ndarray, height_fn, label="") -> IsometryFit:
     """Fit the horizontal isometry mapping a target graph onto given points.
 
     ``height_fn(q1, q2)`` is the target surface's height over its own base
-    coordinates, evaluated on whole arrays.  For each rotation angle in
-    FIT_ANGLES a damped Gauss-Newton iteration (Levenberg-Marquardt; More,
-    LNM 630, 1978) fits the translation (a, b) to the vertical gaps,
-    starting at (0, 0): central differences give the two Jacobian columns,
-    and the damped 2 x 2 normal equations are solved in closed form.  A step
-    is taken only if it lowers the sum of squared gaps, so a step to
-    non-finite gaps is rejected.  The angle with the smallest largest gap
-    wins (the first on a tie); that gap is reported and bounds the
-    point-to-surface distance.  An angle whose gaps at (0, 0) are not finite
-    is skipped; ValueError if every angle is.
+    coordinates, evaluated on whole arrays.  At the rotation FIT_ANGLE a
+    damped Gauss-Newton iteration (Levenberg-Marquardt; More, LNM 630, 1978)
+    fits the translation (a, b) to the vertical gaps, starting at (0, 0):
+    central differences give the two Jacobian columns, and the damped 2 x 2
+    normal equations are solved in closed form.  A step is taken only if it
+    lowers the sum of squared gaps, so a step to non-finite gaps is
+    rejected.  The largest gap at the result is reported and bounds the
+    point-to-surface distance.  ValueError if the gaps at (0, 0) are not
+    finite.
     """
     pts = np.asarray(points, dtype=float)
-    best = None
-    for theta in FIT_ANGLES:
-        c, s = math.cos(theta), math.sin(theta)
+    c, s = math.cos(FIT_ANGLE), math.sin(FIT_ANGLE)
 
-        def gaps(a, b):
-            q1 = (pts[:, 0] - a) * c + (pts[:, 1] - b) * s
-            q2 = -(pts[:, 0] - a) * s + (pts[:, 1] - b) * c
-            return pts[:, 2] - height_fn(q1, q2)
+    def gaps(a, b):
+        q1 = (pts[:, 0] - a) * c + (pts[:, 1] - b) * s
+        q2 = -(pts[:, 0] - a) * s + (pts[:, 1] - b) * c
+        return pts[:, 2] - height_fn(q1, q2)
 
-        a = b = 0.0
-        r = gaps(a, b)
-        if not np.isfinite(r).all():
-            continue
-        ssq = float(r @ r)
-        damping, growth = FIT_DAMPING, 2.0
-        normal = None
-        for _ in range(FIT_MAX_STEPS):
-            if normal is None:
-                ja = (gaps(a + FIT_STEP, b) - gaps(a - FIT_STEP, b)) / (2.0 * FIT_STEP)
-                jb = (gaps(a, b + FIT_STEP) - gaps(a, b - FIT_STEP)) / (2.0 * FIT_STEP)
-                normal = (float(ja @ ja), float(ja @ jb), float(jb @ jb),
-                          float(ja @ r), float(jb @ r))
-            saa, sab, sbb, ga, gb = normal
-            mu = damping * (saa + sbb)
-            det = (saa + mu) * (sbb + mu) - sab * sab
-            if not 0.0 < det < math.inf:      # no descent direction to take
-                break
-            da = (sab * gb - (sbb + mu) * ga) / det
-            db = (sab * ga - (saa + mu) * gb) / det
-            if max(abs(da), abs(db)) <= FIT_XTOL * (1.0 + max(abs(a), abs(b))):
-                break
-            trial = gaps(a + da, b + db)
-            trial_ssq = float(trial @ trial)
-            if not trial_ssq < ssq:           # also rejects non-finite gaps
-                damping, growth = damping * growth, growth * 2.0
-                continue
-            # Nielsen's update (Madsen, Nielsen & Tingleff, Methods for
-            # non-linear least squares problems, 2004, sec. 3.2): relax the
-            # damping as far as the decrease matched the linear model's.
-            gain = (ssq - trial_ssq) / (mu * (da * da + db * db) - ga * da - gb * db)
-            damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-            growth = 2.0
-            converged = ssq - trial_ssq <= FIT_FTOL * ssq
-            a, b, r, ssq = a + da, b + db, trial, trial_ssq
-            normal = None
-            if converged:
-                break
-        gap = float(np.abs(r).max())
-        if best is None or gap < best.max_gap:
-            best = IsometryFit(theta, a, b, gap, label)
-    if best is None:
+    a = b = 0.0
+    r = gaps(a, b)
+    if not np.isfinite(r).all():
         raise ValueError("no rotation angle produced a finite fit")
-    return best
+    ssq = float(r @ r)
+    damping, growth = FIT_DAMPING, 2.0
+    normal = None
+    for _ in range(FIT_MAX_STEPS):
+        if normal is None:
+            ja = (gaps(a + FIT_STEP, b) - gaps(a - FIT_STEP, b)) / (2.0 * FIT_STEP)
+            jb = (gaps(a, b + FIT_STEP) - gaps(a, b - FIT_STEP)) / (2.0 * FIT_STEP)
+            normal = (float(ja @ ja), float(ja @ jb), float(jb @ jb),
+                      float(ja @ r), float(jb @ r))
+        saa, sab, sbb, ga, gb = normal
+        mu = damping * (saa + sbb)
+        det = (saa + mu) * (sbb + mu) - sab * sab
+        if not 0.0 < det < math.inf:      # no descent direction to take
+            break
+        da = (sab * gb - (sbb + mu) * ga) / det
+        db = (sab * ga - (saa + mu) * gb) / det
+        if max(abs(da), abs(db)) <= FIT_XTOL * (1.0 + max(abs(a), abs(b))):
+            break
+        trial = gaps(a + da, b + db)
+        trial_ssq = float(trial @ trial)
+        if not trial_ssq < ssq:           # also rejects non-finite gaps
+            damping, growth = damping * growth, growth * 2.0
+            continue
+        # Nielsen's update (Madsen, Nielsen & Tingleff, Methods for
+        # non-linear least squares problems, 2004, sec. 3.2): relax the
+        # damping as far as the decrease matched the linear model's.
+        gain = (ssq - trial_ssq) / (mu * (da * da + db * db) - ga * da - gb * db)
+        damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+        growth = 2.0
+        converged = ssq - trial_ssq <= FIT_FTOL * ssq
+        a, b, r, ssq = a + da, b + db, trial, trial_ssq
+        normal = None
+        if converged:
+            break
+    return IsometryFit(FIT_ANGLE, a, b, float(np.abs(r).max()), label)

@@ -43,30 +43,6 @@ BRIOSCHI_STEP = 1e-3        # relative step of the Brioschi curvature oracle
 
 
 @dataclass(frozen=True)
-class ShapeSpectrum:
-    """Eigenvalue data of the shape operator, when extracted."""
-
-    kind: str                  # "real" | "complex" | "not_computed"
-    values: tuple = ()
-
-    @classmethod
-    def real_pair(cls, values):
-        return cls("real", tuple(sorted(float(v) for v in values)))
-
-    @classmethod
-    def complexified(cls):
-        return cls("complex")
-
-    @classmethod
-    def not_computed(cls):
-        return cls("not_computed")
-
-    @property
-    def is_real(self):
-        return self.kind == "real"
-
-
-@dataclass(frozen=True)
 class FormBundle:
     """The four fundamental forms and derived curvature data at one point.
 
@@ -81,7 +57,9 @@ class FormBundle:
     fourth: list
     mean_curvature: float
     gauss_curvature: float
-    shape_spectrum: ShapeSpectrum
+    # The principal curvatures (lambda <= mu) of a space-like surface point
+    # with k = 2 and a real spectrum; None otherwise.
+    principal_curvatures: tuple | None
 
 
 def _det(a):
@@ -155,39 +133,34 @@ def orientation_sign(eta, orientation) -> float:
 
 
 def _oriented_normal(space, h, du, orientation):
-    """Coordinate components of the oriented unit normal, as a list.
+    """Frame components eta of the oriented unit normal, as a list.
 
-    ``du`` is the m x (m - 1) tangent map as nested lists.  The normal is
-    the vector of signed cofactors of ``du`` (the cross product for m = 3)
-    weighted by the signature, which is orthogonal to every tangent in the
-    metric eps_A dx_A^2 / h^2; its scalar square sets the causal class.
+    ``du`` is the m x (m - 1) tangent map as nested sequences.  The normal
+    is the vector nd of signed cofactors of ``du`` (the cross product for
+    m = 3) weighted by the signature, which is orthogonal to every tangent
+    in the metric eps_A dx_A^2 / h^2; its scalar square nn sets the causal
+    class, and eta = +-nd / sqrt|nn|.  Plain arithmetic with comparisons on
+    float values, so it runs on floats and on calculus jets alike.
     """
-    if not (h > 0.0):
-        raise NonPositiveHeight(f"height {h} is not positive")
+    if not (float(h) > 0.0):
+        raise NonPositiveHeight(f"height {float(h)} is not positive")
     eps = space.signature
     m = len(du)
     # Negations are written 0.0 - c, so a zero component stays +0.0 in reports.
     nd = [eps[a] * _det(du[:a] + du[a + 1:]) for a in range(m)]
     nd[1::2] = [0.0 - c for c in nd[1::2]]     # the cofactor signs
     nn = sum(eps[a] * nd[a] * nd[a] for a in range(m))
-    if nn == 0.0:
+    nn_sign = math.copysign(1.0, float(nn))
+    if float(nn) == 0.0:
         raise NonImmersed("tangent map is degenerate: the cofactor normal vanishes")
-    if math.copysign(1.0, nn) != space.normal_sign:
-        raise WrongCausalClass(
-            f"normal has scalar square of sign {math.copysign(1.0, nn):+.0f}, "
-            f"expected {space.normal_sign:+d}")
-    scale = h / math.sqrt(abs(nn))
-    n = [c * scale for c in nd]
-    if orientation_sign([c / h for c in n], orientation) < 0.0:
-        n = [0.0 - c for c in n]
-    return n
-
-
-def unit_normal(space, jet, orientation):
-    """Coordinate components of the unit normal, oriented per orientation_sign;
-    raises NonImmersed when the tangent map is degenerate and WrongCausalClass
-    when the normal's scalar square has the wrong sign."""
-    return _oriented_normal(space, jet.height, jet.du, orientation)
+    if nn_sign != space.normal_sign:
+        raise WrongCausalClass(f"normal has scalar square of sign {nn_sign:+.0f}, "
+                               f"expected {space.normal_sign:+d}")
+    root = calculus.jet_sqrt(space.normal_sign * nn)
+    eta = [c / root for c in nd]
+    if orientation_sign(eta, orientation) < 0.0:
+        eta = [0.0 - c for c in eta]
+    return eta
 
 
 def induced_metric(space, h, du):
@@ -198,14 +171,16 @@ def induced_metric(space, h, du):
     return [[_dot([wa * c for wa, c in zip(w, ci)], cj) for cj in cols] for ci in cols]
 
 
-def frame_normal(space, jet, orientation):
-    """Frame components eta = N / h of the oriented unit normal, with the
-    checks of fundamental_forms in its order (the normal, then the causal
-    class of the induced metric) but none of the forms."""
-    h, du = jet.height, jet.du
-    n = _oriented_normal(space, h, du, orientation)
-    check_causal_class(space, induced_metric(space, h, du))
-    return [c / h for c in n]
+def frame_normal(space, h, du, orientation):
+    """Frame components eta of the oriented unit normal at height h with
+    tangent map du, with the checks of fundamental_forms in its order (the
+    normal, then the causal class of the induced metric) but none of the
+    forms.  Runs on floats and on calculus jets; the causal class is checked
+    on their float values."""
+    eta = _oriented_normal(space, h, du, orientation)
+    check_causal_class(space, induced_metric(
+        space, float(h), [[float(c) for c in row] for row in du]))
+    return eta
 
 
 def fundamental_forms(jet: calculus.Jet2, space: amb.AmbientSpace,
@@ -220,8 +195,8 @@ def fundamental_forms(jet: calculus.Jet2, space: amb.AmbientSpace,
     h = jet.height
     k = len(du[0])
     eps, eps_n = space.signature, space.normal_sign
-    n = _oriented_normal(space, h, du, orientation)
-    eta = [c / h for c in n]
+    eta = _oriented_normal(space, h, du, orientation)
+    n = [h * c for c in eta]                    # the coordinate normal
 
     first = induced_metric(space, h, du)
     det_first = check_causal_class(space, first)
@@ -251,29 +226,18 @@ def fundamental_forms(jet: calculus.Jet2, space: amb.AmbientSpace,
     curv_const = -1.0 if space.kind is amb.Kind.HYPERBOLIC else 1.0
     gauss = curv_const + eps_n * (_det(second) / det_first)
 
-    if space.causal_class is not amb.CausalClass.SPACE_LIKE:
-        spectrum = ShapeSpectrum.not_computed()
-    elif k == 2:
+    principal = None
+    if space.causal_class is amb.CausalClass.SPACE_LIKE and k == 2:
         (a, b), (c, d) = shape_op
         half = 0.5 * (a + d)
         disc = (0.5 * (a - d)) ** 2 + b * c
         if disc >= 0.0:
             root = math.sqrt(disc)
-            spectrum = ShapeSpectrum.real_pair((half - root, half + root))
+            principal = (half - root, half + root)
         elif math.sqrt(-disc) < 1e-10 * (1.0 + math.sqrt(half * half - disc)):
-            spectrum = ShapeSpectrum.real_pair((half, half))
-        else:
-            spectrum = ShapeSpectrum.complexified()
-    else:
-        import numpy as np
+            principal = (half, half)
 
-        eigs = np.linalg.eigvals(np.array(shape_op))
-        if np.abs(eigs.imag).max() < 1e-10 * (1.0 + np.abs(eigs).max()):
-            spectrum = ShapeSpectrum.real_pair(eigs.real)
-        else:
-            spectrum = ShapeSpectrum.complexified()
-
-    return FormBundle(space, eta, first, second, third, fourth, mean, gauss, spectrum)
+    return FormBundle(space, eta, first, second, third, fourth, mean, gauss, principal)
 
 
 def forms_at(chart: calculus.SurfaceChart, p) -> FormBundle:
@@ -320,9 +284,8 @@ def conformality_test(bundle: FormBundle, tol: float = 1e-8) -> ConformalityRepo
     residual = gap / max(math.sqrt(sum(c * c for c in iv)), ii_norm)
     if residual <= tol:
         return ConformalityReport(ConformalityReport.CONFORMAL, True, rho, residual)
-    spec = bundle.shape_spectrum
-    if spec.is_real and len(spec.values) == 2:
-        lam, mu = spec.values
+    if bundle.principal_curvatures is not None:
+        lam, mu = bundle.principal_curvatures
         if abs(lam - mu) <= UMBILIC_REL_TOL * (1.0 + abs(lam) + abs(mu)):
             return ConformalityReport(ConformalityReport.UMBILIC, False, None, residual)
     return ConformalityReport(ConformalityReport.NOT_CONFORMAL, False, None, residual)

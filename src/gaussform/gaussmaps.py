@@ -92,14 +92,15 @@ def stereo_project(eta, space: amb.AmbientSpace):
 def far_gauss_map(x, g):
     """Ideal endpoint G = x1 + i x2 + x3 g of the oriented normal geodesic.
 
-    ``x`` is a half-space point (sequence of three coordinates).  INFINITY in
-    raises InfiniteG: the geodesic ends at the point at infinity.
+    ``x`` holds the three coordinates.  Plain arithmetic, so it runs on
+    floats, complex numbers and arrays alike (the surface builder passes its
+    complex raw height as x3).  INFINITY in raises InfiniteG: the geodesic
+    ends at the point at infinity.
     """
     if is_infinity(g):
         raise InfiniteG("normal geodesic ends at the ideal point at infinity")
-    coords = x.coords if isinstance(x, amb.HalfSpacePoint) else x
-    x1, x2, x3 = (float(c) for c in coords)
-    return complex(x1, x2) + x3 * complex(g)
+    x1, x2, x3 = x
+    return x1 + 1j * x2 + x3 * g
 
 
 @dataclass(frozen=True)

@@ -240,7 +240,6 @@ class BuiltSurface:
     samples: np.ndarray           # (ni, nj, 3), NaN rows where dropped
     kept: np.ndarray              # boolean (ni, nj)
     drop_reason: np.ndarray       # object array, "" where kept
-    residual: np.ndarray          # compatibility residual per node
     ratio: np.ndarray             # first-constraint ratio (complex)
     modulus_margin: np.ndarray    # second-constraint margin (> 0 where kept)
     height_imag_rel: np.ndarray   # relative imaginary part of the raw height
@@ -315,7 +314,6 @@ def build_surface(g: ComplexField, G: ComplexField, case: int = CASE_HOLOMORPHIC
 
     sign = 1.0 if case == CASE_HOLOMORPHIC else -1.0
     eta3 = sign * (1.0 + m2) / np.abs(m2 - 1.0)
-    residual = compatibility_residual_field(g, G, case)
 
     return BuiltSurface(
         case=case,
@@ -324,7 +322,6 @@ def build_surface(g: ComplexField, G: ComplexField, case: int = CASE_HOLOMORPHIC
         samples=samples,
         kept=kept,
         drop_reason=drop,
-        residual=residual,
         ratio=ratio,
         modulus_margin=margin,
         height_imag_rel=im_rel,
@@ -340,10 +337,9 @@ def surface_identity_defect(built: BuiltSurface) -> float:
 
     Algebraically zero; anything above rounding indicates an assembly bug.
     """
-    kept = built.kept
-    w = built.samples[..., 0] + 1j * built.samples[..., 1]
-    lhs = w + built.complex_height * built.g_core
-    return float(np.abs((lhs - built.far_core)[kept]).max())
+    x = (built.samples[..., 0], built.samples[..., 1], built.complex_height)
+    lhs = gaussmaps.far_gauss_map(x, built.g_core)
+    return float(np.abs((lhs - built.far_core)[built.kept]).max())
 
 
 def radial_profile(s_span):
@@ -411,15 +407,16 @@ def recovered_gauss_map(built: BuiltSurface):
         n = np.stack([u2 * v3 - v2 * u3, 0.0 - (u1 * v3 - v1 * u3),
                       -(u1 * v2 - v1 * u2)])
         nn = n[0] * n[0] + n[1] * n[1] - n[2] * n[2]
-        n *= h / np.sqrt(np.abs(nn))
-        last = n[2] / h
-        n = np.where(np.signbit(last) != (built.case != CASE_HOLOMORPHIC), 0.0 - n, n)
+        eta = n / np.sqrt(np.abs(nn))
+        last = eta[2]
+        eta = np.where(np.signbit(last) != (built.case != CASE_HOLOMORPHIC),
+                       0.0 - eta, eta)
         w = 1.0 / np.float_power(h, 2)        # rounded as Python's h**2
         guu = w * u1 * u1 + w * u2 * u2 - w * u3 * u3
         guv = w * u1 * v1 + w * u2 * v2 - w * u3 * v3
         gvu = w * v1 * u1 + w * v2 * u2 - w * v3 * u3
         det = guu * (w * v1 * v1 + w * v2 * v2 - w * v3 * v3) - guv * gvu
-        e1, e2, e3 = n / h
+        e1, e2, e3 = eta
         defect = np.abs(e1 * e1 + e2 * e2 - e3 * e3 + 1.0)
         # 1 - e3 cancels near the pole; above it the quadric gives it exactly.
         denom = np.where(e3 > 0.0, -(e1 * e1 + e2 * e2) / (1.0 + e3), 1.0 - e3)

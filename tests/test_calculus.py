@@ -401,6 +401,17 @@ class TestNonFiniteAndDeep:
             with pytest.raises(DomainError):
                 expr(complex(0.5), complex(0.5))
 
+    @pytest.mark.parametrize("text", ["2^(1e308*10)", "2^(1e308*10-1e308*10)",
+                                      "u^(1e308*10)"])
+    def test_non_finite_exponent_is_a_domain_error(self, text):
+        expr = calc.parse_graph_expr(text)
+        with pytest.raises(DomainError, match="non-finite exponent"):
+            expr.jet(0.5, 0.5)
+        with pytest.raises(DomainError, match="non-finite exponent"):
+            expr(0.5, 0.5)
+        with pytest.raises(DomainError, match="non-finite exponent"):
+            calc.third_order_jet(expr.ast, 0.5, 0.5)
+
     @pytest.mark.parametrize("text", ["+".join(["u"] * 1500), "(" * 400 + "u" + ")" * 400,
                                       "-" * 600 + "u", "sin(" * 300 + "u" + ")" * 300])
     def test_too_deep_is_a_parse_error(self, text):

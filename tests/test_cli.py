@@ -498,6 +498,8 @@ class TestExitContract:
     @example(expr="cos((1e308)*(10))", command="pde 6.2")
     @example(expr="(1e308)^(2)", command="forms ds3")
     @example(expr="2^(1e308*10)", command="pde 6.1")
+    @example(expr="2^(1e308*10)", command="forms h3")
+    @example(expr="2^(1e308*10-1e308*10)", command="forms h3")
     @example(expr="exp(710)", command="forms ds3-timelike")
     @example(expr="(" * 400 + "u" + ")" * 400, command="forms h3")
     @example(expr="+".join(["u"] * 1500), command="pde 6.1")
@@ -513,3 +515,10 @@ class TestExitContract:
         assert "Traceback" not in err
         if code != 2:
             assert json.loads(out)["schema_version"] == 1
+
+    @pytest.mark.parametrize("expr", ["2^(1e308*10)", "2^(1e308*10-1e308*10)"])
+    def test_non_finite_exponent_is_a_domain_error(self, expr):
+        code, out, err = run_contract(["check", "forms", f"--graph={expr}",
+                                       "--at", "0.1,0.2"])
+        assert (code, err) == (1, "")
+        assert [p["status"] for p in json.loads(out)["points"]] == ["DomainError"]

@@ -8,8 +8,9 @@ from gaussform import ambient as amb
 from gaussform import calculus as calc
 from gaussform import duality, forms, zoo
 from gaussform.errors import (BranchPoint, CausalityViolation, EquatorialNormal,
-                              GaussformError, NonImmersed, NonPositiveHeight,
-                              OrientationUndefined, OutsideDomain, WrongCausalClass)
+                              GaussformError, HeightViolation, NonImmersed,
+                              NonPositiveHeight, OrientationUndefined, OutsideDomain,
+                              WrongCausalClass)
 from oracles import NumericEvaluator, branch_sign
 
 H3 = amb.hyperbolic_space()
@@ -299,10 +300,17 @@ class TestPolarPosition:
         (dataclasses.replace(zoo.make_surface("translational-6.6"),
                              orientation=np.array([0.0, 0.0, 0.0])), (1.0, 1.2),
          OrientationUndefined),
-    ], ids=["equator", "outside", "wrong-class", "degenerate", "orientation-tie"])
+        (calc.SurfaceChart((-1.0, 1.0, -1.0, 1.0), calc.GraphEvaluator(
+            calc.parse_graph_expr("0.5*u-1")), H3), (0.2, 0.3), HeightViolation),
+        (calc.SurfaceChart((-1.0, 1.0, -1.0, 1.0), calc.GraphEvaluator(
+            calc.parse_graph_expr("0.5*u-1")), DS3), (0.2, 0.3), HeightViolation),
+    ], ids=["equator", "outside", "wrong-class", "degenerate", "orientation-tie",
+            "negative-height-h3", "negative-height-ds3"])
     def test_same_errors_as_polar_variety(self, chart, p, error):
         assert _raised(duality.polar_variety, chart, p) is error
         assert _raised(duality.polar_position, chart, p) is error
+        assert _raised(calc.jet2_eval, duality.polar_chart(chart), p) is error
+        assert _raised(duality.polar_of_polar_minkowski, chart, p) is error
 
 
 class TestConformalityEquivalence:
@@ -375,6 +383,16 @@ class TestIsometrySolver:
     def shifted(self, source):
         return self.cloud(source) + np.array([*self.SHIFT, 0.0])
 
+    @pytest.mark.parametrize("source", sorted(EXACT_SIGNS))
+    def test_heights_are_invariant_under_rotation_by_pi(self, source):
+        # So a fit at -pi/2 repeats the fit at FIT_ANGLE = +pi/2.
+        builder, sign_choices = duality.PAIRINGS[source]
+        params = zoo.resolve_params(zoo.get_family(source), None)
+        q1, q2 = self.cloud(source)[:, :2].T
+        for signs in sign_choices:
+            height = builder(params, *signs)
+            assert height(q1, q2).tobytes() == height(-q1, -q2).tobytes(), signs
+
     def test_pairings_are_exact_at_the_origin(self):
         assert set(self.EXACT_SIGNS) == set(duality.PAIRINGS)
         for source in duality.PAIRINGS:
@@ -404,22 +422,6 @@ class TestIsometrySolver:
                                gtol=1e-15).x
         assert abs(fit.a - oracle[0]) <= 1e-9
         assert abs(fit.b - oracle[1]) <= 1e-9
-
-    @pytest.mark.parametrize("bad,kept", [(0, 1), (1, 0)])
-    def test_non_finite_angle_is_skipped(self, bad, kept):
-        pts = self.cloud("ruled-6.7")
-        height = self.exact_height("ruled-6.7")
-        # Every x > 0, so the rotated coordinate q2 is about -x at +pi/2 and
-        # +x at -pi/2: its sign tells the two angles apart.
-        assert pts[:, 0].min() > 0.0
-        sign = 1.0 if duality.FIT_ANGLES[bad] > 0 else -1.0
-
-        def nan_at_bad_angle(q1, q2):
-            return np.where(sign * q2 < 0.0, np.nan, height(q1, q2))
-
-        fit = duality.fit_isometry(pts, nan_at_bad_angle)
-        assert fit.theta == duality.FIT_ANGLES[kept]
-        assert fit.max_gap <= 1e-6
 
     def test_non_finite_trial_step_is_rejected(self):
         pts, height = self.shifted("ruled-6.7"), self.exact_height("ruled-6.7")

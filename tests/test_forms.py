@@ -144,7 +144,7 @@ class TestCalibrationSurfaces:
         assert np.allclose(bundle.fourth, 0)
         assert bundle.mean_curvature == pytest.approx(1.0)
         assert bundle.gauss_curvature == pytest.approx(0.0)
-        assert bundle.shape_spectrum.values == (1.0, 1.0)
+        assert bundle.principal_curvatures == (1.0, 1.0)
 
     def test_equidistant_plane_values(self):
         chart = zoo.make_surface("equidistant-plane")
@@ -512,7 +512,7 @@ class TestComponentPipelineReference:
         with pytest.raises(NonImmersed):
             forms.fundamental_forms(jet, space)
         with pytest.raises(NonImmersed):
-            forms.unit_normal(space, jet, None)
+            forms.frame_normal(space, jet.height, jet.du, None)
 
     @pytest.mark.parametrize("space,slope", [(DS3, 3.0), (DS3_TL, 0.5)],
                              ids=["ds3", "ds3-timelike"])
