@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -347,6 +348,20 @@ class TestBadInputsExitTwo:
         assert out == ""
         assert "--domain" in err
 
+    def test_weierstrass_overflowing_field(self, capsys):
+        # |g|^4 overflows far out on the domain; the solver names that
+        # instead of reporting a singular factorization after two warnings.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "weierstrass", "build",
+                                     "--g", "builtin:z", "--case", "1",
+                                     "--domain", "1.5:1e80:0.1:0.9", "--grid", "9",
+                                     "--boundary", "u+i*v")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ConstraintViolation: ")
+        assert err.count("\n") == 1
+        assert caught == []
+
     @pytest.mark.parametrize("bounds", [("1", "-1", "-1", "1"),
                                         ("-1", "inf", "-1", "1")])
     def test_check_bad_graph_domain(self, capsys, bounds):
@@ -515,6 +530,39 @@ class TestExitContract:
         assert "Traceback" not in err
         if code != 2:
             assert json.loads(out)["schema_version"] == 1
+
+    # Domains of the radial test problem, from across the excluded circle
+    # out to where |z|^2 overflows.
+    SPANS = st.lists(st.one_of(st.sampled_from([0.0, 0.1, 0.9, 1.0001, 1.5, 2.5]),
+                               st.integers(0, 200).map(lambda e: 10.0 ** e),
+                               st.floats(-1e4, 1e4)),
+                     min_size=2, max_size=2, unique=True).map(sorted)
+    DOMAINS = st.tuples(SPANS, SPANS).map(lambda uv: ":".join(map(repr, uv[0] + uv[1])))
+
+    @settings(max_examples=40, deadline=None)
+    @given(domain=DOMAINS)
+    @example(domain="1:2:1.4901161193847656e-08:0.9")   # s_lo = 1 + 2^-52
+    def test_radial_build_domains(self, domain):
+        code, out, err = run_contract(
+            ["weierstrass", "build", "--g", "builtin:z", "--case", "1",
+             "--boundary", "builtin:radial", "--grid", "5", f"--domain={domain}"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code != 2:
+            assert json.loads(out)["schema_version"] == 1
+
+    @pytest.mark.parametrize("grid", ["5", "9"])
+    @pytest.mark.parametrize("domain,expect", [
+        ("1.5:1e3:0.1:0.9", 1), ("1.5:1e8:0.1:0.9", 1), ("1.5:1e100:0.1:0.9", 2),
+        ("1.5:1e200:0.1:0.9", 2), ("1.0001:2.5:0.0:0.9", 2)])
+    def test_radial_build_wide_domain_outcomes(self, domain, expect, grid):
+        code, _, err = run_contract(
+            ["weierstrass", "build", "--g", "builtin:z", "--case", "1",
+             "--boundary", "builtin:radial", "--grid", grid, "--domain", domain])
+        assert code == expect
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: ConstraintViolation: ")
 
     @pytest.mark.parametrize("expr", ["2^(1e308*10)", "2^(1e308*10-1e308*10)"])
     def test_non_finite_exponent_is_a_domain_error(self, expr):

@@ -1,8 +1,8 @@
 """Import budget of the CLI.  Only the solve of `weierstrass build` loads
-scipy, and only `dualize` and `weierstrass build` load numpy: the package
-loads its modules on first access, and the point commands compute on Python
-floats.  pytest has already imported numpy and scipy, so each check runs in
-a fresh interpreter."""
+scipy, and from it only the sparse LU; only `dualize` and `weierstrass
+build` load numpy: the package loads its modules on first access, and the
+point commands compute on Python floats.  pytest has already imported numpy
+and scipy, so each check runs in a fresh interpreter."""
 
 import os
 import subprocess
@@ -75,7 +75,18 @@ def test_solve_loads_scipy(tmp_path):
         run("weierstrass", "build", "--g", "builtin:z", "--case", "1",
             "--domain", "{DOMAIN}", "--grid", "9", "--boundary", "builtin:radial")
     """, tmp_path)
-    assert "scipy.sparse.linalg" in loaded and "scipy.integrate" in loaded
+    assert "scipy.sparse.linalg" in loaded
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.spatial",
+             "scipy.fft")
+    assert [m for m in loaded if m.startswith(heavy)] == []
+
+
+def test_radial_test_pair_loads_no_scipy(tmp_path):
+    loaded = run_fresh("""
+        from gaussform import weierstrass
+        weierstrass.radial_test_pair((1.5, 2.5, 0.1, 0.9), (33, 33))
+    """, tmp_path)
+    assert loaded == []
 
 
 def test_import_loads_no_numpy(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,15 @@ class TestSolver:
                                           ws.ROLE_NORMAL_MAP)
         with pytest.raises(SingularSystem):
             ws.solve_far_map(g, lambda z: z)
+
+    def test_overflowing_field_is_a_constraint_violation(self):
+        # |g|^4 overflows, so the stencil holds NaN: not a singular matrix.
+        g = ws.ComplexField.from_function(lambda z: z, (1.5, 1e80, 0.1, 0.9),
+                                          (9, 9), ws.ROLE_NORMAL_MAP)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstraintViolation, match="non-finite"):
+                ws.solve_far_map(g, lambda z: z)
 
     def test_residual_margin_at_grid_cap(self):
         n = ws.MAX_GRID
@@ -458,6 +468,39 @@ class TestRadialProfile:
             residual = s * s * (s * s - 1) * fpp + s * (s * s - 1) * fp + f
             # FD noise is amplified by the s^2 (s^2 - 1) leading coefficient
             assert abs(residual) <= 1e-5 * max(1.0, s * s * (s * s - 1) / 100.0)
+
+    @pytest.mark.parametrize("span", [(2.26, 7.06), (2.0, 8.0), (1.2, 3.0),
+                                      (1.05, 20.0), (2.0, 2.35)])
+    def test_profile_matches_dop853(self, span):
+        # scipy's DOP853 at rtol 1e-14 is the independent oracle; only this
+        # test imports scipy.integrate.  In (2.0, 2.35) the first step's end
+        # 2.0 + 0.35 rounds to the span's end, which must not add a step of
+        # width zero (F there was 0/0).
+        from scipy.integrate import solve_ivp
+
+        def rhs(s, y):
+            f, fp = y
+            return [fp, -(s * (s * s - 1.0) * fp + f) / (s * s * (s * s - 1.0))]
+
+        with warnings.catch_warnings():     # DOP853 raises rtol to 2.2e-14
+            warnings.simplefilter("ignore", UserWarning)
+            ref = solve_ivp(rhs, span, [ws.RADIAL_F0, ws.RADIAL_SLOPE],
+                            method="DOP853", rtol=1e-14, atol=1e-16,
+                            dense_output=True).sol
+        s = np.linspace(*span, 401)
+        assert np.abs(ws.radial_profile(span)(s) - ref(s)[0]).max() <= 1e-12
+
+    def test_profile_is_clipped_to_its_span(self):
+        profile = ws.radial_profile((2.0, 8.0))
+        inside = profile(np.array([2.0, 8.0]))
+        assert inside[0] == ws.RADIAL_F0
+        assert np.array_equal(profile(np.array([[1.5, 1e300]])), inside[None, :])
+
+    @pytest.mark.parametrize("span", [(2.0, 2.0), (3.0, 2.0), (2.0, np.inf),
+                                      (2.0, np.nan), (1.0 + 2.0 ** -52, 2.0)])
+    def test_span_must_be_finite_and_increasing(self, span):
+        with pytest.raises(ConstraintViolation):
+            ws.radial_profile(span)
 
     def test_domain_guard(self):
         with pytest.raises(ConstraintViolation):
