@@ -459,7 +459,11 @@ def _cmd_weierstrass_build(args):
     except ValueError:
         raise UsageError(f"--domain {args.domain!r} must be u0:u1:v0:v1") from None
     domain = _check_rectangle("--domain", u0, u1, v0, v1)
+    if not (math.isfinite(args.im_tol) and args.im_tol >= 0.0):
+        raise UsageError(f"--im-tol needs a finite value >= 0, got {args.im_tol!r}")
     n = args.grid
+    if n >= 2:      # ComplexField.from_function rejects fewer, before sampling
+        weierstrass.check_grid(n, n)
     g = _complex_field_from_spec(args.g, domain, n,
                                  weierstrass.ROLE_NORMAL_MAP)
     if args.boundary == "builtin:radial":

@@ -12,12 +12,12 @@ space must give II = I with eta = (0, 0, 1)):
   derivative (the finite-difference route lives in fourth_form_direct and is
   kept independent on purpose).
 
-The per-point pipeline works component-wise on Python floats, written as
-loops over the m ambient and k = m - 1 parameter indices with plain
-operators: the normal is the vector of signed cofactors of the tangent map
-weighted by the metric signature, the Christoffel contraction, the k x k
-determinant and inverse and the 2 x 2 shape spectrum are closed-form, and
-the bundle holds the results as floats and nested lists.  The residuals of
+The per-point pipeline works component-wise on Python floats with plain
+operators.  Surfaces (k = 2 parameters, m = 3) run it written out in scalars,
+every dot product summed left to right from 0 as ``sum`` does, so the tests
+can pin it to the bits of the loops over the indices that k > 2 runs (Laplace
+cofactors, Sylvester's criterion, adjugate inverse, list products).  The
+bundle holds the results as floats and nested lists.  The residuals of
 ``check forms`` recompute what they check with their own arithmetic.  The
 oracles keep their own numerics and import numpy where they run:
 fourth_form_direct takes the SVD null vector as the normal and
@@ -75,10 +75,8 @@ def _det(a):
 
 
 def _inverse(a, det):
-    """Inverse of a small square matrix from its adjugate and determinant."""
+    """Inverse of a k x k matrix, k > 2, from its adjugate and determinant."""
     k = len(a)
-    if k == 2:
-        return [[a[1][1] / det, -a[0][1] / det], [-a[1][0] / det, a[0][0] / det]]
     return [[(-1.0) ** (i + j) * _det([row[:i] + row[i + 1:]
                                        for r, row in enumerate(a) if r != j]) / det
              for j in range(k)] for i in range(k)]
@@ -86,6 +84,12 @@ def _inverse(a, det):
 
 def _dot(x, y):
     return sum(map(mul, x, y))
+
+
+def _wdot(w, x, y):
+    """sum_A w_A x_A y_A for three components, in _dot's order on the rows
+    w_A x_A (from the int 0, so a signed zero sums as it does in ``sum``)."""
+    return 0 + w[0] * x[0] * y[0] + w[1] * x[1] * y[1] + w[2] * x[2] * y[2]
 
 
 def _matmul(a, b):
@@ -97,15 +101,21 @@ def check_causal_class(space, first):
     """Determinant of the induced metric (nested lists), which must be
     nondegenerate and of the causal class of ``space``; raises NonImmersed
     or WrongCausalClass."""
-    det = _det(first)
+    if space.dim == 3:
+        (e, f), (f2, g) = first
+        det = e * g - f * f2
+        minors = (e, det)
+    else:
+        det = _det(first)
+        minors = (_det([row[:i] for row in first[:i]])
+                  for i in range(1, len(first) + 1))
     if abs(det) < calculus.GRAM_DET_TOL:
         raise NonImmersed(f"induced metric is degenerate (det {det:.3e})")
     if space.causal_class is amb.CausalClass.SPACE_LIKE:
         # Sylvester's criterion: every leading principal minor is positive.
-        if not all(_det([row[:i] for row in first[:i]]) > 0.0
-                   for i in range(1, len(first) + 1)):
+        if not all(c > 0.0 for c in minors):
             raise WrongCausalClass("induced metric is not positive definite")
-    elif len(first) != 2 or det >= 0.0:
+    elif space.dim != 3 or det >= 0.0:
         raise WrongCausalClass("induced metric is not Lorentzian")
     return det
 
@@ -145,11 +155,17 @@ def _oriented_normal(space, h, du, orientation):
     if not (float(h) > 0.0):
         raise NonPositiveHeight(f"height {float(h)} is not positive")
     eps = space.signature
-    m = len(du)
     # Negations are written 0.0 - c, so a zero component stays +0.0 in reports.
-    nd = [eps[a] * _det(du[:a] + du[a + 1:]) for a in range(m)]
-    nd[1::2] = [0.0 - c for c in nd[1::2]]     # the cofactor signs
-    nn = sum(eps[a] * nd[a] * nd[a] for a in range(m))
+    if space.dim == 3:
+        (x0, y0), (x1, y1), (x2, y2) = du
+        nd = [eps[0] * (x1 * y2 - y1 * x2), 0.0 - eps[1] * (x0 * y2 - y0 * x2),
+              eps[2] * (x0 * y1 - y0 * x1)]
+        nn = _wdot(eps, nd, nd)
+    else:
+        m = len(du)
+        nd = [eps[a] * _det(du[:a] + du[a + 1:]) for a in range(m)]
+        nd[1::2] = [0.0 - c for c in nd[1::2]]     # the cofactor signs
+        nn = sum(eps[a] * nd[a] * nd[a] for a in range(m))
     nn_sign = math.copysign(1.0, float(nn))
     if float(nn) == 0.0:
         raise NonImmersed("tangent map is degenerate: the cofactor normal vanishes")
@@ -168,6 +184,10 @@ def induced_metric(space, h, du):
     height h > 0, from the m x k tangent map du, as k x k nested lists."""
     w = [e / h**2 for e in space.signature]     # the diagonal metric
     cols = list(zip(*du))                       # the tangent vectors x_i
+    if space.dim == 3:
+        xu, xv = cols
+        return [[_wdot(w, xu, xu), _wdot(w, xu, xv)],
+                [_wdot(w, xv, xu), _wdot(w, xv, xv)]]
     return [[_dot([wa * c for wa, c in zip(w, ci)], cj) for cj in cols] for ci in cols]
 
 
@@ -183,52 +203,31 @@ def frame_normal(space, h, du, orientation):
     return eta
 
 
-def fundamental_forms(jet: calculus.Jet2, space: amb.AmbientSpace,
-                      orientation: int | None = None) -> FormBundle:
-    """All four fundamental forms plus curvature data from an exact two-jet.
-
-    ``orientation`` forces the sign of the last frame component of the normal
-    (default nonnegative).  Computed component-wise on Python floats, for
-    hypersurfaces of any dimension (k = m - 1 parameters).
-    """
-    du, duu = jet.du, jet.duu
-    h = jet.height
-    k = len(du[0])
+def _surface_forms(space, h, du, duu, eta, first, det):
+    """(II, III, IV, H, det II, principal curvatures) of a surface, k = 2 and
+    m = 3: the steps of _hypersurface_forms written out in scalars, in its
+    operation order, so both give the same bits."""
     eps, eps_n = space.signature, space.normal_sign
-    eta = _oriented_normal(space, h, du, orientation)
-    n = [h * c for c in eta]                    # the coordinate normal
-
-    first = induced_metric(space, h, du)
-    det_first = check_causal_class(space, first)
-
-    # h_ij = eps_N <D_i x_j, N>.  With the half-space Christoffel symbols and
-    # <N, x_i> = 0 the connection term contracts to eta_last * I_ij, leaving
-    # h_ij = eps_N (sum_A eps_A duu^A_ij n_A / h^2 + eta_last I_ij).
     h2 = h**2
-    gn = [e / h2 * c for e, c in zip(eps, n)]
-    eta_last = eta[-1]
-    second = [[eps_n * (_dot(gn, [d[i][j] for d in duu]) + eta_last * first[i][j])
-               for j in range(k)] for i in range(k)]
-
-    first_inv = _inverse(first, det_first)
-    shape_op = _matmul(first_inv, second)
-    third = _matmul(second, shape_op)
-
-    # Closed-form normal derivative; the first term is the frame drift, the
-    # second the shape-operator action.
-    eta_du = [[(eta_last * d - eps_n * ds) / h for d, ds in zip(row, srow)]
-              for row, srow in zip(du, _matmul(du, shape_op))]
-    ecols = list(zip(*eta_du))
-    fourth = [[_dot([e * c for e, c in zip(eps, ci)], cj) for cj in ecols]
-              for ci in ecols]
-
-    mean = sum(shape_op[i][i] for i in range(k)) / k
-    curv_const = -1.0 if space.kind is amb.Kind.HYPERBOLIC else 1.0
-    gauss = curv_const + eps_n * (_det(second) / det_first)
-
+    g0, g1, g2 = [e / h2 * (h * c) for e, c in zip(eps, eta)]
+    t = eta[2]
+    (e, f), (f2, g) = first
+    ((p0, q0), (r0, s0)), ((p1, q1), (r1, s1)), ((p2, q2), (r2, s2)) = duu
+    l = eps_n * (0 + g0 * p0 + g1 * p1 + g2 * p2 + t * e)
+    m = eps_n * (0 + g0 * q0 + g1 * q1 + g2 * q2 + t * f)
+    m2 = eps_n * (0 + g0 * r0 + g1 * r1 + g2 * r2 + t * f2)
+    n = eps_n * (0 + g0 * s0 + g1 * s1 + g2 * s2 + t * g)
+    i00, i01, i10, i11 = g / det, -f / det, -f2 / det, e / det
+    a, b = 0 + i00 * l + i01 * m2, 0 + i00 * m + i01 * n     # the shape operator
+    c, d = 0 + i10 * l + i11 * m2, 0 + i10 * m + i11 * n
+    third = [[0 + l * a + m * c, 0 + l * b + m * d],
+             [0 + m2 * a + n * c, 0 + m2 * b + n * d]]
+    eu = [(t * x - eps_n * (0 + x * a + y * c)) / h for x, y in du]     # eta_u, eta_v
+    ev = [(t * y - eps_n * (0 + x * b + y * d)) / h for x, y in du]
+    fourth = [[_wdot(eps, eu, eu), _wdot(eps, eu, ev)],
+              [_wdot(eps, ev, eu), _wdot(eps, ev, ev)]]
     principal = None
-    if space.causal_class is amb.CausalClass.SPACE_LIKE and k == 2:
-        (a, b), (c, d) = shape_op
+    if space.causal_class is amb.CausalClass.SPACE_LIKE:
         half = 0.5 * (a + d)
         disc = (0.5 * (a - d)) ** 2 + b * c
         if disc >= 0.0:
@@ -236,7 +235,55 @@ def fundamental_forms(jet: calculus.Jet2, space: amb.AmbientSpace,
             principal = (half - root, half + root)
         elif math.sqrt(-disc) < 1e-10 * (1.0 + math.sqrt(half * half - disc)):
             principal = (half, half)
+    return [[l, m], [m2, n]], third, fourth, (0 + a + d) / 2, l * n - m * m2, principal
 
+
+def _hypersurface_forms(space, h, du, duu, eta, first, det):
+    """(II, III, IV, H, det II, None) of a hypersurface with k = m - 1
+    parameters, as loops over the indices.
+
+    h_ij = eps_N <D_i x_j, N>.  With the half-space Christoffel symbols and
+    <N, x_i> = 0 the connection term contracts to eta_last * I_ij, leaving
+    h_ij = eps_N (sum_A eps_A duu^A_ij n_A / h^2 + eta_last I_ij), with the
+    coordinate normal n = h eta.  III = II S and IV are products with the
+    shape operator S = I^-1 II.
+    """
+    k = len(du[0])
+    eps, eps_n = space.signature, space.normal_sign
+    h2 = h**2
+    gn = [e / h2 * (h * c) for e, c in zip(eps, eta)]
+    eta_last = eta[-1]
+    second = [[eps_n * (_dot(gn, [d[i][j] for d in duu]) + eta_last * first[i][j])
+               for j in range(k)] for i in range(k)]
+    shape_op = _matmul(_inverse(first, det), second)
+    # Closed-form normal derivative; the first term is the frame drift, the
+    # second the shape-operator action.
+    eta_du = [[(eta_last * d - eps_n * ds) / h for d, ds in zip(row, srow)]
+              for row, srow in zip(du, _matmul(du, shape_op))]
+    ecols = list(zip(*eta_du))
+    fourth = [[_dot([e * c for e, c in zip(eps, ci)], cj) for cj in ecols]
+              for ci in ecols]
+    return (second, _matmul(second, shape_op), fourth,
+            sum(shape_op[i][i] for i in range(k)) / k, _det(second), None)
+
+
+def fundamental_forms(jet: calculus.Jet2, space: amb.AmbientSpace,
+                      orientation: int | None = None) -> FormBundle:
+    """All four fundamental forms plus curvature data from an exact two-jet.
+
+    ``orientation`` forces the sign of the last frame component of the normal
+    (default nonnegative).  Computed component-wise on Python floats: written
+    out for surfaces (k = 2), as loops for hypersurfaces with k = m - 1 > 2.
+    """
+    h = jet.height
+    eta = _oriented_normal(space, h, jet.du, orientation)
+    first = induced_metric(space, h, jet.du)
+    det_first = check_causal_class(space, first)
+    route = _surface_forms if space.dim == 3 else _hypersurface_forms
+    second, third, fourth, mean, det_second, principal = route(
+        space, h, jet.du, jet.duu, eta, first, det_first)
+    curv_const = -1.0 if space.kind is amb.Kind.HYPERBOLIC else 1.0
+    gauss = curv_const + space.normal_sign * (det_second / det_first)
     return FormBundle(space, eta, first, second, third, fourth, mean, gauss, principal)
 
 

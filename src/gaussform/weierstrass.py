@@ -152,6 +152,14 @@ def compatibility_residual_field(g: ComplexField, G: ComplexField,
     return Gzzb + a * Gzb - b * Gz
 
 
+def check_grid(nu: int, nv: int):
+    """Raise ConstraintViolation unless solve_far_map takes an nu x nv grid."""
+    if nu > MAX_GRID or nv > MAX_GRID:
+        raise ConstraintViolation(f"grid {nu}x{nv} exceeds the {MAX_GRID} cap")
+    if nu < 3 or nv < 3:
+        raise ConstraintViolation("grid needs at least one interior node")
+
+
 def solve_far_map(g: ComplexField, boundary,
                   case: int = CASE_HOLOMORPHIC) -> ComplexField:
     """Dirichlet solve of the compatibility PDE for the far map G.
@@ -164,10 +172,7 @@ def solve_far_map(g: ComplexField, boundary,
     rounding level.
     """
     nu, nv = g.shape
-    if nu > MAX_GRID or nv > MAX_GRID:
-        raise ConstraintViolation(f"grid {nu}x{nv} exceeds the {MAX_GRID} cap")
-    if nu < 3 or nv < 3:
-        raise ConstraintViolation("grid needs at least one interior node")
+    check_grid(nu, nv)
     validate_normal_field(g, case)
     from scipy import sparse
     from scipy.sparse.linalg import splu

@@ -5,15 +5,21 @@ check.  The finite-difference evaluator checks exact jets, the Christoffel
 symbols check the closed-form second fundamental form, and the inverse maps
 check ``ambient.to_minkowski``, ``duality.minkowski_normal`` and
 ``gaussmaps.stereo_project`` by round trips; ``branch_sign`` reads back the
-de Sitter branch that ``to_minkowski`` was asked for.
+de Sitter branch that ``to_minkowski`` was asked for.  The k-parameter
+forms route (``generic_fundamental_forms``, ``generic_frame_normal``) is the
+package's forms pipeline as it was written for every k before the surface
+case got closed forms; the closed forms must give its bits.
 """
 
 import math
+from operator import mul
 
 import numpy as np
 
 from gaussform import ambient as amb
-from gaussform import gaussmaps
+from gaussform import calculus, gaussmaps
+from gaussform.errors import NonImmersed, NonPositiveHeight, WrongCausalClass
+from gaussform.forms import FormBundle, orientation_sign
 
 
 class NumericEvaluator:
@@ -118,3 +124,135 @@ def stereo_unproject(g, space: amb.AmbientSpace) -> np.ndarray:
     if space.kind is amb.Kind.HYPERBOLIC:
         return np.array([2.0 * g.real, 2.0 * g.imag, m2 - 1.0]) / (m2 + 1.0)
     return np.array([2.0 * g.real, 2.0 * g.imag, -(1.0 + m2)]) / (1.0 - m2)
+
+
+# --------------------------------------------------------------------------
+# The k-parameter forms route: Laplace cofactors, comprehension products,
+# Sylvester's criterion and the adjugate inverse, summed by ``sum``.
+# --------------------------------------------------------------------------
+
+def _det(a):
+    """Determinant of a small square matrix given as nested lists (Laplace
+    expansion along the first row; closed form for k <= 2)."""
+    k = len(a)
+    if k == 1:
+        return a[0][0]
+    if k == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    return sum((-1.0) ** j * a[0][j] * _det([row[:j] + row[j + 1:] for row in a[1:]])
+               for j in range(k))
+
+
+def _inverse(a, det):
+    """Inverse of a small square matrix from its adjugate and determinant."""
+    k = len(a)
+    if k == 2:
+        return [[a[1][1] / det, -a[0][1] / det], [-a[1][0] / det, a[0][0] / det]]
+    return [[(-1.0) ** (i + j) * _det([row[:i] + row[i + 1:]
+                                       for r, row in enumerate(a) if r != j]) / det
+             for j in range(k)] for i in range(k)]
+
+
+def _dot(x, y):
+    return sum(map(mul, x, y))
+
+
+def _matmul(a, b):
+    cols = list(zip(*b))
+    return [[_dot(row, col) for col in cols] for row in a]
+
+
+def _check_causal_class(space, first):
+    det = _det(first)
+    if abs(det) < calculus.GRAM_DET_TOL:
+        raise NonImmersed(f"induced metric is degenerate (det {det:.3e})")
+    if space.causal_class is amb.CausalClass.SPACE_LIKE:
+        # Sylvester's criterion: every leading principal minor is positive.
+        if not all(_det([row[:i] for row in first[:i]]) > 0.0
+                   for i in range(1, len(first) + 1)):
+            raise WrongCausalClass("induced metric is not positive definite")
+    elif len(first) != 2 or det >= 0.0:
+        raise WrongCausalClass("induced metric is not Lorentzian")
+    return det
+
+
+def _oriented_normal(space, h, du, orientation):
+    if not (float(h) > 0.0):
+        raise NonPositiveHeight(f"height {float(h)} is not positive")
+    eps = space.signature
+    m = len(du)
+    # Negations are written 0.0 - c, so a zero component stays +0.0 in reports.
+    nd = [eps[a] * _det(du[:a] + du[a + 1:]) for a in range(m)]
+    nd[1::2] = [0.0 - c for c in nd[1::2]]     # the cofactor signs
+    nn = sum(eps[a] * nd[a] * nd[a] for a in range(m))
+    nn_sign = math.copysign(1.0, float(nn))
+    if float(nn) == 0.0:
+        raise NonImmersed("tangent map is degenerate: the cofactor normal vanishes")
+    if nn_sign != space.normal_sign:
+        raise WrongCausalClass(f"normal has scalar square of sign {nn_sign:+.0f}, "
+                               f"expected {space.normal_sign:+d}")
+    root = calculus.jet_sqrt(space.normal_sign * nn)
+    eta = [c / root for c in nd]
+    if orientation_sign(eta, orientation) < 0.0:
+        eta = [0.0 - c for c in eta]
+    return eta
+
+
+def _induced_metric(space, h, du):
+    w = [e / h**2 for e in space.signature]     # the diagonal metric
+    cols = list(zip(*du))                       # the tangent vectors x_i
+    return [[_dot([wa * c for wa, c in zip(w, ci)], cj) for cj in cols] for ci in cols]
+
+
+def generic_frame_normal(space, h, du, orientation):
+    """``forms.frame_normal`` by the k-parameter route."""
+    eta = _oriented_normal(space, h, du, orientation)
+    _check_causal_class(space, _induced_metric(
+        space, float(h), [[float(c) for c in row] for row in du]))
+    return eta
+
+
+def generic_fundamental_forms(jet, space, orientation=None):
+    """``forms.fundamental_forms`` by the k-parameter route."""
+    du, duu = jet.du, jet.duu
+    h = jet.height
+    k = len(du[0])
+    eps, eps_n = space.signature, space.normal_sign
+    eta = _oriented_normal(space, h, du, orientation)
+    n = [h * c for c in eta]                    # the coordinate normal
+
+    first = _induced_metric(space, h, du)
+    det_first = _check_causal_class(space, first)
+
+    h2 = h**2
+    gn = [e / h2 * c for e, c in zip(eps, n)]
+    eta_last = eta[-1]
+    second = [[eps_n * (_dot(gn, [d[i][j] for d in duu]) + eta_last * first[i][j])
+               for j in range(k)] for i in range(k)]
+
+    first_inv = _inverse(first, det_first)
+    shape_op = _matmul(first_inv, second)
+    third = _matmul(second, shape_op)
+
+    eta_du = [[(eta_last * d - eps_n * ds) / h for d, ds in zip(row, srow)]
+              for row, srow in zip(du, _matmul(du, shape_op))]
+    ecols = list(zip(*eta_du))
+    fourth = [[_dot([e * c for e, c in zip(eps, ci)], cj) for cj in ecols]
+              for ci in ecols]
+
+    mean = sum(shape_op[i][i] for i in range(k)) / k
+    curv_const = -1.0 if space.kind is amb.Kind.HYPERBOLIC else 1.0
+    gauss = curv_const + eps_n * (_det(second) / det_first)
+
+    principal = None
+    if space.causal_class is amb.CausalClass.SPACE_LIKE and k == 2:
+        (a, b), (c, d) = shape_op
+        half = 0.5 * (a + d)
+        disc = (0.5 * (a - d)) ** 2 + b * c
+        if disc >= 0.0:
+            root = math.sqrt(disc)
+            principal = (half - root, half + root)
+        elif math.sqrt(-disc) < 1e-10 * (1.0 + math.sqrt(half * half - disc)):
+            principal = (half, half)
+
+    return FormBundle(space, eta, first, second, third, fourth, mean, gauss, principal)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -563,6 +564,55 @@ class TestExitContract:
         assert "Traceback" not in err
         if code == 2:
             assert err.startswith("error: ConstraintViolation: ")
+
+    # Fields and boundaries of the solver build: the built-in specs, small
+    # complex expressions and the graph fuzz's expressions in u and v.
+    FIELD_SPECS = st.one_of(
+        st.sampled_from(["builtin:z", "builtin:radial", "u+i*v", "(u+i*v)/8",
+                         "u-i*v", "2*i", "u", "exp(u+i*v)", "1/(u-i*v)"]),
+        GRAPH_EXPRS, CELLS)
+    # Grids stay at most 9 nodes a side, except those above the cap, which
+    # must fail before any field is sampled.
+    GRIDS = st.one_of(st.integers(-2, 9), st.integers(3, 9),
+                      st.integers(130, 10**6)).map(str)
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=FIELD_SPECS, boundary=FIELD_SPECS, case=st.sampled_from(["1", "2"]),
+           im_tol=st.one_of(st.floats(0.0, 1.0), st.floats()).map(repr), grid=GRIDS)
+    @example(g="u+i*v", boundary="u", case="1", im_tol="nan", grid="9")
+    @example(g="u+i*v", boundary="u", case="1", im_tol="-1.0", grid="9")
+    @example(g="u+i*v", boundary="u", case="1", im_tol="0.01", grid="100000")
+    def test_build_fields_and_grids(self, g, boundary, case, im_tol, grid):
+        code, out, err = run_contract(
+            ["weierstrass", "build", f"--g={g}", f"--boundary={boundary}",
+             "--case", case, "--domain", "1.5:2.5:0.1:0.9", f"--grid={grid}",
+             f"--im-tol={im_tol}"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code != 2:
+            assert json.loads(out)["schema_version"] == 1
+
+    BUILD = ["weierstrass", "build", "--g", "u+i*v", "--case", "1",
+             "--domain", "1.5:2.5:0.1:0.9", "--boundary", "u"]
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_im_tol_is_a_usage_error(self, tol):
+        # A NaN tolerance used to switch the imaginary-height gate off: every
+        # pass flag read true at max_height_imag_rel 0.217.
+        code, out, err = run_contract([*self.BUILD, "--grid", "9", "--im-tol", tol])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --im-tol needs a finite value >= 0")
+        code, out, _ = run_contract([*self.BUILD, "--grid", "9"])
+        assert code == 1
+        assert json.loads(out)["summary"]["error"] == "NonRealHeight"
+
+    def test_oversized_grid_fails_before_sampling(self):
+        start = time.perf_counter()
+        code, out, err = run_contract([*self.BUILD, "--grid", "100000"])
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (2, "")
+        assert err == ("error: ConstraintViolation: "
+                       "grid 100000x100000 exceeds the 129 cap\n")
 
     @pytest.mark.parametrize("expr", ["2^(1e308*10)", "2^(1e308*10-1e308*10)"])
     def test_non_finite_exponent_is_a_domain_error(self, expr):

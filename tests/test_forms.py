@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 
 from gaussform import ambient as amb
 from gaussform import calculus as calc
-from gaussform import cli, forms, zoo
+from gaussform import cli, duality, forms, zoo
 from gaussform.errors import (GaussformError, NonImmersed, OrientationUndefined,
                               WrongCausalClass)
-from oracles import NumericEvaluator, christoffel_at_height
+from oracles import (NumericEvaluator, christoffel_at_height, generic_frame_normal,
+                     generic_fundamental_forms)
 
 H3 = amb.hyperbolic_space()
 DS3 = amb.de_sitter_space()
@@ -413,6 +415,66 @@ class TestGeneralDimension:
             np.linalg.inv(bundle.first) @ bundle.second).real.mean())
         assert root == pytest.approx(lam, abs=1e-12)
         assert root * root == pytest.approx(eta_last**2, abs=1e-9)
+
+
+def _bits(fn, *args):
+    """What fn returns, as text that changes with any bit of a float (signed
+    zeros included) and with any jet coefficient; or the class and message
+    of the error it raises."""
+    try:
+        out = fn(*args)
+    except GaussformError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, forms.FormBundle):
+        out = (out.eta, out.first, out.second, out.third, out.fourth,
+               out.mean_curvature, out.gauss_curvature, out.principal_curvatures)
+    else:
+        out = [c.coefficients() if isinstance(c, calc._Jet) else c for c in out]
+    return repr(out)
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="sum() of floats is compensated from Python 3.12 on, so the "
+                           "k-parameter route no longer sums left to right")
+class TestSurfaceClosedFormsPin:
+    """The closed k = 2 forms give the bits of the k-parameter route, which
+    tests/oracles.py keeps as it was written, errors equal by class and
+    message.  Every family's jets run under all three surface declarations,
+    so the wrong-class errors are compared too."""
+
+    @pytest.mark.parametrize("key", zoo.family_keys())
+    def test_fundamental_forms(self, key, rng):
+        chart = zoo.make_surface(key)
+        for p in chart.interior_points(12, rng):
+            jet, orientation = calc.jet2_eval(chart, p), chart.orientation_at(p)
+            for space in (H3, DS3, DS3_TL):
+                assert (_bits(forms.fundamental_forms, jet, space, orientation)
+                        == _bits(generic_fundamental_forms, jet, space, orientation))
+
+    @pytest.mark.parametrize("key", zoo.family_keys())
+    def test_frame_normal_on_polar_jets(self, key, rng, monkeypatch):
+        # The calls that the polar chart (second-order jets) and the double
+        # polar (first-order jets, then floats) make, replayed on both routes.
+        calls = []
+        frame_normal = forms.frame_normal
+
+        def record(*args):
+            calls.append(args)
+            return frame_normal(*args)
+
+        monkeypatch.setattr(forms, "frame_normal", record)
+        chart = zoo.make_surface(key)
+        dual = duality.polar_chart(chart)
+        for p in chart.interior_points(4, rng, margin_frac=0.1):
+            for run, target in ((calc.jet2_eval, dual),
+                                (duality.polar_of_polar_minkowski, chart)):
+                try:
+                    run(target, p)
+                except GaussformError:
+                    pass
+        assert any(isinstance(args[1], calc._Jet) for args in calls)
+        for args in calls:
+            assert _bits(frame_normal, *args) == _bits(generic_frame_normal, *args)
 
 
 def _forms_by_numpy(jet, space, orientation=None):
