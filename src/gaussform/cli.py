@@ -462,8 +462,7 @@ def _cmd_weierstrass_build(args):
     if not (math.isfinite(args.im_tol) and args.im_tol >= 0.0):
         raise UsageError(f"--im-tol needs a finite value >= 0, got {args.im_tol!r}")
     n = args.grid
-    if n >= 2:      # ComplexField.from_function rejects fewer, before sampling
-        weierstrass.check_grid(n, n)
+    weierstrass.check_grid(n, n)
     g = _complex_field_from_spec(args.g, domain, n,
                                  weierstrass.ROLE_NORMAL_MAP)
     if args.boundary == "builtin:radial":

@@ -1,13 +1,12 @@
 """Time the point-path layers of two source trees, side by side.
 
-    python tools/layer_ab.py PARENT_TREE CHANGE_TREE [--rounds 10] [--repeat 5]
+    python tools/layer_ab.py PARENT_TREE CHANGE_TREE
 
-Each tree is a checkout of this repository.  Every round starts one fresh
-interpreter per tree, with ``PYTHONPATH=<tree>/src``; the parent runs first
-in rounds 1, 3, 5, ... and the change first in the others.  Each
+Each tree is a checkout of this repository.  Each of ROUNDS rounds starts
+one fresh interpreter per tree, with ``PYTHONPATH=<tree>/src``; the parent
+runs first in rounds 1, 3, 5, ... and the change first in the others.  Each
 interpreter times these layers on fixed inputs, one warm-up pass and then
-``--repeat`` timed passes, and reports the best pass in microseconds per
-call:
+REPEAT timed passes, and reports the best pass in microseconds per call:
 
 * ``forms_at``, ``polar_variety`` and ``polar_position``, and ``forms_at`` on
   ``polar_chart``, at a 4 x 4 grid of points (10 % margins) on each of
@@ -36,6 +35,8 @@ POLAR_FAMILIES = ("translational-6.6", "ruled-6.7", "ruled-6.8", "ruled-7.4-3",
                   "ruled-7.4-4", "translational-6.3", "corollary-6", "control-bowl")
 FIT_FAMILIES = ("translational-6.6", "ruled-6.7", "ruled-6.8")
 GRID = 4
+ROUNDS = 10
+REPEAT = 5
 LAYERS = ("forms_at", "polar_variety", "polar_position", "polar_forms",
           "polar_of_polar_minkowski", "fit_family_pairing")
 
@@ -73,7 +74,7 @@ def layer_calls():
     return calls
 
 
-def child(repeat):
+def child():
     """Print {layer: best microseconds per call} for the tree on sys.path."""
     def one_pass(calls):
         start = time.perf_counter()
@@ -84,15 +85,14 @@ def child(repeat):
     result = {}
     for name, calls in layer_calls().items():
         one_pass(calls)
-        result[name] = min(one_pass(calls) for _ in range(repeat)) / len(calls) * 1e6
+        result[name] = min(one_pass(calls) for _ in range(REPEAT)) / len(calls) * 1e6
     print(json.dumps(result))
 
 
-def run_tree(tree, repeat):
+def run_tree(tree):
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"),
                PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child",
-                           "--repeat", str(repeat)],
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child"],
                           env=env, capture_output=True, text=True, timeout=1800)
     if proc.returncode != 0:
         sys.exit(f"layer run failed in {tree}:\n{proc.stderr}")
@@ -103,23 +103,19 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", nargs="?")
     parser.add_argument("change", nargs="?")
-    parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        child(args.repeat)
+        child()
         return 0
     if args.parent is None or args.change is None:
         parser.error("give PARENT_TREE and CHANGE_TREE")
-    if args.rounds < 1 or args.repeat < 1:
-        parser.error("--rounds and --repeat must be at least 1")
     runs = {"parent": [], "change": []}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_tree(getattr(args, side), args.repeat))
-            print(f"round {r + 1}/{args.rounds}: {side} done", file=sys.stderr)
+            runs[side].append(run_tree(getattr(args, side)))
+            print(f"round {r + 1}/{ROUNDS}: {side} done", file=sys.stderr)
     layers = {}
     for name in LAYERS:
         parent = [run[name] for run in runs["parent"]]
@@ -129,10 +125,10 @@ def main(argv=None):
                         "parent_median": p50, "change_median": c50,
                         "ratio": c50 / p50,
                         "change_wins": sum(c < p for p, c in zip(parent, change)),
-                        "pairs": args.rounds}
+                        "pairs": ROUNDS}
     print(json.dumps({
-        "what": (f"in-process wall time per call, best of {args.repeat} passes after "
-                 f"one warm-up pass, per fresh process; {args.rounds} alternating "
+        "what": (f"in-process wall time per call, best of {REPEAT} passes after "
+                 f"one warm-up pass, per fresh process; {ROUNDS} alternating "
                  "rounds, parent first in rounds 1, 3, 5, ...; values in microseconds"),
         "us": layers}, indent=1))
     return 0
