@@ -50,6 +50,8 @@ TOL_IDENTITY = 1e-10
 # clear of the domain boundary.
 GRID_COUNT = 8
 GRID_INSET = 0.05
+# Most points one --grid, or zoo sample's --u by --v, may ask for.
+MAX_GRID_POINTS = 10**6
 
 # A point or sample that raises one of these is recorded as failed; float
 # overflow and division by zero come from extreme parameters.
@@ -79,14 +81,22 @@ def _parse_axis(spec: str):
         raise UsageError(f"grid axis {spec!r} must be a:b:N") from None
     if count < 1:
         raise UsageError(f"grid axis {spec!r} needs at least one sample")
-    return calc.linspace(lo, hi, count)
+    return lo, hi, count
+
+
+def _grid_axes(u_spec: str, v_spec: str):
+    (u0, u1, nu), (v0, v1, nv) = _parse_axis(u_spec), _parse_axis(v_spec)
+    if nu * nv > MAX_GRID_POINTS:
+        raise UsageError(f"grid {u_spec!r} by {v_spec!r} has {nu * nv} points, "
+                         f"more than {MAX_GRID_POINTS}")
+    return calc.linspace(u0, u1, nu), calc.linspace(v0, v1, nv)
 
 
 def _parse_grid(spec: str):
     parts = spec.split("x")
     if len(parts) != 2:
         raise UsageError(f"grid {spec!r} must be a:b:Nxc:d:M")
-    return _parse_axis(parts[0]), _parse_axis(parts[1])
+    return _grid_axes(*parts)
 
 
 def _check_rectangle(flag, u0, u1, v0, v1):
@@ -241,8 +251,7 @@ def _cmd_zoo_list(args):
 
 def _cmd_zoo_sample(args):
     chart = zoo.make_surface(args.family, _parse_params(args.param))
-    us = _parse_axis(args.u)
-    vs = _parse_axis(args.v)
+    us, vs = _grid_axes(args.u, args.v)
     rows = []
     failed = []
     kinds = {}

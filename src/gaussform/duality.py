@@ -141,9 +141,7 @@ class PolarPoint:
     """Image of one surface point under the generalized Gauss map."""
 
     position: amb.HalfSpacePoint      # dual point in its half-space chart
-    minkowski: amb.MinkowskiPoint     # the lifted normal on the dual quadric
     source_minkowski: amb.MinkowskiPoint
-    source_eta3: float
     source_curvature: float
     dual_curvature: float | None     # None exactly at branch points
     volume_ratio: float
@@ -181,7 +179,7 @@ def polar_variety(chart: calc.SurfaceChart, p) -> PolarPoint:
     """
     jet = calc.jet2_eval(chart, p)
     bundle = forms.fundamental_forms(jet, chart.ambient, chart.orientation_at(p))
-    X, V, pos = _checked_dual_point(chart.ambient, jet.x, bundle.eta)
+    X, _, pos = _checked_dual_point(chart.ambient, jet.x, bundle.eta)
 
     k = bundle.gauss_curvature
     k_branch = _branch_curvature(chart.ambient)
@@ -193,12 +191,9 @@ def polar_variety(chart: calc.SurfaceChart, p) -> PolarPoint:
 
     src_quadric = amb.Quadric.H if chart.ambient.kind is amb.Kind.HYPERBOLIC \
         else amb.Quadric.DS
-    dst_quadric = amb.Quadric.H if direction == DS3_TO_H3 else amb.Quadric.DS
     return PolarPoint(
         position=amb.HalfSpacePoint(tuple(pos)),
-        minkowski=amb.MinkowskiPoint(tuple(V), dst_quadric),
         source_minkowski=amb.MinkowskiPoint(tuple(X), src_quadric),
-        source_eta3=float(bundle.eta[2]),
         source_curvature=k,
         dual_curvature=dual_k,
         volume_ratio=volume_ratio,

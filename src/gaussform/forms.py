@@ -166,9 +166,11 @@ def _oriented_normal(space, h, du, orientation):
         nd = [eps[a] * _det(du[:a] + du[a + 1:]) for a in range(m)]
         nd[1::2] = [0.0 - c for c in nd[1::2]]     # the cofactor signs
         nn = sum(eps[a] * nd[a] * nd[a] for a in range(m))
-    nn_sign = math.copysign(1.0, float(nn))
     if float(nn) == 0.0:
         raise NonImmersed("tangent map is degenerate: the cofactor normal vanishes")
+    if math.isnan(float(nn)):        # its sign bit is arbitrary
+        raise NonImmersed("tangent map is not finite: the normal's scalar square is NaN")
+    nn_sign = math.copysign(1.0, float(nn))
     if nn_sign != space.normal_sign:
         raise WrongCausalClass(f"normal has scalar square of sign {nn_sign:+.0f}, "
                                f"expected {space.normal_sign:+d}")
@@ -299,7 +301,6 @@ class ConformalityReport:
 
     classification: str        # "conformal" | "not_conformal" |
     #                            "totally_geodesic_degenerate" | "umbilic_point"
-    is_conformal: bool
     rho: float | None
     residual: float
 
@@ -324,18 +325,17 @@ def conformality_test(bundle: FormBundle, tol: float = 1e-8) -> ConformalityRepo
     ii_sq = sum(c * c for c in ii)
     ii_norm = math.sqrt(ii_sq)
     if ii_norm <= TOTALLY_GEODESIC_TOL:
-        return ConformalityReport(ConformalityReport.TOTALLY_GEODESIC,
-                                  False, None, 0.0)
+        return ConformalityReport(ConformalityReport.TOTALLY_GEODESIC, None, 0.0)
     rho = sum(a * b for a, b in zip(iv, ii)) / ii_sq
     gap = math.sqrt(sum((a - rho * b) ** 2 for a, b in zip(iv, ii)))
     residual = gap / max(math.sqrt(sum(c * c for c in iv)), ii_norm)
     if residual <= tol:
-        return ConformalityReport(ConformalityReport.CONFORMAL, True, rho, residual)
+        return ConformalityReport(ConformalityReport.CONFORMAL, rho, residual)
     if bundle.principal_curvatures is not None:
         lam, mu = bundle.principal_curvatures
         if abs(lam - mu) <= UMBILIC_REL_TOL * (1.0 + abs(lam) + abs(mu)):
-            return ConformalityReport(ConformalityReport.UMBILIC, False, None, residual)
-    return ConformalityReport(ConformalityReport.NOT_CONFORMAL, False, None, residual)
+            return ConformalityReport(ConformalityReport.UMBILIC, None, residual)
+    return ConformalityReport(ConformalityReport.NOT_CONFORMAL, None, residual)
 
 
 def _frobenius(rows):

@@ -41,25 +41,6 @@ def is_infinity(value) -> bool:
     return value is INFINITY
 
 
-BRANCH_ETA_POS = "eta_pos"
-BRANCH_ETA_NEG = "eta_neg"
-BRANCH_UNBRANCHED = "unbranched"
-
-
-def branch_of(eta) -> str:
-    """Sheet tag from the sign of the last normal component.
-
-    Time-like surfaces can hit eta_3 = 0, where neither sheet applies; the
-    tag degrades to unbranched there.
-    """
-    e3 = float(eta[2])
-    if e3 > 0.0:
-        return BRANCH_ETA_POS
-    if e3 < 0.0:
-        return BRANCH_ETA_NEG
-    return BRANCH_UNBRANCHED
-
-
 def _quadric_defect(eta, space):
     e1, e2, e3 = float(eta[0]), float(eta[1]), float(eta[2])
     if space.kind is amb.Kind.HYPERBOLIC:
@@ -105,15 +86,13 @@ def far_gauss_map(x, g):
 
 @dataclass(frozen=True)
 class GaussData:
-    """Normal, its stereographic image, and the far Gauss map at one point."""
+    """The stereographic image of the normal and the far Gauss map at one point."""
 
-    eta: object
     g: object               # complex or INFINITY
     far: object             # complex, or None when g is INFINITY
-    branch: str
 
 
 def gauss_data(x, eta, space: amb.AmbientSpace) -> GaussData:
     g = stereo_project(eta, space)
     far = None if is_infinity(g) else far_gauss_map(x, g)
-    return GaussData(eta, g, far, branch_of(eta))
+    return GaussData(g, far)

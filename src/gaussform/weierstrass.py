@@ -8,10 +8,10 @@ the surface from the closed-form component formulas and recomputes g from the
 samples alone, on whole grid arrays.  Derivatives are central differences.
 
 The canonical test problem g(z) = z has a rotationally equivariant companion
-far map G = z F(|z|^2) with F solving a real second-order ODE; `radial_profile`
-integrates it by Taylor steps from the ODE's coefficient recurrence, with numpy
-alone and to about 1e-13, so solver output can be checked against exact data
-and theorem-valid fields can be manufactured.
+far map G = z F(|z|^2); `radial_profile` writes F in closed form through the
+complete elliptic integrals K and E, by the arithmetic-geometric mean with
+numpy alone, so solver output can be checked against exact data and
+theorem-valid fields can be manufactured.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ DEFAULT_STANDOFF = 0.1     # minimum distance of |g| from the excluded circle
 MAX_GRID = 129             # solver guard; acceptance runs need 65^2
 RADIAL_F0 = 1.0            # radial test profile: F at the left end of its span
 RADIAL_SLOPE = -0.15       # and F' there
-RADIAL_STEP = 0.35         # Taylor step over the distance to s = 1
-RADIAL_TERMS = 40          # Taylor terms per step; RADIAL_STEP**40 ~ 6e-19
 
 ROLE_NORMAL_MAP = "normal_map_g"
 ROLE_FAR_MAP = "far_map_G"
@@ -254,8 +252,6 @@ class BuiltSurface:
     samples: np.ndarray           # (ni, nj, 3), NaN rows where dropped
     kept: np.ndarray              # boolean (ni, nj)
     drop_reason: np.ndarray       # object array, "" where kept
-    ratio: np.ndarray             # first-constraint ratio (complex)
-    modulus_margin: np.ndarray    # second-constraint margin (> 0 where kept)
     height_imag_rel: np.ndarray   # relative imaginary part of the raw height
     eta3_predicted: np.ndarray    # (1 + |g|^2)/(|g|^2 - 1), signed per case
     g_core: np.ndarray            # g restricted to the interior grid
@@ -336,8 +332,6 @@ def build_surface(g: ComplexField, G: ComplexField, case: int = CASE_HOLOMORPHIC
         samples=samples,
         kept=kept,
         drop_reason=drop,
-        ratio=ratio,
-        modulus_margin=margin,
         height_imag_rel=im_rel,
         eta3_predicted=eta3,
         g_core=core_g.copy(),
@@ -356,25 +350,28 @@ def surface_identity_defect(built: BuiltSurface) -> float:
     return float(np.abs((lhs - built.far_core)[built.kept]).max())
 
 
-def _radial_taylor_row(s0, h, f, hdf):
-    """Taylor coefficients of the radial profile at s0 in t = (s - s0) / h.
+def _radial_basis(s):
+    """y1 = E(k), y2 = -(K - E)(k') and their s-derivatives, k = 1/s.
 
-    b[k] = F^(k)(s0) h^k / k!, from F(s0) = f and h F'(s0) = hdf.  With
-    r = h / s0, w = 1 / s0^2 and v = 1 - w, the ODE divided by s0^2 (s0^2 - 1)
-    gives the five-term recurrence below; its weights are powers of r over v
-    and stay of order one however large s0 is, so nothing overflows.
+    K and E come from the arithmetic-geometric mean (DLMF 19.8.1-2), run for
+    the moduli k and k' at once: from a0 = 1, b0 the complementary modulus
+    and c0 the modulus, K = pi / (2 a_N) and K - E = K sum_n 2^(n-1) c_n^2,
+    with c_(n+1) = c_n^2 / (4 a_(n+1)) free of cancellation.  An element
+    stops once c_n <= 2^-53 a_n, so its values do not depend on the others.
     """
-    r = h / s0
-    w = 1.0 / (s0 * s0)
-    v = (1.0 - 1.0 / s0) * (1.0 + 1.0 / s0)
-    c1, c2, c3, c4 = r / v, r * r / v, r ** 3 / v, r ** 4 / v
-    b = [0.0, 0.0, f, hdf]               # two zeros stand for b[-2], b[-1]
-    for k in range(RADIAL_TERMS - 2):
-        b.append(-(c1 * (k + 1) * (4 * k + 1 - w * (2 * k + 1)) * b[k + 3]
-                   + c2 * (6 * k * k - 3 * k - w * (k * k - 1)) * b[k + 2]
-                   + c3 * (k - 1) * (4 * k - 5) * b[k + 1]
-                   + c4 * (k - 2) ** 2 * b[k]) / ((k + 2) * (k + 1)))
-    return b[2:]
+    k = 1.0 / s
+    kc = np.sqrt((1.0 - k) * (1.0 + k))
+    a, b, c = np.ones((2,) + k.shape), np.stack([kc, k]), np.stack([k, kc])
+    total, weight = 0.5 * c * c, 0.5
+    live = c > 2.0 ** -53 * a
+    while live.any():
+        a, b, c = np.where(live, (a + b) / 2.0, a), np.sqrt(a * b), c * c / (2.0 * (a + b))
+        weight *= 2.0
+        total = total + weight * c * c
+        live &= c > 2.0 ** -53 * a
+    big_k = np.pi / (2.0 * a)
+    (e, ec), (k_minus_e, kc_minus_e) = big_k - big_k * total, big_k * total
+    return e, -kc_minus_e, k_minus_e / s, -ec / s
 
 
 def radial_profile(s_span):
@@ -382,45 +379,23 @@ def radial_profile(s_span):
 
     Solves s^2 (s^2 - 1) F'' + s (s^2 - 1) F' + F = 0 across ``s_span`` with
     F = RADIAL_F0, F' = RADIAL_SLOPE at the left end; returns a vectorized
-    callable F(s) that clips s to the span.  The solver takes Taylor steps
-    from the ODE's own coefficient recurrence (Corliss & Chang, ACM TOMS 8,
-    1982): each step spans RADIAL_STEP times the distance to the singular
-    point s = 1, so RADIAL_TERMS terms reach rounding level, and keeps its
-    coefficients in the local variable t in [0, 1].  F is evaluated by
-    Horner's rule on whole arrays; it agrees with a DOP853 solve at
-    rtol 1e-14 to about 1e-13.
+    callable F(s) that clips s to the span.  With k = 1/s the equation is
+    Legendre's equation for complete elliptic integrals (DLMF 19.4), solved
+    by y1 = E(k) and y2 = -(K - E)(k'); F = F0 + A (y1 - y1(s_lo)) +
+    B (y2 - y2(s_lo)) is F0 exactly at s_lo.  It agrees with a DOP853 solve
+    at rtol 1e-14 to about 1e-13.
     """
     lo, hi = float(s_span[0]), float(s_span[1])
     if not 1.0 < lo < hi < np.inf:
         raise ConstraintViolation("profile domain must satisfy 1 < s_lo < s_hi < inf")
-    knots, widths, rows = [], [], []
-    s0, f, slope = lo, RADIAL_F0, RADIAL_SLOPE
-    while True:
-        nxt = s0 + RADIAL_STEP * (s0 - 1.0)
-        if nxt == s0:
-            raise ConstraintViolation("profile domain touches s = 1 to within rounding")
-        last = nxt >= hi
-        h = (hi if last else nxt) - s0       # the step between representable knots
-        b = _radial_taylor_row(s0, h, f, h * slope)
-        knots.append(s0)
-        widths.append(h)
-        rows.append(b)
-        if last:
-            break
-        s0 = nxt
-        f = sum(b)
-        slope = sum(k * bk for k, bk in enumerate(b)) / h
-    knots, widths = np.array(knots), np.array(widths)
-    coef = np.array(rows).T                  # coef[k] holds b[k] of every step
+    y1, y2, dy1, dy2 = _radial_basis(np.array(lo))
+    det = y1 * dy2 - y2 * dy1
+    a = (RADIAL_F0 * dy2 - y2 * RADIAL_SLOPE) / det
+    b = (y1 * RADIAL_SLOPE - dy1 * RADIAL_F0) / det
 
     def profile(s):
-        s = np.clip(np.asarray(s, dtype=float), lo, hi)
-        step = np.searchsorted(knots, s, side="right") - 1
-        t = (s - knots[step]) / widths[step]
-        out = coef[-1][step]
-        for c in coef[-2::-1]:
-            out = out * t + c[step]
-        return out
+        z1, z2, _, _ = _radial_basis(np.clip(np.asarray(s, dtype=float), lo, hi))
+        return RADIAL_F0 + a * (z1 - y1) + b * (z2 - y2)
 
     return profile
 
@@ -490,6 +465,8 @@ def recovered_gauss_map(built: BuiltSurface):
         (~(h > 0.0), errors.NonPositiveHeight, "height {} is not positive", h),
         (nn == 0.0, errors.NonImmersed,
          "tangent map is degenerate: the cofactor normal vanishes", nn),
+        (np.isnan(nn), errors.NonImmersed,
+         "tangent map is not finite: the normal's scalar square is NaN", nn),
         (~np.signbit(nn), errors.WrongCausalClass,
          "normal has scalar square of sign {:+.0f}, expected -1", np.copysign(1.0, nn)),
         (np.abs(last) <= forms.ORIENTATION_TIE_TOL, errors.OrientationUndefined,

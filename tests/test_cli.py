@@ -614,6 +614,19 @@ class TestExitContract:
         assert err == ("error: ConstraintViolation: "
                        "grid 100000x100000 exceeds the 129 cap\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["zoo", "sample", "ruled-6.7", "--u", "0.3:0.8:200000000", "--v", "0.2:1.4:2"],
+        ["check", "forms", "ruled-6.7", "--grid", "0.3:0.8:200000000x2.0:2.5:2"],
+        ["check", "forms", "ruled-6.7", "--grid", "0:1:100000x0:1:100000"],
+    ], ids=["zoo-sample", "check-forms", "moderate-axes"])
+    def test_oversized_point_grid_is_a_usage_error(self, argv):
+        start = time.perf_counter()
+        code, out, err = run_contract(argv)
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "more than 1000000" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("expr", ["2^(1e308*10)", "2^(1e308*10-1e308*10)"])
     def test_non_finite_exponent_is_a_domain_error(self, expr):
         code, out, err = run_contract(["check", "forms", f"--graph={expr}",

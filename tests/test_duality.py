@@ -11,7 +11,7 @@ from gaussform.errors import (BranchPoint, CausalityViolation, EquatorialNormal,
                               GaussformError, HeightViolation, NonImmersed,
                               NonPositiveHeight, OrientationUndefined, OutsideDomain,
                               WrongCausalClass)
-from oracles import NumericEvaluator, branch_sign
+from oracles import NumericEvaluator
 
 H3 = amb.hyperbolic_space()
 DS3 = amb.de_sitter_space()
@@ -64,13 +64,11 @@ class TestPolarVariety:
         for key in ["translational-6.6", "translational-6.4", "ruled-7.4-5"]:
             chart = zoo.make_surface(key)
             for p in chart.interior_points(10, rng):
-                pp = duality.polar_variety(chart, p)
-                X = pp.source_minkowski.array()
-                V = pp.minkowski.array()
+                eta = forms.forms_at(chart, p).eta
+                X, V = duality.minkowski_normal(chart.ambient,
+                                                calc.jet2_eval(chart, p).x, eta)
                 ratio = (V[0] - V[3]) / (X[3] - X[0])
-                # dual lifts to the hyperboloid may have been sign-fixed
-                assert min(abs(ratio - pp.source_eta3),
-                           abs(ratio + pp.source_eta3)) <= 1e-10
+                assert abs(ratio - eta[2]) <= 1e-10
 
     def test_lift_orthogonality_against_fd(self, rng):
         # The lifted normal must be unit and orthogonal to finite-difference
@@ -114,7 +112,8 @@ class TestPolarVariety:
             chart = zoo.make_surface(key)
             for p in chart.interior_points(10, rng):
                 pp = duality.polar_variety(chart, p)
-                assert pp.volume_ratio == pytest.approx(pp.source_eta3**2, abs=1e-8)
+                eta3 = forms.forms_at(chart, p).eta[2]
+                assert pp.volume_ratio == pytest.approx(eta3**2, abs=1e-8)
 
 
 # Families whose every point has an equatorial normal (eta_3 = 0), so no
@@ -274,7 +273,9 @@ class TestExactDualJets:
             for p in chart.interior_points(8, rng, margin_frac=0.1):
                 jet = calc.jet2_eval(dual, p)
                 eta = forms.fundamental_forms(jet, dual.ambient).eta
-                branch = branch_sign(duality.polar_variety(chart, p).minkowski) or 1
+                _, V = duality.minkowski_normal(chart.ambient, calc.jet2_eval(chart, p).x,
+                                                forms.forms_at(chart, p).eta)
+                branch = -1 if V[0] - V[3] < 0.0 else 1
                 _, want = duality.minkowski_normal(dual.ambient, jet.x, eta, branch)
                 assert np.array_equal(duality.polar_of_polar_minkowski(chart, p), want), key
 

@@ -1,5 +1,6 @@
 """Every module-level function and class of the package, and every public
-method of its classes, has a caller outside the tests.
+method of its classes, has a caller outside the tests, and every field
+declared in a class body is read as an attribute outside the tests.
 
 A name counts as reached when the package or the benchmark harness mentions
 it as a name, an attribute or an import anywhere but inside its own
@@ -8,7 +9,8 @@ types, so a method is also reached by an attribute of the same name on
 another object.  Dunder names are hooks the interpreter calls (``__init__``,
 ``__add__``, a module's ``__getattr__``) and are not checked.  A helper that
 only tests call belongs next to those tests (see ``oracles.py``), not in the
-package.
+package.  A field is read when the package or the benchmark harness names it
+as an attribute; passing it to a constructor does not count.
 """
 
 import ast
@@ -19,6 +21,13 @@ PACKAGE = ROOT / "src" / "gaussform"
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# Fields kept although nothing reads them, with the reason.
+UNREAD_FIELDS = {
+    # perfbench/inproc.py passes a role as from_function's fourth positional
+    # argument, and the benchmark harness keeps its calls.
+    "weierstrass.ComplexField.role",
+}
 
 
 def _mentions(node, owners=()):
@@ -61,3 +70,21 @@ def test_every_package_definition_is_reached():
                        for name, owners in mentions):
                 unreached.append(f"{path.stem}.{label}")
     assert not unreached, f"only tests reach: {', '.join(unreached)}"
+
+
+def test_every_package_field_is_read():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in trees[path].body:
+            if not isinstance(top, ast.ClassDef):
+                continue
+            for member in top.body:
+                if (isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name)
+                        and member.target.id not in read):
+                    unread.append(f"{path.stem}.{top.name}.{member.target.id}")
+    assert set(unread) >= UNREAD_FIELDS, "an allowed field is read now, or gone"
+    unread = [label for label in unread if label not in UNREAD_FIELDS]
+    assert not unread, f"nothing reads: {', '.join(unread)}"

@@ -76,6 +76,13 @@ def dense_oracle_solve(g, boundary_values, case=1):
     return out
 
 
+def _wirtinger(field):
+    """Central-difference z and z-bar derivatives on the interior."""
+    du = (field.values[2:, 1:-1] - field.values[:-2, 1:-1]) / (2 * field.du)
+    dv = (field.values[1:-1, 2:] - field.values[1:-1, :-2]) / (2 * field.dv)
+    return (du - 1j * dv) / 2, (du + 1j * dv) / 2
+
+
 class TestFieldValidation:
     def test_case1_constraint(self):
         g = ws.ComplexField.from_function(lambda z: z, DOMAIN, (9, 9),
@@ -247,8 +254,14 @@ class TestBuild:
         assert built.kept_count == built.kept.size
         assert ws.surface_identity_defect(built) <= 1e-13
         assert (built.samples[..., 2][built.kept] > 0).all()
-        assert (built.ratio.real[built.kept] > 0).all()
-        assert (built.modulus_margin[built.kept] > 0).all()
+        # The two pointwise constraints of case 1, from central differences:
+        # Re(G_z / g_z) > 0 and |g|^2 |G_zbar| > |G_z|.
+        gz, _ = _wirtinger(g)
+        Gz, Gzb = _wirtinger(Gex)
+        ratio = Gz / gz
+        margin = np.abs(built.g_core) ** 2 * np.abs(Gzb) - np.abs(Gz)
+        assert (ratio.real[built.kept] > 0).all()
+        assert (margin[built.kept] > 0).all()
 
     def test_default_imaginary_tolerance_is_strict(self):
         # grid-sampled data carries O(h^2) imaginary contamination through
@@ -497,10 +510,16 @@ class TestRadialProfile:
         assert np.array_equal(profile(np.array([[1.5, 1e300]])), inside[None, :])
 
     @pytest.mark.parametrize("span", [(2.0, 2.0), (3.0, 2.0), (2.0, np.inf),
-                                      (2.0, np.nan), (1.0 + 2.0 ** -52, 2.0)])
+                                      (2.0, np.nan)])
     def test_span_must_be_finite_and_increasing(self, span):
         with pytest.raises(ConstraintViolation):
             ws.radial_profile(span)
+
+    def test_span_next_to_one_builds(self):
+        lo = 1.0 + 2.0 ** -52
+        values = ws.radial_profile((lo, 2.0))(np.array([lo, 1.5, 2.0]))
+        assert values[0] == ws.RADIAL_F0
+        assert np.isfinite(values).all()
 
     def test_domain_guard(self):
         with pytest.raises(ConstraintViolation):

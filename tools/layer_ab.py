@@ -13,7 +13,9 @@ REPEAT timed passes, and reports the best pass in microseconds per call:
   POLAR_FAMILIES;
 * ``polar_of_polar_minkowski`` at the same points;
 * ``fit_family_pairing`` on the three families with a recorded partner
-  (100 points, seed 0).
+  (100 points, seed 0);
+* ``radial_test_pair`` (the radial profile and both fields) on the domain
+  and the 129 x 129 grid of the ``weierstrass-solve`` benchmark workload.
 
 A call that raises a classified error is timed like any other; the
 results themselves are compared by ``tools/report_diff.py`` and the tests,
@@ -34,16 +36,18 @@ import time
 POLAR_FAMILIES = ("translational-6.6", "ruled-6.7", "ruled-6.8", "ruled-7.4-3",
                   "ruled-7.4-4", "translational-6.3", "corollary-6", "control-bowl")
 FIT_FAMILIES = ("translational-6.6", "ruled-6.7", "ruled-6.8")
+RADIAL_DOMAIN = (1.5, 2.5, 0.1, 0.9)     # perfbench/inproc.py's DOMAIN
+RADIAL_GRID = (129, 129)
 GRID = 4
 ROUNDS = 10
 REPEAT = 5
 LAYERS = ("forms_at", "polar_variety", "polar_position", "polar_forms",
-          "polar_of_polar_minkowski", "fit_family_pairing")
+          "polar_of_polar_minkowski", "fit_family_pairing", "radial_test_pair")
 
 
 def layer_calls():
     """{layer: [zero-argument calls]} on the fixed inputs."""
-    from gaussform import duality, forms, zoo
+    from gaussform import duality, forms, weierstrass, zoo
     from gaussform.errors import GaussformError
 
     def guarded(fn, *args, **kwargs):
@@ -71,6 +75,8 @@ def layer_calls():
                     guarded(duality.polar_of_polar_minkowski, chart, p))
     calls["fit_family_pairing"] = [
         guarded(duality.fit_family_pairing, key, count=100, seed=0) for key in FIT_FAMILIES]
+    calls["radial_test_pair"] = [
+        guarded(weierstrass.radial_test_pair, RADIAL_DOMAIN, RADIAL_GRID)]
     return calls
 
 
