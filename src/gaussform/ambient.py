@@ -3,7 +3,8 @@
 Both spaces live on the same chart ``{x : x_{n+1} > 0}``; they differ only in
 the sign vector of the conformally flat metric ``sum_A eps_A dx_A^2 / x_{n+1}^2``
 (all signs +1 for the hyperbolic space, last sign -1 for de Sitter).  The
-module also provides the metric matrix at a height and the
+paper's case rules read only a space's ``curvature`` and ``normal_sign``.
+The module also provides the metric matrix at a height and the
 three-dimensional lift from the half-space chart to the Minkowski model.
 """
 
@@ -28,26 +29,29 @@ class CausalClass(enum.Enum):
 
 
 class Quadric(enum.Enum):
-    """Which quadric of Minkowski 4-space a point belongs to."""
+    """Which quadric of Minkowski 4-space a point belongs to, by the Lorentz
+    square of its points."""
 
-    H = "hyperboloid"       # -X0^2 + X1^2 + X2^2 + X3^2 = -1, X0 > 0
-    DS = "de_sitter"        # -X0^2 + X1^2 + X2^2 + X3^2 = +1
+    H = -1.0        # -X0^2 + X1^2 + X2^2 + X3^2 = -1, X0 > 0
+    DS = 1.0        # -X0^2 + X1^2 + X2^2 + X3^2 = +1
 
 
 @dataclass(frozen=True)
 class AmbientSpace:
     """Descriptor of the ambient space plus the causal class of surfaces in it.
 
-    ``signature`` is the sign vector eps_A of the metric and ``normal_sign``
-    the scalar square of a unit normal of a surface of the declared causal
-    class: +1 in the hyperbolic space, -1 for space-like surfaces in de Sitter
-    space (time-like normal), +1 for time-like surfaces there.
+    ``signature`` is the sign vector eps_A of the metric, ``curvature`` the
+    sectional curvature c (-1.0 hyperbolic, +1.0 de Sitter) and ``normal_sign``
+    the scalar square eps_N of a unit normal of a surface of the declared
+    causal class: +1 in the hyperbolic space, -1 for space-like surfaces in de
+    Sitter space (time-like normal), +1 for time-like surfaces there.
     """
 
     kind: Kind
     dim: int
     causal_class: CausalClass = CausalClass.SPACE_LIKE
     signature: tuple = field(init=False)
+    curvature: float = field(init=False)
     normal_sign: int = field(init=False)
 
     def __post_init__(self):
@@ -56,18 +60,13 @@ class AmbientSpace:
         if self.kind is Kind.HYPERBOLIC:
             if self.causal_class is not CausalClass.SPACE_LIKE:
                 raise ValueError("hypersurfaces of hyperbolic space are space-like")
-            sig = (1,) * self.dim
-            nsign = 1
+            sig, curv, nsign = (1,) * self.dim, -1.0, 1
         else:
-            sig = (1,) * (self.dim - 1) + (-1,)
+            sig, curv = (1,) * (self.dim - 1) + (-1,), 1.0
             nsign = -1 if self.causal_class is CausalClass.SPACE_LIKE else 1
         object.__setattr__(self, "signature", sig)
+        object.__setattr__(self, "curvature", curv)
         object.__setattr__(self, "normal_sign", nsign)
-
-    @property
-    def n(self):
-        """Hypersurface dimension."""
-        return self.dim - 1
 
 
 def hyperbolic_space(dim=3):
@@ -119,8 +118,7 @@ class MinkowskiPoint:
         return -x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
 
     def quadric_residual(self):
-        target = -1.0 if self.quadric is Quadric.H else 1.0
-        return abs(self.lorentz_square() - target)
+        return abs(self.lorentz_square() - self.quadric.value)
 
 
 def metric_at_height(space: AmbientSpace, height: float) -> list:
@@ -158,8 +156,8 @@ def to_minkowski(space: AmbientSpace, p: HalfSpacePoint, sheet_sign=1) -> Minkow
     if space.dim != 3:
         raise ValueError("Minkowski-model conversion is defined for dim 3")
     p.require_valid()
-    quadric = Quadric.H if space.kind is Kind.HYPERBOLIC else Quadric.DS
-    point = MinkowskiPoint(minkowski_coords(space, p.coords, sheet_sign), quadric)
+    point = MinkowskiPoint(minkowski_coords(space, p.coords, sheet_sign),
+                           Quadric(space.curvature))
     if point.quadric_residual() > QUADRIC_PRODUCE_TOL * max(1.0, max(map(abs, point.coords))**2):
         raise QuadricViolation("conversion failed to land on the quadric")
     return point

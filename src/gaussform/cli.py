@@ -29,7 +29,7 @@ import sys
 from . import ambient as amb
 from . import calculus as calc
 from . import forms, zoo
-from .errors import EmptyGrid, EmptyOutput, GaussformError, NonRealHeight
+from .errors import EmptyGrid, EmptyOutput, EvaluationError, GaussformError, NonRealHeight
 
 SCHEMA_VERSION = 1
 
@@ -81,6 +81,8 @@ def _parse_axis(spec: str):
         raise UsageError(f"grid axis {spec!r} must be a:b:N") from None
     if count < 1:
         raise UsageError(f"grid axis {spec!r} needs at least one sample")
+    if not math.isfinite(hi - lo):       # also NaN or infinite ends
+        raise UsageError(f"grid axis {spec!r} needs finite ends and a finite span")
     return lo, hi, count
 
 
@@ -150,11 +152,23 @@ def _record_failure(rec, exc, kinds):
     kinds[name] = kinds.get(name, 0) + 1
 
 
+def _non_finite(rec):
+    """The first field of a record that is, or holds, an infinite or NaN float."""
+    for name, value in rec.items():
+        values = (value.values() if isinstance(value, dict)
+                  else value if isinstance(value, list) else [value])
+        if any(isinstance(x, float) and not math.isfinite(x) for x in values):
+            return name
+    return None
+
+
 def _point_records(points, evaluate):
     """One record per (u, v) point, filled in place by ``evaluate(rec, u, v)``.
 
     An error of POINT_ERRORS marks the record failed and keeps the fields
-    written before it.  Returns (records, failures_by_kind).
+    written before it.  A record left with an infinite or NaN value fails
+    with EvaluationError and keeps only u and v, so reports are standard JSON
+    and no NaN passes a gate.  Returns (records, failures_by_kind).
     """
     records = []
     kinds = {}
@@ -162,6 +176,10 @@ def _point_records(points, evaluate):
         rec = {"u": u, "v": v}
         try:
             evaluate(rec, u, v)
+            bad = _non_finite(rec)
+            if bad is not None:
+                rec = {"u": u, "v": v}
+                raise EvaluationError(f"{bad} is not finite")
         except POINT_ERRORS as exc:
             _record_failure(rec, exc, kinds)
         records.append(rec)
@@ -222,6 +240,8 @@ def _points_from_args(args, chart):
             u, v = (float(t) for t in args.at.split(","))
         except ValueError:
             raise UsageError(f"--at {args.at!r} must be u,v") from None
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise UsageError(f"--at {args.at!r} needs finite u and v")
         return [(u, v)]
     return _grid_points(args.grid, chart)
 
@@ -338,7 +358,7 @@ def _cmd_check_conformal(args):
         passes["classification_matches"] = mismatches == 0
         if fam.conformal == zoo.CONFORMAL:
             passes["curvature_relation"] = max_k_rel <= TOL_K_RELATION
-            if fam.space_tag != zoo.DS3_TIMELIKE:
+            if space_like:
                 passes["rho_formula"] = max_rho_rel <= TOL_RHO_FORMULA
     _emit({"schema_version": SCHEMA_VERSION, "command": "check conformal",
            "target": args.family or args.graph,

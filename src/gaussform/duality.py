@@ -10,7 +10,9 @@ polarity can be checked at full precision), the curvature and volume
 transfer laws, the graph-level duality between the two fully nonlinear graph
 PDEs, and the isometry fitting used to match dual families (a damped
 Gauss-Newton fit of a horizontal translation at one rotation angle, on numpy
-arrays over all points, with no scipy).
+arrays over all points, with no scipy).  The point path reads the causal
+case from the source space's curvature and normal sign; the graph-level
+duality names it by one direction string per pair of graph PDEs.
 """
 
 from __future__ import annotations
@@ -44,18 +46,6 @@ FIT_XTOL = 1e-13         # stop once a step is shorter than this times 1 + |(a, 
 FIT_MAX_STEPS = 100      # trial steps of one fit
 
 
-def _branch_curvature(space: amb.AmbientSpace) -> float:
-    return -1.0 if space.kind is amb.Kind.HYPERBOLIC else 1.0
-
-
-def transfer_direction(space: amb.AmbientSpace) -> str:
-    if space.kind is amb.Kind.HYPERBOLIC:
-        return H3_TO_DS3
-    if space.causal_class is amb.CausalClass.SPACE_LIKE:
-        return DS3_TO_H3
-    return DS3_TIMELIKE
-
-
 def dual_space(space: amb.AmbientSpace) -> amb.AmbientSpace:
     """Ambient space the polar variety lives in, with its causal class."""
     if space.kind is amb.Kind.HYPERBOLIC:
@@ -65,27 +55,19 @@ def dual_space(space: amb.AmbientSpace) -> amb.AmbientSpace:
     return amb.de_sitter_space(causal_class=amb.CausalClass.TIME_LIKE)
 
 
-def curvature_transfer(curvature: float, direction: str) -> float:
-    """Dual Gauss curvature under the generalized Gauss map.
+def curvature_transfer(curvature: float, space: amb.AmbientSpace) -> float:
+    """Dual Gauss curvature K / (eps_N (K - c)) of a surface in ``space``,
+    with its curvature c and normal sign eps_N, under the generalized Gauss map.
 
     K/(K+1) out of hyperbolic space, K/(1-K) for space-like de Sitter
     sources, K/(K-1) for time-like ones (the sign follows from eta_3 -> 1/eta_3
     and K = 1 + eta_3^2 on conformal time-like surfaces; a dual time-like
-    curvature below 1 would be inconsistent).  Branch points raise.
+    curvature below 1 would be inconsistent).  The branch point K = c raises.
     """
-    if direction == H3_TO_DS3:
-        if abs(curvature + 1.0) < 1e-12:
-            raise BranchPoint("dual curvature undefined where K = -1")
-        return curvature / (curvature + 1.0)
-    if direction == DS3_TO_H3:
-        if abs(curvature - 1.0) < 1e-12:
-            raise BranchPoint("dual curvature undefined where K = 1")
-        return curvature / (1.0 - curvature)
-    if direction == DS3_TIMELIKE:
-        if abs(curvature - 1.0) < 1e-12:
-            raise BranchPoint("dual curvature undefined where K = 1")
-        return curvature / (curvature - 1.0)
-    raise ValueError(f"unknown direction {direction!r}")
+    c = space.curvature
+    if abs(curvature - c) < 1e-12:
+        raise BranchPoint(f"dual curvature undefined where K = {c:g}")
+    return curvature / (space.normal_sign * (curvature - c))
 
 
 # --------------------------------------------------------------------------
@@ -125,7 +107,7 @@ def _dual_point(space: amb.AmbientSpace, X, eta):
     it on jets differentiates the polar map.  Returns (V, pos) as lists.
     """
     V = _normal_from_lift(X, eta)
-    if transfer_direction(space) == DS3_TO_H3 and float(V[0]) < 0.0:
+    if space.normal_sign < 0 and float(V[0]) < 0.0:
         V = [-c for c in V]           # pick the upper sheet of the hyperboloid
     d = V[0] - V[3]
     sd = math.copysign(1.0, float(d))
@@ -146,7 +128,6 @@ class PolarPoint:
     dual_curvature: float | None     # None exactly at branch points
     volume_ratio: float
     branch_flag: bool
-    direction: str
 
 
 def _checked_dual_point(space: amb.AmbientSpace, x, eta):
@@ -177,28 +158,21 @@ def polar_variety(chart: calc.SurfaceChart, p) -> PolarPoint:
     form) are flagged rather than failed; the dual curvature is withheld
     there.
     """
+    space = chart.ambient
     jet = calc.jet2_eval(chart, p)
-    bundle = forms.fundamental_forms(jet, chart.ambient, chart.orientation_at(p))
-    X, _, pos = _checked_dual_point(chart.ambient, jet.x, bundle.eta)
+    bundle = forms.fundamental_forms(jet, space, chart.orientation_at(p))
+    X, _, pos = _checked_dual_point(space, jet.x, bundle.eta)
 
     k = bundle.gauss_curvature
-    k_branch = _branch_curvature(chart.ambient)
-    branched = (abs(k - k_branch) < BRANCH_K_TOL
+    branched = (abs(k - space.curvature) < BRANCH_K_TOL
                 or abs(np.linalg.det(bundle.second)) < BRANCH_DET_TOL)
-    direction = transfer_direction(chart.ambient)
-    dual_k = None if branched else curvature_transfer(k, direction)
-    volume_ratio = abs(k - k_branch)
-
-    src_quadric = amb.Quadric.H if chart.ambient.kind is amb.Kind.HYPERBOLIC \
-        else amb.Quadric.DS
     return PolarPoint(
         position=amb.HalfSpacePoint(tuple(pos)),
-        source_minkowski=amb.MinkowskiPoint(tuple(X), src_quadric),
+        source_minkowski=amb.MinkowskiPoint(tuple(X), amb.Quadric(space.curvature)),
         source_curvature=k,
-        dual_curvature=dual_k,
-        volume_ratio=volume_ratio,
+        dual_curvature=None if branched else curvature_transfer(k, space),
+        volume_ratio=abs(k - space.curvature),
         branch_flag=bool(branched),
-        direction=direction,
     )
 
 

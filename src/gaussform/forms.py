@@ -7,6 +7,8 @@ space must give II = I with eta = (0, 0, 1)):
   of the unit normal, so the shape operator is I^{-1} II in every causal case;
 * the normal is oriented so its last frame component is nonnegative unless a
   chart overrides the sign;
+* the causal case enters only by the space's ``curvature`` c and
+  ``normal_sign`` eps_N, as in K = c + eps_N det II / det I;
 * the fourth form is the flat sign-weighted product of the differential of
   the frame-translated normal, computed here through the closed-form normal
   derivative (the finite-difference route lives in fourth_form_direct and is
@@ -284,8 +286,7 @@ def fundamental_forms(jet: calculus.Jet2, space: amb.AmbientSpace,
     route = _surface_forms if space.dim == 3 else _hypersurface_forms
     second, third, fourth, mean, det_second, principal = route(
         space, h, jet.du, jet.duu, eta, first, det_first)
-    curv_const = -1.0 if space.kind is amb.Kind.HYPERBOLIC else 1.0
-    gauss = curv_const + space.normal_sign * (det_second / det_first)
+    gauss = space.curvature + space.normal_sign * (det_second / det_first)
     return FormBundle(space, eta, first, second, third, fourth, mean, gauss, principal)
 
 
@@ -401,26 +402,20 @@ def check_residuals(jet: calculus.Jet2, bundle: FormBundle) -> dict:
 
 
 def curvature_relation_residual(bundle: FormBundle) -> float:
-    """|K - (c + sigma eta_last^2)| for the bundle's causal case.
-
-    (c, sigma) is (-1, +1) in hyperbolic space, (+1, -1) for space-like and
-    (+1, +1) for time-like surfaces in de Sitter space; this is the curvature
-    relation characterizing conformal normal Gauss maps away from umbilics.
-    """
-    if bundle.space.kind is amb.Kind.HYPERBOLIC:
-        c, sigma = -1.0, 1.0
-    elif bundle.space.causal_class is amb.CausalClass.SPACE_LIKE:
-        c, sigma = 1.0, -1.0
-    else:
-        c, sigma = 1.0, 1.0
-    return abs(bundle.gauss_curvature - (c + sigma * bundle.eta[-1] ** 2))
+    """|K - (c + eps_N eta_last^2)|, with the space's curvature c and normal
+    sign eps_N: the curvature relation characterizing conformal normal Gauss
+    maps away from umbilics, in all three causal cases."""
+    space = bundle.space
+    return abs(bundle.gauss_curvature
+               - (space.curvature + space.normal_sign * bundle.eta[-1] ** 2))
 
 
 def rho_formula_residual(bundle: FormBundle, rho: float) -> float:
-    """|rho - 2(H -+ eta_last)|: minus in hyperbolic space, plus for
-    space-like de Sitter surfaces (the two cases the classification covers)."""
-    s = -1.0 if bundle.space.kind is amb.Kind.HYPERBOLIC else 1.0
-    return abs(rho - 2.0 * (bundle.mean_curvature + s * bundle.eta[-1]))
+    """|rho - 2(H + c eta_last)| with the space's curvature c: minus in
+    hyperbolic space, plus for space-like de Sitter surfaces (the two cases
+    the classification covers)."""
+    return abs(rho - 2.0 * (bundle.mean_curvature
+                            + bundle.space.curvature * bundle.eta[-1]))
 
 
 def fourth_form_direct(chart: calculus.SurfaceChart, p) -> np.ndarray:

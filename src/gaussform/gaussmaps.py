@@ -42,10 +42,10 @@ def is_infinity(value) -> bool:
 
 
 def _quadric_defect(eta, space):
+    """|eta_1^2 + eta_2^2 - c eta_3^2 + c|, 2 for a time-like surface's normal."""
     e1, e2, e3 = float(eta[0]), float(eta[1]), float(eta[2])
-    if space.kind is amb.Kind.HYPERBOLIC:
-        return abs(e1 * e1 + e2 * e2 + e3 * e3 - 1.0)
-    return abs(e1 * e1 + e2 * e2 - e3 * e3 + 1.0)
+    c = space.curvature
+    return abs(e1 * e1 + e2 * e2 - c * e3 * e3 + c)
 
 
 def stereo_project(eta, space: amb.AmbientSpace):
@@ -61,8 +61,7 @@ def stereo_project(eta, space: amb.AmbientSpace):
     if e3 > 0.0:
         # 1 - e3 cancels near the pole; the quadric gives it without the
         # cancellation: 1 - e3 = +-(e1^2 + e2^2)/(1 + e3), + on the sphere.
-        sign = 1.0 if space.kind is amb.Kind.HYPERBOLIC else -1.0
-        denom = sign * (e1 * e1 + e2 * e2) / (1.0 + e3)
+        denom = -space.curvature * (e1 * e1 + e2 * e2) / (1.0 + e3)
     else:
         denom = 1.0 - e3
     if abs(denom) < POLE_TOL:

@@ -15,12 +15,13 @@ DS3_TL = amb.de_sitter_space(causal_class=amb.CausalClass.TIME_LIKE)
 class TestSpaceDescriptor:
     def test_hyperbolic_signature(self):
         assert H3.signature == (1, 1, 1)
-        assert H3.normal_sign == 1
+        assert (H3.curvature, H3.normal_sign) == (-1.0, 1)
 
     def test_de_sitter_signs(self):
         assert DS3.signature == (1, 1, -1)
-        assert DS3.normal_sign == -1
-        assert DS3_TL.normal_sign == 1
+        assert (DS3.curvature, DS3.normal_sign) == (1.0, -1)
+        assert DS3_TL.signature == (1, 1, -1)
+        assert (DS3_TL.curvature, DS3_TL.normal_sign) == (1.0, 1)
 
     def test_hyperbolic_rejects_timelike(self):
         with pytest.raises(ValueError):
@@ -28,8 +29,8 @@ class TestSpaceDescriptor:
 
     def test_higher_dimension(self):
         h4 = amb.hyperbolic_space(4)
-        assert h4.n == 3
         assert h4.signature == (1, 1, 1, 1)
+        assert (h4.curvature, h4.normal_sign) == (-1.0, 1)
 
 
 class TestMetric:

@@ -465,6 +465,31 @@ PARAM_TARGETS = {"ruled-6.7": "c", "corollary-6": "c1", "horosphere": "c",
                  "flaherty-plus": "psi"}
 CELLS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
 
+# Grid axis ends, --at coordinates and sample axes: non-finite, huge and
+# tiny values next to ordinary ones, in any order.
+AXIS_ENDS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "0",
+                     "0.3", "0.5", "1", "1.8", "2.5"]),
+    st.floats().map(repr))
+AXES = st.tuples(AXIS_ENDS, AXIS_ENDS, st.integers(0, 3)).map(
+    lambda t: f"{t[0]}:{t[1]}:{t[2]}")
+# The point commands, each missing only its --grid or --at.
+POINT_COMMANDS = {
+    "forms": ["check", "forms", "ruled-6.7"],
+    "conformal": ["check", "conformal", "corollary-6"],
+    "conformal-timelike": ["check", "conformal", "flaherty-plus"],
+    "forms-graph": ["check", "forms", "--graph=u*v", "--space", "ds3"],
+    "pde": ["pde", "residual", "--eq", "6.2", "--graph=exp(700)*u^2"],
+    "dualize": ["dualize", "ruled-6.7"],
+}
+
+
+def strict_json(text):
+    """The report, parsed as standard JSON: NaN and Infinity are no tokens."""
+    def reject(token):
+        raise ValueError(f"{token} is not a JSON value")
+    return json.loads(text, parse_constant=reject)
+
 
 class TestExitContract:
     @settings(max_examples=60, deadline=None)
@@ -519,6 +544,7 @@ class TestExitContract:
     @example(expr="exp(710)", command="forms ds3-timelike")
     @example(expr="(" * 400 + "u" + ")" * 400, command="forms h3")
     @example(expr="+".join(["u"] * 1500), command="pde 6.1")
+    @example(expr="(-(7.88448908466234e-134))*(-(v))", command="forms h3")
     def test_graph_expressions(self, expr, command):
         kind, arg = command.split()
         grid = "0.2:0.8:2x0.2:0.8:2"
@@ -530,7 +556,7 @@ class TestExitContract:
         assert code in (0, 1, 2)
         assert "Traceback" not in err
         if code != 2:
-            assert json.loads(out)["schema_version"] == 1
+            assert strict_json(out)["schema_version"] == 1
 
     # Domains of the radial test problem, from across the excluded circle
     # out to where |z|^2 overflows.
@@ -626,6 +652,78 @@ class TestExitContract:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "more than 1000000" in err
         assert "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(command=st.sampled_from(sorted(POINT_COMMANDS)), u=AXES, v=AXES)
+    @example(command="pde", u="0.5:1:2", v="0:1:2")
+    @example(command="forms", u="1e308:-1e308:3", v="2:2.5:2")
+    def test_point_grids(self, command, u, v):
+        code, out, err = run_contract([*POINT_COMMANDS[command], f"--grid={u}x{v}"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code != 2:
+            assert strict_json(out)["schema_version"] == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(command=st.sampled_from(sorted(set(POINT_COMMANDS) - {"pde", "dualize"})),
+           u=AXIS_ENDS, v=AXIS_ENDS)
+    @example(command="forms", u="nan", v="1")
+    def test_point_at(self, command, u, v):
+        code, out, err = run_contract([*POINT_COMMANDS[command], f"--at={u},{v}"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code != 2:
+            assert strict_json(out)["schema_version"] == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(u=AXES, v=AXES)
+    @example(u="-1e308:1e308:3", v="0:1:2")
+    def test_zoo_sample_axes(self, u, v):
+        code, out, err = run_contract(["zoo", "sample", "ruled-6.7", f"--u={u}", f"--v={v}"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code != 2:
+            assert strict_json(out)["schema_version"] == 1
+
+    @pytest.mark.parametrize("eq", ["6.1", "6.2"])
+    def test_non_finite_residual_fails_its_point(self, eq):
+        # The residual used to be NaN with status ok: max() never picks a
+        # NaN, so max_abs_residual read 0.0 and every pass flag true.
+        code, out, err = run_contract(["pde", "residual", "--eq", eq,
+                                       "--graph=exp(700)*u^2", "--grid=0.5:1:2x0:1:2"])
+        assert (code, err) == (1, "")
+        report = strict_json(out)
+        assert [p["status"] for p in report["points"]] == ["EvaluationError"] * 4
+        assert report["points"][0]["error"] == "residual is not finite"
+        assert report["summary"]["failures_by_kind"] == {"EvaluationError": 4}
+        assert report["summary"]["pass"]["all_points_evaluated"] is False
+
+    def test_non_finite_forms_value_fails_its_point(self):
+        # At height 1.6e-134 the induced metric's determinant overflows: K
+        # read NaN and two residuals Infinity, with status ok.
+        code, out, err = run_contract(["check", "forms", "--graph=7.88e-134*v",
+                                       "--at", "0.2,0.2"])
+        assert (code, err) == (1, "")
+        point, = strict_json(out)["points"]
+        assert point == {"u": 0.2, "v": 0.2, "status": "EvaluationError",
+                         "error": "K is not finite"}
+
+    def test_non_finite_at_is_a_usage_error(self):
+        code, out, err = run_contract(["check", "forms", "ruled-6.7", "--at", "nan,1"])
+        assert (code, out) == (2, "")
+        assert err == "error: --at 'nan,1' needs finite u and v\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "forms", "ruled-6.7", "--grid=1e308:-1e308:3x2:2.5:2"],
+        ["zoo", "sample", "ruled-6.7", "--u=-1e308:1e308:3", "--v", "0:1:2"],
+        ["check", "conformal", "ruled-6.7", "--grid=0.3:0.8:2xinf:2.5:2"],
+    ], ids=["check-forms", "zoo-sample", "infinite-end"])
+    def test_non_finite_axis_is_a_usage_error(self, argv):
+        # The span's width overflowed, and the points read u = NaN and -inf.
+        code, out, err = run_contract(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: grid axis ")
+        assert err.endswith(" needs finite ends and a finite span\n")
 
     @pytest.mark.parametrize("expr", ["2^(1e308*10)", "2^(1e308*10-1e308*10)"])
     def test_non_finite_exponent_is_a_domain_error(self, expr):

@@ -15,6 +15,7 @@ from oracles import NumericEvaluator
 
 H3 = amb.hyperbolic_space()
 DS3 = amb.de_sitter_space()
+DS3_TL = amb.de_sitter_space(causal_class=amb.CausalClass.TIME_LIKE)
 
 CONFORMAL_PAIR_SOURCES = ["translational-6.6", "ruled-6.7", "ruled-6.8",
                           "translational-6.4", "ruled-6.2-2", "ruled-6.2-3",
@@ -24,24 +25,51 @@ CONFORMAL_PAIR_SOURCES = ["translational-6.6", "ruled-6.7", "ruled-6.8",
 
 class TestCurvatureTransfer:
     def test_flat_to_flat(self):
-        assert duality.curvature_transfer(0.0, duality.H3_TO_DS3) == 0.0
+        assert duality.curvature_transfer(0.0, H3) == 0.0
 
     def test_de_sitter_to_hyperbolic(self):
-        assert duality.curvature_transfer(3.0, duality.DS3_TO_H3) == -1.5
+        assert duality.curvature_transfer(3.0, DS3) == -1.5
 
     def test_branch_points(self):
         with pytest.raises(BranchPoint):
-            duality.curvature_transfer(-1.0, duality.H3_TO_DS3)
+            duality.curvature_transfer(-1.0, H3)
         with pytest.raises(BranchPoint):
-            duality.curvature_transfer(1.0, duality.DS3_TO_H3)
+            duality.curvature_transfer(1.0, DS3)
         with pytest.raises(BranchPoint):
-            duality.curvature_transfer(1.0, duality.DS3_TIMELIKE)
+            duality.curvature_transfer(1.0, DS3_TL)
 
     def test_timelike_transfer_stays_above_one(self):
         # Conformal time-like surfaces have K = 1 + eta3^2 >= 1; the dual is
         # conformal too, so its curvature must also stay >= 1.
         for k in (1.2, 2.0, 5.0):
-            assert duality.curvature_transfer(k, duality.DS3_TIMELIKE) > 1.0
+            assert duality.curvature_transfer(k, DS3_TL) > 1.0
+
+    # The paper's three transfer laws, each with its branch guard and the
+    # branch curvature its message names.
+    LAWS = {
+        "h3": (H3, lambda k: abs(k + 1.0) < 1e-12, lambda k: k / (k + 1.0), "-1"),
+        "ds3": (DS3, lambda k: abs(k - 1.0) < 1e-12, lambda k: k / (1.0 - k), "1"),
+        "ds3-timelike": (DS3_TL, lambda k: abs(k - 1.0) < 1e-12,
+                         lambda k: k / (k - 1.0), "1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LAWS))
+    def test_one_rule_has_the_bits_of_each_law(self, case):
+        space, branched, law, name = self.LAWS[case]
+        c = space.curvature
+        near = [c + d for d in (1e-13, -1e-13, 1e-12, -1e-12, 2e-12, -2e-12)]
+        near += [math.nextafter(c + 1e-12, math.inf), math.nextafter(c - 1e-12, -math.inf)]
+        ks = [0.0, -0.0, c, 1e300, -1e300, math.inf, -math.inf, 5e-324, *near,
+              *np.linspace(-7.0, 7.0, 2001).tolist(),
+              *np.geomspace(1e-8, 1e8, 301).tolist(),
+              *(-np.geomspace(1e-8, 1e8, 301)).tolist()]
+        for k in ks:
+            if branched(k):
+                with pytest.raises(BranchPoint) as info:
+                    duality.curvature_transfer(k, space)
+                assert str(info.value) == f"dual curvature undefined where K = {name}"
+            else:
+                assert duality.curvature_transfer(k, space).hex() == law(k).hex(), k
 
 
 class TestPolarVariety:

@@ -9,7 +9,11 @@ interpreter with ``PYTHONPATH=<tree>/src`` and its own scratch directory:
 * the ``cli-session`` script of ``perfbench/clisession.py``;
 * ``check forms``, ``check conformal`` and ``dualize`` on every family that
   ``zoo list`` names in either tree;
-* ``dualize --fit-isometry`` on the three families with a recorded partner.
+* ``dualize --fit-isometry`` on the three families with a recorded partner;
+* three ``weierstrass build`` commands that the others leave out: the
+  expression build of the exit-contract tests at ``--grid 9`` (exit 1), the
+  radial build at 17² writing ``--out-g`` and ``--out-far`` (exit 0), and a
+  case-2 build at 17² (exit 1).
 
 It compares exit codes, stderr, the files each command writes and the JSON
 on stdout, field by field.  A field is named by its JSON path with list
@@ -34,9 +38,16 @@ from collections import defaultdict
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-from clisession import SCRIPT  # noqa: E402
+from clisession import DOMAIN, SCRIPT  # noqa: E402
 
 FIT_FAMILIES = ("translational-6.6", "ruled-6.7", "ruled-6.8")
+BUILD = ["weierstrass", "build", "--domain", DOMAIN]
+BUILD_UNITS = [
+    [[*BUILD, "--g", "u+i*v", "--case", "1", "--boundary", "u", "--grid", "9"]],
+    [[*BUILD, "--g", "builtin:z", "--boundary", "builtin:radial", "--grid", "17",
+      "--out-g", "{tmp}/g.csv", "--out-far", "{tmp}/far.csv"]],
+    [[*BUILD, "--g", "(u-i*v)/8", "--case", "2", "--boundary", "u-i*v", "--grid", "17"]],
+]
 CONTRACT_KEYS = {"pass", "status", "failures_by_kind"}
 MISSING = object()
 
@@ -77,6 +88,7 @@ def command_units(families):
         units += [[["check", "forms", key]], [["check", "conformal", key]],
                   [["dualize", key]]]
     units += [[["dualize", key, "--fit-isometry"]] for key in FIT_FAMILIES]
+    units += BUILD_UNITS
     seen, unique = set(), []
     for unit in units:
         name = tuple(map(tuple, unit))
