@@ -4,7 +4,8 @@ The module owns a small expression language for user-supplied graph functions
 f(u, v) and evaluates it as plain numbers or as forward jets carried through
 every node as plain scalars: of order two (value, gradient, Hessian), so
 graph charts have exact derivatives, and of order three, so the polar map,
-which differentiates a chart, has them too.  Parametric charts built from
+which differentiates a chart, has them too; order-two jets also run on (N,)
+float arrays, with the float path's bits.  Parametric charts built from
 closed-form components reuse the same jet engine.
 
 Grammar (stable public contract)::
@@ -410,10 +411,39 @@ _THIRD_DERIVATIVES = {
 }
 
 
+def _each(rule, width, *args):
+    """``rule`` on the floats at each entry of (N,) arrays (floats are
+    shared), as ``width`` arrays of results, NaN where it raises or an
+    argument is not finite: the float path's bits, its errors as NaN."""
+    import numpy as np
+
+    args, rows = np.broadcast_arrays(*args), []
+    for xs in zip(*[a.tolist() for a in args]):
+        try:
+            rows.append(rule(*xs))
+        except (ArithmeticError, ValueError, DomainError):
+            rows.append((math.nan,) * width)
+    out = np.array(rows, dtype=float).reshape(-1, width)
+    out[~np.isfinite(args).all(axis=0)] = math.nan
+    return out.T
+
+
+def power(x, n):
+    """``x ** n``; on an array numpy's float_power, which rounds as Python's
+    float power does (numpy's ``**`` does not)."""
+    if isinstance(x, (int, float)):
+        return x ** n
+    import numpy as np
+    return np.float_power(x, n)
+
+
 def _jet_call(fn, x):
     """A function of the grammar applied to a jet: f, f', f'' at x.val, with
-    the domain errors, composed by x.chain; order three adds f'''."""
+    the domain errors, composed by x.chain; order three adds f'''.  On an
+    array jet the float rule runs at each entry."""
     v = x.val
+    if not isinstance(v, float):
+        return x.chain(*_each(lambda t: _float_derivatives(fn, t), 3, v))
     if fn in ("sin", "cos") and math.isinf(v):
         raise DomainError(f"{fn} of an infinite value")
     if fn == "sqrt":
@@ -450,13 +480,22 @@ def _jet_call(fn, x):
     return x.chain(f0, f1, f2, _THIRD_DERIVATIVES[fn](v, f0, f1, f2))
 
 
+def _float_derivatives(fn, t):
+    """f, f', f'' at the float t, read off the jet (t, 1, 0, -0, 0, 0): its
+    huu, f' (-0) + f'', is f'' bit for bit, as no rule has a negative f'
+    where f'' is -0."""
+    j = _jet_call(fn, _Jet(t, 1.0, 0.0, -0.0))
+    return j.val, j.gu, j.huu
+
+
 class _Jet:
     """Value, gradient and Hessian with respect to (u, v), propagated forward.
 
     The six Taylor coefficients are plain scalars: the value ``val``, the
     gradient ``gu``, ``gv`` and the Hessian ``huu``, ``huv``, ``hvv``
     (Griewank and Walther, Evaluating Derivatives, ch. 13).  A float operand
-    takes part as a constant without being lifted into a jet.
+    takes part as a constant without being lifted into a jet.  An order-two
+    jet may hold (N,) float arrays, NaN where the float rules would raise.
     """
 
     __slots__ = ("val", "gu", "gv", "huu", "huv", "hvv")
@@ -514,18 +553,20 @@ class _Jet:
             if o == 0.0:
                 raise DomainError("division by zero")
             return self * (1.0 / o)
-        if o.val == 0.0:
-            raise DomainError("division by zero")
         return self * o._reciprocal()
 
     def __rtruediv__(self, o):
-        if self.val == 0.0:
-            raise DomainError("division by zero")
         return self._reciprocal() * o
 
     def _reciprocal(self):
-        inv = 1.0 / self.val
-        inv3 = inv**3
+        if isinstance(self.val, float):
+            if self.val == 0.0:
+                raise DomainError("division by zero")
+            inv = 1.0 / self.val
+            inv3 = inv**3
+        else:                           # an array's zeros give inf, and NaN below
+            inv = 1.0 / self.val
+            inv3 = power(inv, 3)
         gu, gv = self.gu, self.gv
         return _Jet(inv, -gu * inv * inv, -gv * inv * inv,
                     -self.huu * inv * inv + 2.0 * (gu * gu) * inv3,
@@ -541,6 +582,10 @@ class _Jet:
                     f1 * self.hvv + f2 * (gv * gv))
 
     def pow(self, o):
+        if not isinstance(self.val, float) or type(o) is _Jet and not isinstance(o.val, float):
+            exponent = o.coefficients() if isinstance(o, _Jet) else (o,)
+            return _Jet(*_each(lambda *c: _Jet(*c[:6]).pow(_Jet(*c[6:]) if c[7:] else c[6])
+                               .coefficients(), 6, *self.coefficients(), *exponent))
         if isinstance(o, _Jet):
             if any(o.coefficients()[1:]):
                 if self.val <= 0.0:
@@ -641,9 +686,12 @@ def _jet_eval(node, u, v, constants=None, jet=_Jet) -> _Jet:
     Constant subtrees stay floats and enter the jet rules as plain operands;
     a float is lifted into a jet only where a rule needs one of its own: the
     base of a power, the argument of a function, and an operation between
-    two floats (so their domain errors are the jet rules' errors).
+    two floats (so their domain errors are the jet rules' errors).  On (N,)
+    arrays u, v an order-two array jet is left unchecked for its caller.
     """
-    ju, jv = jet(float(u), 1.0), jet(float(v), 0.0, 1.0)
+    if (type(u) is not float or type(v) is not float) and not getattr(u, "ndim", 0):
+        u, v = float(u), float(v)
+    ju, jv = jet(u, 1.0), jet(v, 0.0, 1.0)
 
     def rec(n):
         kind = type(n)
@@ -679,8 +727,8 @@ def _jet_eval(node, u, v, constants=None, jet=_Jet) -> _Jet:
     out = rec(node)
     if type(out) is not jet:
         out = jet(out)
-    if not all(map(math.isfinite, (out.val, out.gu, out.gv,
-                                   out.huu, out.huv, out.hvv))):
+    if isinstance(u, float) and not all(map(math.isfinite, (out.val, out.gu, out.gv,
+                                                            out.huu, out.huv, out.hvv))):
         raise EvaluationError("expression jet produced a non-finite value")
     return out
 
@@ -737,9 +785,9 @@ def jet_sqrt(x):
 
 def jet_tuples(jets):
     """(x, du, duu) of a list of component jets, as tuples of floats."""
-    return (tuple(j.val for j in jets),
-            tuple((j.gu, j.gv) for j in jets),
-            tuple(((j.huu, j.huv), (j.huv, j.hvv)) for j in jets))
+    return (tuple([j.val for j in jets]),
+            tuple([(j.gu, j.gv) for j in jets]),
+            tuple([((j.huu, j.huv), (j.huv, j.hvv)) for j in jets]))
 
 
 _ZERO_HESSIAN = ((0.0, 0.0), (0.0, 0.0))
@@ -756,7 +804,7 @@ class GraphEvaluator:
         return (Var("u"), Var("v"), self.expr.ast)
 
     def jet(self, u, v):
-        j = _jet_eval(self.expr.ast, u, v, dict(self.expr.constants))
+        j = _jet_eval(self.expr.ast, u, v, self.expr.constants and dict(self.expr.constants))
         return ((u, v, j.val), ((1.0, 0.0), (0.0, 1.0), (j.gu, j.gv)),
                 (_ZERO_HESSIAN, _ZERO_HESSIAN, ((j.huu, j.huv), (j.huv, j.hvv))))
 
@@ -781,7 +829,7 @@ class ClosedFormEvaluator:
     def jet(self, u, v):
         if self._jet_fn is not None:
             return self._jet_fn(u, v)
-        return jet_tuples([_jet_eval(c.ast, u, v, dict(c.constants))
+        return jet_tuples([_jet_eval(c.ast, u, v, c.constants and dict(c.constants))
                            for c in self.components])
 
 
@@ -803,8 +851,9 @@ class SurfaceChart:
         return self.orientation
 
     def contains(self, u, v):
+        """Whether (u, v) is interior to the domain, on floats or arrays."""
         u0, u1, v0, v1 = self.domain
-        return u0 < u < u1 and v0 < v < v1
+        return (u0 < u) & (u < u1) & (v0 < v) & (v < v1)
 
     def interior_points(self, count, rng, margin_frac=0.05):
         """Uniform random interior points, keeping a fractional margin."""
@@ -832,23 +881,33 @@ def jet2_eval(chart: SurfaceChart, p) -> Jet2:
 
 
 def check_chart_jet(space: ambient.AmbientSpace, u, v, x, du):
-    """The chart contract on a jet's values x and du at (u, v): raises
-    HeightViolation for a nonpositive height and NonImmersed for a vanishing
-    Gram determinant, taken with respect to the ambient metric."""
+    """The chart contract of chart_ok on a jet's values x and du at (u, v):
+    raises HeightViolation for a nonpositive height, then NonImmersed."""
     h = x[-1]
     if not (h > 0.0):
         raise HeightViolation(
             f"surface point {tuple(map(float, x))} has nonpositive height")
-    # Gram matrix of the induced metric sum_a eps_a du_a du_a / h^2, in closed form.
+    if not chart_ok(space, h, du):
+        raise NonImmersed(f"Gram determinant {gram_determinant(space, h, du):.3e} "
+                          f"at ({u}, {v})")
+
+
+def chart_ok(space: ambient.AmbientSpace, h, du):
+    """Whether height h and tangent map du give a positive height and a Gram
+    determinant off zero (the chart contract), on floats or (N,) arrays."""
+    return (h > 0.0) & (abs(gram_determinant(space, h, du)) >= GRAM_DET_TOL)
+
+
+def gram_determinant(space: ambient.AmbientSpace, h, du):
+    """Determinant of the Gram matrix of the induced metric sum_a eps_a du_a
+    du_a / h^2, in closed form."""
     e = f = g = 0.0
     for s, (xu, xv) in zip(space.signature, du):
         e += s * xu * xu
         f += s * xu * xv
         g += s * xv * xv
     h2 = h * h
-    det = (e / h2) * (g / h2) - (f / h2) * (f / h2)
-    if abs(det) < GRAM_DET_TOL:
-        raise NonImmersed(f"Gram determinant {det:.3e} at ({u}, {v})")
+    return (e / h2) * (g / h2) - (f / h2) * (f / h2)
 
 
 def linspace(start, stop, num):

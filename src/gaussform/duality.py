@@ -6,13 +6,15 @@ space and vice versa (time-like de Sitter surfaces stay on the de Sitter
 quadric).  This module computes that dual point through one polar-map code
 path, with the normal and checks of ``forms.frame_normal``, that runs on
 floats and on jets (so the dual chart has exact derivatives and double
-polarity can be checked at full precision), the curvature and volume
-transfer laws, the graph-level duality between the two fully nonlinear graph
-PDEs, and the isometry fitting used to match dual families (a damped
-Gauss-Newton fit of a horizontal translation at one rotation angle, on numpy
-arrays over all points, with no scipy).  The point path reads the causal
-case from the source space's curvature and normal sign; the graph-level
-duality names it by one direction string per pair of graph PDEs.
+polarity can be checked at full precision) and on arrays (so a fit's cloud
+of polar points is one pass, with the float path's bits and its checks as
+masks), the curvature and volume transfer laws, the graph-level duality
+between the two fully nonlinear graph PDEs, and the isometry fitting used to
+match dual families (a damped Gauss-Newton fit of a horizontal translation at
+one rotation angle, on numpy arrays over all points, with no scipy).  The
+point path reads the causal case from the source space's curvature and
+normal sign; the graph-level duality names it by one direction string per
+pair of graph PDEs.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from . import ambient as amb
 from . import calculus as calc
 from . import forms
 from . import zoo
-from .errors import (BranchPoint, CausalityViolation, EquatorialNormal,
+from .errors import (BranchPoint, CausalityViolation, DomainError, EquatorialNormal,
                      NonPositiveHeight)
 
 H3_TO_DS3 = "h3-to-ds3"
@@ -94,9 +96,10 @@ def _normal_from_lift(X, eta):
     return [0.5 * (s + d), v1, v2, 0.5 * (s - d)]
 
 
-def _require_off_equator(eta):
-    if abs(float(eta[2])) < EQUATORIAL_TOL:
-        raise EquatorialNormal("dual point would land on the degenerate set")
+def _on_equator(c):
+    """Whether the last normal component c puts the dual point on the
+    degenerate set, on floats or (N,) arrays."""
+    return abs(c) < EQUATORIAL_TOL
 
 
 def _dual_point(space: amb.AmbientSpace, X, eta):
@@ -104,14 +107,19 @@ def _dual_point(space: amb.AmbientSpace, X, eta):
 
     X is the Minkowski lift of the source point and eta the oriented normal
     frame components.  Plain arithmetic on floats or calculus jets, so running
-    it on jets differentiates the polar map.  Returns (V, pos) as lists.
+    it on jets differentiates the polar map; on arrays the sign choices are
+    made entry by entry.  Returns (V, pos) as lists.
     """
     V = _normal_from_lift(X, eta)
-    if space.normal_sign < 0 and float(V[0]) < 0.0:
-        V = [-c for c in V]           # pick the upper sheet of the hyperboloid
-    d = V[0] - V[3]
-    sd = math.copysign(1.0, float(d))
-    return V, [V[1] / (sd * d), V[2] / (sd * d), 1.0 / (sd * d)]
+    if isinstance(V[0], np.ndarray):  # the sign choices below, entry by entry
+        V = [np.where(V[0] < 0.0, -c, c) for c in V] if space.normal_sign < 0 else V
+        d = abs(V[0] - V[3])          # the bits of copysign(1.0, d) * d
+    else:
+        if space.normal_sign < 0 and float(V[0]) < 0.0:
+            V = [-c for c in V]       # pick the upper sheet of the hyperboloid
+        d = V[0] - V[3]
+        d = math.copysign(1.0, float(d)) * d
+    return V, [V[1] / d, V[2] / d, 1.0 / d]
 
 
 # --------------------------------------------------------------------------
@@ -134,7 +142,8 @@ def _checked_dual_point(space: amb.AmbientSpace, x, eta):
     """The source lift X, the dual point V and its chart position, after the
     equator check and with the position's height checked positive.  Runs on
     floats and on calculus jets."""
-    _require_off_equator(eta)
+    if _on_equator(float(eta[2])):
+        raise EquatorialNormal("dual point would land on the degenerate set")
     X = amb.minkowski_coords(space, x)
     V, pos = _dual_point(space, X, eta)
     if not float(pos[2]) > 0.0:
@@ -149,6 +158,46 @@ def polar_position(chart: calc.SurfaceChart, p) -> amb.HalfSpacePoint:
     eta = forms.frame_normal(chart.ambient, jet.height, jet.du, chart.orientation_at(p))
     _, _, pos = _checked_dual_point(chart.ambient, jet.x, eta)
     return amb.HalfSpacePoint(tuple(pos))
+
+
+def polar_positions(chart: calc.SurfaceChart, points) -> np.ndarray:
+    """``[polar_position(chart, p).coords for p in points]`` as an (N, 3)
+    array, bit for bit and with the same first error, for a chart with
+    component expressions.  One pass over arrays runs the float path's
+    operations and ANDs the predicates of its checks with the finiteness of
+    every value; the points that fail run through ``polar_position`` in
+    order, so the first that fails raises its own error.  An orientation
+    override sends every point there."""
+    pts = np.asarray(points, dtype=float)
+    out, ok = np.empty((len(pts), 3)), np.zeros(len(pts), dtype=bool)
+    if chart.orientation is None:
+        with np.errstate(all="ignore"):
+            try:
+                out, ok = _polar_cloud(chart, pts[:, 0].copy(), pts[:, 1].copy())
+            except (ArithmeticError, DomainError):    # a rule fails on a constant
+                pass
+    for i in np.flatnonzero(~ok):
+        out[i] = polar_position(chart, pts[i]).coords
+    return out
+
+
+def _polar_cloud(chart: calc.SurfaceChart, u, v):
+    """Polar positions at the arrays u, v, and where every check passes."""
+    space = chart.ambient
+    jets = [calc._jet_eval(a, u, v) for a in chart.evaluator.component_asts]
+    x, du, h = [j.val for j in jets], [(j.gu, j.gv) for j in jets], jets[-1].val
+    nd, nn = forms.cofactor_normal(space.signature, du)
+    root = np.sqrt(space.normal_sign * nn)
+    eta = [c / root for c in nd]
+    eta = [np.where(np.signbit(eta[2]), 0.0 - c, c) for c in eta]
+    (e, f), (f2, g) = forms.induced_metric(space, h, du)
+    det = e * g - f * f2
+    _, pos = _dual_point(space, amb.minkowski_coords(space, x), eta)
+    ok = (chart.contains(u, v) & calc.chart_ok(space, h, du) & forms.normal_ok(space, nn)
+          & ~forms.orientation_tie(eta[2]) & forms.causal_class_ok(space, det, (e, det))
+          & ~_on_equator(eta[2]) & (pos[2] > 0.0))
+    values = np.broadcast_arrays(*pos, *[c for j in jets for c in j.coefficients()])
+    return np.column_stack(values[:3]), ok & np.isfinite(values).all(axis=0)
 
 
 def polar_variety(chart: calc.SurfaceChart, p) -> PolarPoint:
@@ -347,8 +396,7 @@ def fit_family_pairing(source_key: str, params=None, count=100, seed=0):
     chart = zoo.make_surface(source_key, params)
     merged = zoo.resolve_params(fam, params)
     rng = np.random.default_rng(seed)
-    pts = np.array([polar_position(chart, p).coords
-                    for p in chart.interior_points(count, rng, margin_frac=0.1)])
+    pts = polar_positions(chart, chart.interior_points(count, rng, margin_frac=0.1))
     best = None
     for s1, s2 in sign_choices:
         fit = fit_isometry(pts, height_builder(merged, s1, s2),
@@ -372,13 +420,12 @@ def fit_isometry(points: np.ndarray, height_fn, label="") -> IsometryFit:
     point-to-surface distance.  ValueError if the gaps at (0, 0) are not
     finite.
     """
-    pts = np.asarray(points, dtype=float)
+    x, y, z = (np.ascontiguousarray(col, dtype=float) for col in np.asarray(points).T)
     c, s = math.cos(FIT_ANGLE), math.sin(FIT_ANGLE)
 
     def gaps(a, b):
-        q1 = (pts[:, 0] - a) * c + (pts[:, 1] - b) * s
-        q2 = -(pts[:, 0] - a) * s + (pts[:, 1] - b) * c
-        return pts[:, 2] - height_fn(q1, q2)
+        dx, dy = x - a, y - b
+        return z - height_fn(dx * c + dy * s, -dx * s + dy * c)
 
     a = b = 0.0
     r = gaps(a, b)

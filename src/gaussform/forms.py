@@ -100,9 +100,8 @@ def _matmul(a, b):
 
 
 def check_causal_class(space, first):
-    """Determinant of the induced metric (nested lists), which must be
-    nondegenerate and of the causal class of ``space``; raises NonImmersed
-    or WrongCausalClass."""
+    """Determinant of the induced metric (nested lists), which must pass
+    causal_class_ok; raises NonImmersed or WrongCausalClass."""
     if space.dim == 3:
         (e, f), (f2, g) = first
         det = e * g - f * f2
@@ -111,15 +110,38 @@ def check_causal_class(space, first):
         det = _det(first)
         minors = (_det([row[:i] for row in first[:i]])
                   for i in range(1, len(first) + 1))
+    if causal_class_ok(space, det, minors):
+        return det
+    if not abs(det) < math.inf:         # an overflow, which would make K NaN
+        raise NonImmersed(f"induced metric is not finite (det {det:.3e})")
     if abs(det) < calculus.GRAM_DET_TOL:
         raise NonImmersed(f"induced metric is degenerate (det {det:.3e})")
-    if space.causal_class is amb.CausalClass.SPACE_LIKE:
-        # Sylvester's criterion: every leading principal minor is positive.
-        if not all(c > 0.0 for c in minors):
-            raise WrongCausalClass("induced metric is not positive definite")
-    elif space.dim != 3 or det >= 0.0:
-        raise WrongCausalClass("induced metric is not Lorentzian")
-    return det
+    raise WrongCausalClass("induced metric is not positive definite"
+                           if space.causal_class is amb.CausalClass.SPACE_LIKE
+                           else "induced metric is not Lorentzian")
+
+
+def causal_class_ok(space, det, minors):
+    """Whether a metric of determinant det and leading principal minors is
+    finite, nondegenerate and of the causal class of ``space`` (Sylvester's
+    criterion; only a surface is Lorentzian), on floats or (N,) arrays."""
+    ok = (abs(det) < math.inf) & (abs(det) >= calculus.GRAM_DET_TOL)
+    if space.causal_class is not amb.CausalClass.SPACE_LIKE:
+        return ok & (det < 0.0) & (space.dim == 3)
+    for c in minors:
+        ok = ok & (c > 0.0)
+    return ok
+
+
+def normal_ok(space, nn):
+    """Whether the normal's scalar square nn is of the sign of ``space``
+    (not zero, not NaN), on floats or (N,) arrays."""
+    return space.normal_sign * nn > 0.0
+
+
+def orientation_tie(c):
+    """Whether the component c orienting a normal is too small to decide it."""
+    return abs(c) <= ORIENTATION_TIE_TOL
 
 
 def orientation_sign(eta, orientation) -> float:
@@ -133,11 +155,11 @@ def orientation_sign(eta, orientation) -> float:
     """
     if orientation is not None and not isinstance(orientation, (int, float)):
         dot = sum(float(r) * float(e) for r, e in zip(orientation, eta))
-        if abs(dot) <= ORIENTATION_TIE_TOL:
+        if orientation_tie(dot):
             raise OrientationUndefined("reference vector is orthogonal to the normal")
         return math.copysign(1.0, dot)
     eta_last = float(eta[-1])
-    if abs(eta_last) <= ORIENTATION_TIE_TOL:
+    if orientation_tie(eta_last):
         raise OrientationUndefined(
             "last normal component vanishes; give a reference-vector override")
     want = 1 if orientation is None else int(orientation)
@@ -159,22 +181,19 @@ def _oriented_normal(space, h, du, orientation):
     eps = space.signature
     # Negations are written 0.0 - c, so a zero component stays +0.0 in reports.
     if space.dim == 3:
-        (x0, y0), (x1, y1), (x2, y2) = du
-        nd = [eps[0] * (x1 * y2 - y1 * x2), 0.0 - eps[1] * (x0 * y2 - y0 * x2),
-              eps[2] * (x0 * y1 - y0 * x1)]
-        nn = _wdot(eps, nd, nd)
+        nd, nn = cofactor_normal(eps, du)
     else:
         m = len(du)
         nd = [eps[a] * _det(du[:a] + du[a + 1:]) for a in range(m)]
         nd[1::2] = [0.0 - c for c in nd[1::2]]     # the cofactor signs
         nn = sum(eps[a] * nd[a] * nd[a] for a in range(m))
-    if float(nn) == 0.0:
-        raise NonImmersed("tangent map is degenerate: the cofactor normal vanishes")
-    if math.isnan(float(nn)):        # its sign bit is arbitrary
-        raise NonImmersed("tangent map is not finite: the normal's scalar square is NaN")
-    nn_sign = math.copysign(1.0, float(nn))
-    if nn_sign != space.normal_sign:
-        raise WrongCausalClass(f"normal has scalar square of sign {nn_sign:+.0f}, "
+    if not normal_ok(space, float(nn)):
+        if float(nn) == 0.0:
+            raise NonImmersed("tangent map is degenerate: the cofactor normal vanishes")
+        if math.isnan(float(nn)):        # its sign bit is arbitrary
+            raise NonImmersed("tangent map is not finite: the normal's scalar square is NaN")
+        raise WrongCausalClass(f"normal has scalar square of sign "
+                               f"{math.copysign(1.0, float(nn)):+.0f}, "
                                f"expected {space.normal_sign:+d}")
     root = calculus.jet_sqrt(space.normal_sign * nn)
     eta = [c / root for c in nd]
@@ -183,10 +202,20 @@ def _oriented_normal(space, h, du, orientation):
     return eta
 
 
+def cofactor_normal(eps, du):
+    """The cofactor normal nd of a 3 x 2 tangent map du weighted by the
+    signature eps, and its scalar square nn, on floats, jets or arrays."""
+    (x0, y0), (x1, y1), (x2, y2) = du
+    nd = [eps[0] * (x1 * y2 - y1 * x2), 0.0 - eps[1] * (x0 * y2 - y0 * x2),
+          eps[2] * (x0 * y1 - y0 * x1)]
+    return nd, _wdot(eps, nd, nd)
+
+
 def induced_metric(space, h, du):
     """The first fundamental form sum_A eps_A / h^2 dx_A(x_i) dx_A(x_j) at
     height h > 0, from the m x k tangent map du, as k x k nested lists."""
-    w = [e / h**2 for e in space.signature]     # the diagonal metric
+    h2 = calculus.power(h, 2)
+    w = [e / h2 for e in space.signature]       # the diagonal metric
     cols = list(zip(*du))                       # the tangent vectors x_i
     if space.dim == 3:
         xu, xv = cols

@@ -48,6 +48,11 @@ def _quadric_defect(eta, space):
     return abs(e1 * e1 + e2 * e2 - c * e3 * e3 + c)
 
 
+def off_quadric(defect):
+    """Whether a normal with this quadric defect misses its quadric."""
+    return defect > QUADRIC_TOL
+
+
 def stereo_project(eta, space: amb.AmbientSpace):
     """Stereographic image g = (eta_1 + i eta_2)/(1 - eta_3), or INFINITY.
 
@@ -55,7 +60,7 @@ def stereo_project(eta, space: amb.AmbientSpace):
     two-sheeted hyperboloid (space-like de Sitter case) to 1e-9.
     """
     defect = _quadric_defect(eta, space)
-    if defect > QUADRIC_TOL:
+    if off_quadric(defect):
         raise QuadricViolation(f"normal misses its quadric by {defect:.3e}")
     e1, e2, e3 = float(eta[0]), float(eta[1]), float(eta[2])
     if e3 > 0.0:

@@ -24,10 +24,11 @@ import numpy as np
 # the sparse LU): it takes longer to import than numpy and the package together,
 # and most commands do not solve.
 
-from . import calculus, errors, forms, gaussmaps
+from . import ambient, forms, gaussmaps
 from .errors import (ConstraintViolation, DegenerateInput, EmptyOutput,
                      NonRealHeight, SingularSystem)
 
+DS3 = ambient.de_sitter_space()     # the space of the built surfaces
 CASE_HOLOMORPHIC = 1       # |g| > 1
 CASE_ANTIHOLOMORPHIC = 2   # |g| < 1
 
@@ -427,10 +428,11 @@ def recovered_gauss_map(built: BuiltSurface):
     """Normal Gauss map recomputed from the built samples by grid differences.
 
     Reads only the samples, kept mask, grid and case, so it is independent of
-    the construction formulas.  Works on whole interior arrays, rounding each
-    step as forms.frame_normal and gaussmaps.stereo_project do at one node;
-    the first node in row-major order that fails one of their checks raises
-    the error of its first failed check.  Returns (mask, g_rec, eta3); the
+    the construction formulas.  Works on whole interior arrays with the
+    cofactor normal and induced metric of forms, rounding each step as
+    forms.frame_normal and gaussmaps.stereo_project do at one node; the nodes
+    that fail the predicates of their checks run through both in row-major
+    order, so the first raises its own error.  Returns (mask, g_rec, eta3); the
     mask marks nodes with a kept 3x3 neighborhood whose image is not the pole.
     """
     ni, nj = built.kept.shape
@@ -442,46 +444,26 @@ def recovered_gauss_map(built: BuiltSurface):
     u1, u2, u3 = np.moveaxis((x[2:, 1:-1] - x[:-2, 1:-1]) / (2 * du), -1, 0)
     v1, v2, v3 = np.moveaxis((x[1:-1, 2:] - x[1:-1, :-2]) / (2 * dv), -1, 0)
     with np.errstate(all="ignore"):
-        # Cofactors weighted by the signature (1, 1, -1), and their square.
-        n = np.stack([u2 * v3 - v2 * u3, 0.0 - (u1 * v3 - v1 * u3),
-                      -(u1 * v2 - v1 * u2)])
-        nn = n[0] * n[0] + n[1] * n[1] - n[2] * n[2]
-        eta = n / np.sqrt(np.abs(nn))
+        tangents = ((u1, v1), (u2, v2), (u3, v3))
+        n, nn = forms.cofactor_normal(DS3.signature, tangents)
+        eta = np.stack(n) / np.sqrt(np.abs(nn))
         last = eta[2]
         eta = np.where(np.signbit(last) != (built.case != CASE_HOLOMORPHIC),
                        0.0 - eta, eta)
-        w = 1.0 / np.float_power(h, 2)        # rounded as Python's h**2
-        guu = w * u1 * u1 + w * u2 * u2 - w * u3 * u3
-        guv = w * u1 * v1 + w * u2 * v2 - w * u3 * v3
-        gvu = w * v1 * u1 + w * v2 * u2 - w * v3 * u3
-        det = guu * (w * v1 * v1 + w * v2 * v2 - w * v3 * v3) - guv * gvu
+        (guu, guv), (gvu, gvv) = forms.induced_metric(DS3, h, tangents)
+        det = guu * gvv - guv * gvu
         e1, e2, e3 = eta
         defect = np.abs(e1 * e1 + e2 * e2 - e3 * e3 + 1.0)
         # 1 - e3 cancels near the pole; above it the quadric gives it exactly.
         denom = np.where(e3 > 0.0, -(e1 * e1 + e2 * e2) / (1.0 + e3), 1.0 - e3)
         # complex / float divides the two parts separately
         g = (np.stack([e1, e2], axis=-1) / denom[..., None]).view(complex)[..., 0]
-    checks = [      # (fails, error, message, value) in the scalar route's order
-        (~(h > 0.0), errors.NonPositiveHeight, "height {} is not positive", h),
-        (nn == 0.0, errors.NonImmersed,
-         "tangent map is degenerate: the cofactor normal vanishes", nn),
-        (np.isnan(nn), errors.NonImmersed,
-         "tangent map is not finite: the normal's scalar square is NaN", nn),
-        (~np.signbit(nn), errors.WrongCausalClass,
-         "normal has scalar square of sign {:+.0f}, expected -1", np.copysign(1.0, nn)),
-        (np.abs(last) <= forms.ORIENTATION_TIE_TOL, errors.OrientationUndefined,
-         "last normal component vanishes; give a reference-vector override", last),
-        (np.abs(det) < calculus.GRAM_DET_TOL, errors.NonImmersed,
-         "induced metric is degenerate (det {:.3e})", det),
-        (~((guu > 0.0) & (det > 0.0)), errors.WrongCausalClass,
-         "induced metric is not positive definite", det),
-        (defect > gaussmaps.QUADRIC_TOL, errors.QuadricViolation,
-         "normal misses its quadric by {:.3e}", defect),
-    ]
-    code = np.select([whole & c for c, *_ in checks], range(1, len(checks) + 1))
-    for node in zip(*np.nonzero(code)):       # the first failing node, if any
-        _, error, message, value = checks[code[node] - 1]
-        raise error(message.format(float(value[node])))
+        ok = ((h > 0.0) & forms.normal_ok(DS3, nn) & ~forms.orientation_tie(last)
+              & forms.causal_class_ok(DS3, det, (guu, det)) & ~gaussmaps.off_quadric(defect))
+    orientation = 1 if built.case == CASE_HOLOMORPHIC else -1
+    for node in zip(*np.nonzero(whole & ~ok)):    # the first failing node raises
+        at = [(float(a[node]), float(b[node])) for a, b in tangents]
+        gaussmaps.stereo_project(forms.frame_normal(DS3, float(h[node]), at, orientation), DS3)
     keep = whole & ~(np.abs(denom) < gaussmaps.POLE_TOL)
     return tuple(np.pad(np.where(keep, v, False), 1) for v in (keep, g, e3))
 

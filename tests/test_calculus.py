@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from gaussform import ambient as amb
 from gaussform import calculus as calc
 from gaussform import zoo
-from gaussform.errors import (DomainError, HeightViolation, NonImmersed,
+from gaussform.errors import (DomainError, GaussformError, HeightViolation, NonImmersed,
                               OutsideDomain, ParseError)
 from oracles import NumericEvaluator
+from test_cli import GRAPH_EXPRS
 
 H3 = amb.hyperbolic_space()
 
@@ -421,3 +422,55 @@ class TestNonFiniteAndDeep:
     def test_deepest_allowed_tree_evaluates(self):
         expr = calc.parse_graph_expr("+".join(["u"] * calc.MAX_DEPTH))
         assert expr.jet(0.5, 0.0)[0] == 0.5 * calc.MAX_DEPTH
+
+
+# Entries that reach the float rules' errors: zeros (abs, division, log),
+# negatives (sqrt, log, non-integer powers), underflowing and overflowing
+# magnitudes, and ordinary values.
+ARRAY_U = np.array([0.0, -0.0, 0.5, -1.5, 2.0, 1e-200, 3.0, -710.0, 0.25, 800.0])
+ARRAY_V = np.array([0.0, 1.0, -0.5, 0.0, 2.0, 1e200, -3.0, 0.1, 0.25, -2.5])
+
+
+def _float_jet(ast, u, v):
+    try:
+        return calc._jet_eval(ast, u, v).coefficients()
+    except (GaussformError, ArithmeticError):
+        return None
+
+
+class TestArrayJets:
+    """An array jet has the float jets' bits wherever its entries are finite,
+    and a non-finite entry wherever the float path raises."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=GRAPH_EXPRS)
+    @example(text="(1)/((u)-(u))")
+    @example(text="((1)/((u)-(u)))^(0)")
+    @example(text="abs(u)*log(v)+sqrt(u)")
+    @example(text="(u)^(v)+(1e-320)/(v)")
+    def test_array_jet_matches_float_jets(self, text):
+        ast = calc.parse_graph_expr(text).ast
+        try:
+            with np.errstate(all="ignore"):
+                jet = calc._jet_eval(ast, ARRAY_U, ARRAY_V)
+        except (GaussformError, ArithmeticError):
+            jet = None          # a rule failed on a constant: every point fails
+        rows = zip(*(np.broadcast_to(c, ARRAY_U.shape).tolist()
+                     for c in jet.coefficients())) if jet else [None] * len(ARRAY_U)
+        for u, v, got in zip(ARRAY_U.tolist(), ARRAY_V.tolist(), rows):
+            want = _float_jet(ast, u, v)
+            if got is None:
+                assert want is None, (u, v)
+            elif all(map(math.isfinite, got)):
+                assert want is not None, (u, v)
+                assert list(map(float.hex, got)) == list(map(float.hex, want)), (u, v)
+            # a non-finite entry is rerun by the float path, which decides
+
+    def test_entries_of_both_kinds(self):
+        # One tree gives finite and non-finite entries at once, so the
+        # property above checks both of its branches on it.
+        ast = calc.parse_graph_expr("abs(u)*log(v)+sqrt(u)").ast
+        with np.errstate(all="ignore"):
+            jet = calc._jet_eval(ast, ARRAY_U, ARRAY_V)
+        finite = np.isfinite(np.broadcast_arrays(*jet.coefficients())).all(axis=0)
+        assert finite.any() and not finite.all()

@@ -700,13 +700,14 @@ class TestExitContract:
 
     def test_non_finite_forms_value_fails_its_point(self):
         # At height 1.6e-134 the induced metric's determinant overflows: K
-        # read NaN and two residuals Infinity, with status ok.
+        # read NaN and two residuals Infinity, with status ok.  The forms
+        # now reject the infinite determinant before K is formed.
         code, out, err = run_contract(["check", "forms", "--graph=7.88e-134*v",
                                        "--at", "0.2,0.2"])
         assert (code, err) == (1, "")
         point, = strict_json(out)["points"]
-        assert point == {"u": 0.2, "v": 0.2, "status": "EvaluationError",
-                         "error": "K is not finite"}
+        assert point == {"u": 0.2, "v": 0.2, "status": "NonImmersed",
+                         "error": "induced metric is not finite (det inf)"}
 
     def test_non_finite_at_is_a_usage_error(self):
         code, out, err = run_contract(["check", "forms", "ruled-6.7", "--at", "nan,1"])

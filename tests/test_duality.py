@@ -7,7 +7,7 @@ import pytest
 from gaussform import ambient as amb
 from gaussform import calculus as calc
 from gaussform import duality, forms, zoo
-from gaussform.errors import (BranchPoint, CausalityViolation, EquatorialNormal,
+from gaussform.errors import (BranchPoint, CausalityViolation, DomainError, EquatorialNormal,
                               GaussformError, HeightViolation, NonImmersed,
                               NonPositiveHeight, OrientationUndefined, OutsideDomain,
                               WrongCausalClass)
@@ -340,6 +340,98 @@ class TestPolarPosition:
         assert _raised(duality.polar_position, chart, p) is error
         assert _raised(calc.jet2_eval, duality.polar_chart(chart), p) is error
         assert _raised(duality.polar_of_polar_minkowski, chart, p) is error
+
+
+def _cloud_outcome(build):
+    """The (N, 3) bytes of a cloud, or the class and message it raises."""
+    try:
+        return build().tobytes()
+    except (GaussformError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _scalar_cloud(chart, pts):
+    return np.array([duality.polar_position(chart, p).coords for p in pts])
+
+
+GRAM_EDGE = "10000.372-100*u+0.7*v*v"     # a metric determinant near 1e-12
+
+
+def _graph_chart(text, space=H3):
+    return calc.SurfaceChart((-1.0, 1.0, -1.0, 1.0),
+                             calc.GraphEvaluator(calc.parse_graph_expr(text)), space)
+
+
+class TestPolarPositions:
+    @pytest.mark.parametrize("key", zoo.family_keys())
+    def test_bitwise_polar_position(self, key):
+        chart = zoo.make_surface(key)
+        for seed in (0, 1, 2):
+            pts = chart.interior_points(40, np.random.default_rng(seed), margin_frac=0.1)
+            want = _cloud_outcome(lambda: _scalar_cloud(chart, pts))
+            assert _cloud_outcome(lambda: duality.polar_positions(chart, pts)) == want
+
+    @pytest.mark.parametrize("chart,bad,error", [
+        (zoo.make_surface("translational-6.6"), (-5.0, 1.0), OutsideDomain),
+        (_graph_chart("u"), (-0.5, 0.2), HeightViolation),
+        (_graph_chart("sqrt(u)+1"), (-0.5, 0.2), DomainError),
+        (_graph_chart("sqrt(u)+1"), (0.0, 0.2), DomainError),
+        (_graph_chart("log(u)+3"), (-0.5, 0.2), DomainError),
+        (_graph_chart("abs(u)+1"), (0.0, 0.2), DomainError),
+        (_graph_chart("2*u+0.5*v+3", DS3), (0.2, 0.3), WrongCausalClass),
+        # Where the metric's determinant crosses GRAM_DET_TOL, the chart's
+        # Gram determinant and the induced metric's round to either side.
+        (_graph_chart(GRAM_EDGE), (0.0028875931768288865, -0.8909547738693467),
+         NonImmersed),
+        (_graph_chart(GRAM_EDGE), (0.0029216276246825145, -0.9), NonImmersed),
+    ], ids=["outside", "height", "sqrt-negative", "sqrt-zero", "log-negative",
+            "abs-zero", "causal-class", "chart-gram-edge", "metric-edge"])
+    def test_first_failing_point_raises_its_error(self, chart, bad, error):
+        u0, u1, v0, v1 = chart.domain
+        good = [(u0 + (u1 - u0) * s, v0 + (v1 - v0) * t)
+                for s, t in ((0.8, 0.3), (0.6, 0.7), (0.9, 0.5))]
+        for pts in ([*good, bad, *good], [bad, *good], good[:1] + [bad, bad]):
+            want = _cloud_outcome(lambda: _scalar_cloud(chart, pts))
+            if error is not WrongCausalClass:      # that chart fails everywhere
+                assert want[0] is error
+            assert _cloud_outcome(lambda: duality.polar_positions(chart, pts)) == want
+        good_cloud = _cloud_outcome(lambda: duality.polar_positions(chart, good))
+        assert good_cloud == _cloud_outcome(lambda: _scalar_cloud(chart, good))
+
+    def test_first_point_in_order_decides_the_error(self):
+        chart = _graph_chart("u")
+        height, outside = (-0.5, 0.5), (2.0, 0.5)
+        for pts, error in (([(0.5, 0.5), height, outside], HeightViolation),
+                           ([(0.5, 0.5), outside, height], OutsideDomain)):
+            got = _cloud_outcome(lambda: duality.polar_positions(chart, pts))
+            assert got == _cloud_outcome(lambda: _scalar_cloud(chart, pts))
+            assert got[0] is error
+
+
+class TestFitPin:
+    @pytest.mark.parametrize("source", sorted(duality.PAIRINGS))
+    @pytest.mark.parametrize("seed", [0, 5, 17, 2024])
+    def test_fit_has_the_bits_of_the_scalar_cloud(self, source, seed):
+        # The scalar cloud, one polar_position per point, and the sign loop
+        # of fit_family_pairing, written out as the oracle.
+        builder, sign_choices = duality.PAIRINGS[source]
+        fam = zoo.get_family(source)
+        chart = zoo.make_surface(source)
+        params = zoo.resolve_params(fam, None)
+        rng = np.random.default_rng(seed)
+        pts = np.array([duality.polar_position(chart, p).coords
+                        for p in chart.interior_points(100, rng, margin_frac=0.1)])
+        best = None
+        for s1, s2 in sign_choices:
+            fit = duality.fit_isometry(pts, builder(params, s1, s2),
+                                       label=f"signs ({s1:+d}, {s2:+d})")
+            if best is None or fit.max_gap < best.max_gap:
+                best = fit
+        target, got = duality.fit_family_pairing(source, count=100, seed=seed)
+        assert target == fam.polar_partner
+        assert got.label == best.label
+        assert [float.hex(getattr(got, f)) for f in ("theta", "a", "b", "max_gap")] == \
+            [float.hex(getattr(best, f)) for f in ("theta", "a", "b", "max_gap")]
 
 
 class TestConformalityEquivalence:

@@ -470,6 +470,19 @@ class TestRecoveryPin:
         assert seen == [NonPositiveHeight, WrongCausalClass]
 
 
+def test_recovery_rejects_an_overflowing_metric():
+    # Heights of about 1e-155 make 1/h^2 overflow, so the determinant of the
+    # induced metric is NaN: both routes fail the first node with NonImmersed.
+    g, Gex = ws.radial_test_pair(DOMAIN, (17, 17))
+    built = ws.build_surface(g, Gex, im_tol=1e-3)
+    samples = built.samples.copy()
+    samples[..., 2] *= 1e-155
+    bad = dataclasses.replace(built, samples=samples)
+    want = _raised(_recovery_by_forms, bad)
+    assert want == (NonImmersed, "induced metric is not finite (det nan)")
+    assert _raised(ws.recovered_gauss_map, bad) == want
+
+
 class TestRadialProfile:
     def test_profile_solves_reduced_equation(self):
         profile = ws.radial_profile((2.0, 8.0))

@@ -13,7 +13,10 @@ REPEAT timed passes, and reports the best pass in microseconds per call:
   POLAR_FAMILIES;
 * ``polar_of_polar_minkowski`` at the same points;
 * ``fit_family_pairing`` on the three families with a recorded partner
-  (100 points, seed 0);
+  (100 points, seed 0), and two of its parts on the same families:
+  ``make_surface`` (the chart build with its domain scan) and
+  ``fit_isometry`` (the fits under every sign choice of the pairing, on
+  the pairing's cloud of polar points);
 * ``radial_test_pair`` (the radial profile and both fields) on the domain
   and the 129 x 129 grid of the ``weierstrass-solve`` benchmark workload.
 
@@ -42,7 +45,8 @@ GRID = 4
 ROUNDS = 10
 REPEAT = 5
 LAYERS = ("forms_at", "polar_variety", "polar_position", "polar_forms",
-          "polar_of_polar_minkowski", "fit_family_pairing", "radial_test_pair")
+          "polar_of_polar_minkowski", "fit_family_pairing", "make_surface",
+          "fit_isometry", "radial_test_pair")
 
 
 def layer_calls():
@@ -75,9 +79,27 @@ def layer_calls():
                     guarded(duality.polar_of_polar_minkowski, chart, p))
     calls["fit_family_pairing"] = [
         guarded(duality.fit_family_pairing, key, count=100, seed=0) for key in FIT_FAMILIES]
+    calls["make_surface"] = [guarded(zoo.make_surface, key) for key in FIT_FAMILIES]
+    calls["fit_isometry"] = [guarded(fit_all_signs(key)) for key in FIT_FAMILIES]
     calls["radial_test_pair"] = [
         guarded(weierstrass.radial_test_pair, RADIAL_DOMAIN, RADIAL_GRID)]
     return calls
+
+
+def fit_all_signs(key):
+    """The fits of ``fit_family_pairing(key, count=100, seed=0)``, one per
+    sign choice, on its cloud, which is built once (before timing)."""
+    import numpy as np
+    from gaussform import duality, zoo
+
+    builder, sign_choices = duality.PAIRINGS[key]
+    chart = zoo.make_surface(key)
+    params = zoo.resolve_params(zoo.get_family(key), None)
+    rng = np.random.default_rng(0)
+    pts = np.array([duality.polar_position(chart, p).coords
+                    for p in chart.interior_points(100, rng, margin_frac=0.1)])
+    heights = [builder(params, s1, s2) for s1, s2 in sign_choices]
+    return lambda: [duality.fit_isometry(pts, height) for height in heights]
 
 
 def child():

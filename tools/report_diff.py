@@ -10,6 +10,7 @@ interpreter with ``PYTHONPATH=<tree>/src`` and its own scratch directory:
 * ``check forms``, ``check conformal`` and ``dualize`` on every family that
   ``zoo list`` names in either tree;
 * ``dualize --fit-isometry`` on the three families with a recorded partner;
+* ``check forms`` at a point of a graph whose induced metric overflows;
 * three ``weierstrass build`` commands that the others leave out: the
   expression build of the exit-contract tests at ``--grid 9`` (exit 1), the
   radial build at 17² writing ``--out-g`` and ``--out-far`` (exit 0), and a
@@ -48,6 +49,8 @@ BUILD_UNITS = [
       "--out-g", "{tmp}/g.csv", "--out-far", "{tmp}/far.csv"]],
     [[*BUILD, "--g", "(u-i*v)/8", "--case", "2", "--boundary", "u-i*v", "--grid", "17"]],
 ]
+# A height of 1.6e-134 makes the determinant of the induced metric infinite.
+OVERFLOW_UNITS = [[["check", "forms", "--graph=7.88e-134*v", "--at", "0.2,0.2"]]]
 CONTRACT_KEYS = {"pass", "status", "failures_by_kind"}
 MISSING = object()
 
@@ -88,7 +91,7 @@ def command_units(families):
         units += [[["check", "forms", key]], [["check", "conformal", key]],
                   [["dualize", key]]]
     units += [[["dualize", key, "--fit-isometry"]] for key in FIT_FAMILIES]
-    units += BUILD_UNITS
+    units += BUILD_UNITS + OVERFLOW_UNITS
     seen, unique = set(), []
     for unit in units:
         name = tuple(map(tuple, unit))
