@@ -306,14 +306,9 @@ def _depth(node):
 
 
 # --------------------------------------------------------------------------
-# Plain evaluation (real or complex)
+# Plain evaluation (complex)
 # --------------------------------------------------------------------------
 
-_REAL_FUNCS = {
-    "sqrt": math.sqrt, "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
-    "sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
-    "abs": abs,
-}
 _COMPLEX_FUNCS = {
     "sqrt": cmath.sqrt, "sinh": cmath.sinh, "cosh": cmath.cosh,
     "tanh": cmath.tanh, "sin": cmath.sin, "cos": cmath.cos, "exp": cmath.exp,
@@ -332,32 +327,26 @@ def _constant(name, constants):
 
 
 def evaluate(node, u, v, constants=None):
-    """Evaluate a tree at (u, v); complex arguments switch to complex arithmetic."""
-    is_complex = isinstance(u, complex) or isinstance(v, complex)
+    """Evaluate a tree at (u, v) in complex arithmetic, constants included, for
+    complex field specs: (-1)^0.5 is i, as sqrt(-1) is.  Graphs use the jets."""
+    u, v = complex(u), complex(v)
 
     def rec(n):
         if isinstance(n, Num):
-            return n.value
+            return complex(n.value)
         if isinstance(n, Var):
             return u if n.name == "u" else v
         if isinstance(n, Const):
-            return _constant(n.name, constants)
+            return complex(_constant(n.name, constants))
         if isinstance(n, Neg):
-            return -rec(n.arg)
+            # 0 - x keeps a real value's +0 imaginary part, so sqrt(-1) is i
+            return 0.0 - rec(n.arg)
         if isinstance(n, Call):
             x = rec(n.arg)
-            if isinstance(x, complex) or is_complex:
-                try:
-                    return _COMPLEX_FUNCS[n.fn](x)
-                except ValueError:      # cmath at some infinite arguments
-                    raise DomainError(f"{n.fn} of {x!r} is undefined") from None
-            if n.fn == "sqrt" and x < 0:
-                raise DomainError("sqrt of negative value")
-            if n.fn == "log" and x <= 0:
-                raise DomainError("log of nonpositive value")
-            if n.fn in ("sin", "cos") and math.isinf(x):
-                raise DomainError(f"{n.fn} of an infinite value")
-            return _REAL_FUNCS[n.fn](x)
+            try:
+                return complex(_COMPLEX_FUNCS[n.fn](x))
+            except ValueError:      # cmath at some infinite arguments
+                raise DomainError(f"{n.fn} of {x!r} is undefined") from None
         if isinstance(n, Bin):
             a, b = rec(n.left), rec(n.right)
             if n.op == "+":
@@ -370,13 +359,8 @@ def evaluate(node, u, v, constants=None):
                 if b == 0:
                     raise DomainError("division by zero")
                 return a / b
-            # power
-            if isinstance(a, complex) or isinstance(b, complex):
-                return a ** b
-            if not math.isfinite(b):
+            if not cmath.isfinite(b):
                 raise DomainError("power with a non-finite exponent")
-            if b != round(b) and a <= 0:
-                raise DomainError("non-integer power of nonpositive base")
             try:
                 return a ** b
             except ZeroDivisionError:
@@ -384,10 +368,7 @@ def evaluate(node, u, v, constants=None):
         raise TypeError(f"not an expression node: {n!r}")
 
     out = rec(node)
-    if isinstance(out, complex):
-        if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-            raise EvaluationError("expression produced a non-finite value")
-    elif not math.isfinite(out):
+    if not cmath.isfinite(out):
         raise EvaluationError("expression produced a non-finite value")
     return out
 

@@ -11,7 +11,7 @@ of polar points is one pass, with the float path's bits and its checks as
 masks), the curvature and volume transfer laws, the graph-level duality
 between the two fully nonlinear graph PDEs, and the isometry fitting used to
 match dual families (a damped Gauss-Newton fit of a horizontal translation at
-one rotation angle, on numpy arrays over all points, with no scipy).  The
+one rotation angle, on numpy arrays over all points, with no solver library).  The
 point path reads the causal case from the source space's curvature and
 normal sign; the graph-level duality names it by one direction string per
 pair of graph PDEs.

@@ -103,11 +103,11 @@ class ConstraintViolation(GaussformError):
 
 
 class SingularSystem(GaussformError):
-    """Linear system factorization failed; carries the pivot location if known."""
+    """The far-map solve reached its iteration cap; carries its iterations and residual."""
 
-    def __init__(self, message, pivot=None):
-        super().__init__(message if pivot is None else f"{message} (pivot {pivot})")
-        self.pivot = pivot
+    def __init__(self, message, iterations, residual):
+        super().__init__(f"{message}: residual {residual:.3e} after {iterations} iterations")
+        self.iterations, self.residual = iterations, residual
 
 
 class NonRealHeight(GaussformError):

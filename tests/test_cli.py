@@ -221,6 +221,23 @@ class TestWeierstrassBuild:
                                "--boundary", "builtin:radial")
         assert code == 0
 
+    def test_constant_powers_evaluate_complex(self, capsys):
+        # A field spec is complex throughout: (-1)^0.5 is i, as sqrt(-1) is.
+        reports = []
+        for g in ("(-1)^0.5*(u+i*v)", "sqrt(-1)*(u+i*v)"):
+            code, out, err = run_cli(capsys, "weierstrass", "build", "--g", g,
+                                     "--case", "1", "--domain", "1.5:2.5:0.1:0.9",
+                                     "--grid", "9", "--boundary", "u")
+            assert code != 2 and err == ""
+            reports.append((code, json.loads(out)["summary"]))
+        (code_a, a), (code_b, b) = reports
+        assert code_a == code_b and a.keys() == b.keys()
+        for key in a:
+            if isinstance(a[key], float):
+                assert a[key] == pytest.approx(b[key], rel=1e-9, abs=1e-12)
+            else:
+                assert a[key] == b[key]
+
     def test_incompatible_boundary_reports_failure(self, capsys):
         code, out, _ = run_cli(capsys, "weierstrass", "build",
                                "--g", "builtin:z", "--case", "1",

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gaussform import ambient as amb
@@ -515,6 +515,66 @@ def _forms_by_numpy(jet, space, orientation=None):
             np.trace(shape_op) / du.shape[1], gauss)
 
 
+def _forms_by_mpmath(jet, space):
+    """The route of ``forms.fundamental_forms`` at 50 digits, the jet's floats
+    taken as exact: cofactor normal, Christoffel contraction, II, I^-1, III,
+    IV, H and K.  Returns (eta, I, II, III, IV, H, K) rounded to floats."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        m, k, eps_n = len(jet.x), len(jet.du[0]), space.normal_sign
+        h, eps = mpmath.mpf(jet.height), [mpmath.mpf(e) for e in space.signature]
+        du = [[mpmath.mpf(c) for c in row] for row in jet.du]
+        nd = [eps[a] * (-1) ** a * _laplace_det(du[:a] + du[a + 1:]) for a in range(m)]
+        root = mpmath.sqrt(abs(sum(e * c * c for e, c in zip(eps, nd))))
+        eta = [c / root for c in nd]
+        if forms.orientation_sign([float(c) for c in eta], None) < 0.0:
+            eta = [-c for c in eta]
+        # The Christoffel symbols are those at height 1 (small integers) over h.
+        gamma = [[[mpmath.mpf(c) / h for c in row] for row in plane]
+                 for plane in christoffel_at_height(space, 1.0).tolist()]
+        pairs = [(i, j) for i in range(k) for j in range(k)]
+        d2 = [{(i, j): mpmath.mpf(jet.duu[a][i][j])
+               + sum(gamma[a][b][c] * du[b][i] * du[c][j]
+                     for b in range(m) for c in range(m)) for i, j in pairs}
+              for a in range(m)]
+        first = mpmath.matrix(k, k)
+        second = mpmath.matrix(k, k)
+        for i, j in pairs:
+            first[i, j] = sum(eps[a] * du[a][i] * du[a][j] for a in range(m)) / h**2
+            second[i, j] = eps_n * sum(d2[a][i, j] * eps[a] * eta[a] for a in range(m)) / h
+        first_inv = first ** -1
+        shape_op = first_inv * second
+        eta_du = [[(eta[-1] * du[a][i] - eps_n * sum(du[a][l] * shape_op[l, i]
+                                                     for l in range(k))) / h
+                   for i in range(k)] for a in range(m)]
+        fourth = [[sum(eps[a] * eta_du[a][i] * eta_du[a][j] for a in range(m))
+                   for j in range(k)] for i in range(k)]
+        mean = sum(shape_op[i, i] for i in range(k)) / k
+        gauss = space.curvature + eps_n * (_laplace_det(second.tolist())
+                                           / _laplace_det(first.tolist()))
+        third = second * first_inv * second
+        return (*(np.array(getattr(v, "tolist", lambda: v)(), dtype=float)
+                  for v in (eta, first, second, third, fourth)), float(mean), float(gauss))
+
+
+def _laplace_det(rows):
+    """Determinant by cofactor expansion along the first row; exact for
+    singular matrices, where mpmath's LU stops."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j] * _laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+def _sub_jet(jet, m):
+    """The m-dimensional jet in rows (0, ..., m - 2, last) and the first
+    m - 1 parameters of a four-dimensional one."""
+    rows = list(range(m - 1)) + [3]
+    return calc.Jet2([jet.x[a] for a in rows], [jet.du[a][:m - 1] for a in rows],
+                     [[r[:m - 1] for r in jet.duu[a][:m - 1]] for a in rows])
+
+
 _entry = st.floats(-2.0, 2.0)
 
 
@@ -545,9 +605,28 @@ class TestComponentPipelineReference:
     @pytest.mark.parametrize("space", [H3, DS3, DS3_TL, H4],
                              ids=["h3", "ds3", "ds3-timelike", "h4"])
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_matches_numpy_route(self, space, data):
-        jet = data.draw(_random_jets(space.dim))
+    @given(raw=_random_jets(4))
+    # Draws on which the numpy route erred by more than the bound, while the
+    # package stayed within 4e-13 of the 50-digit value: --hypothesis-seed=17
+    # drew the first for [h4] (K off by 1.35e-12), a full run the second for
+    # [ds3] (K off by 6.8e-12); row and column 2 of the second are padding.
+    @example(raw=calc.Jet2(
+        [0.0, 0.0, 0.0, 2.0],
+        [[0.125, 0.0, 1.0], [0.0, 0.5, 1.0], [0.0, 1e-08, 0.0], [0.0, 0.0, 1.0]],
+        [[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+         [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+         [[0.0, 1.0, 2.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]],
+         [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]))
+    @example(raw=calc.Jet2(
+        [0.0, 0.0, 0.0, 1.203125],
+        [[-0.3203125, 1.0390625, 0.0], [1.0390625, 0.76953125, 0.0], [0.0, 0.0, 0.0],
+         [0.095703125, 1.244751158073715, 0.0]],
+        [[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+         [[0.0, -0.8125, 0.0], [-0.8125, -0.3671875, 0.0], [0.0, 0.0, 0.0]],
+         [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+         [[0.0, 0.03125, 0.0], [0.03125, -0.0390625, 0.0], [0.0, 0.0, 0.0]]]))
+    def test_matches_numpy_route(self, space, raw):
+        jet = _sub_jet(raw, space.dim)
         g = np.array(amb.metric_at_height(space, jet.height))
         first = np.array(jet.du).T @ g @ np.array(jet.du)
         # Away from degenerate tangent maps, where the reference's SVD normal
@@ -559,7 +638,7 @@ class TestComponentPipelineReference:
             assert _raised(forms.fundamental_forms, jet, space) is want_error
             return
         got = forms.fundamental_forms(jet, space)
-        want = _forms_by_numpy(jet, space)
+        want = _forms_by_mpmath(jet, space)
         have = (got.eta, got.first, got.second, got.third, got.fourth,
                 got.mean_curvature, got.gauss_curvature)
         for name, a, b in zip(("eta", "I", "II", "III", "IV", "H", "K"), have, want):

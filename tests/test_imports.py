@@ -1,8 +1,8 @@
-"""Import budget of the CLI.  Only the solve of `weierstrass build` loads
-scipy, and from it only the sparse LU; only `dualize` and `weierstrass
-build` load numpy: the package loads its modules on first access, and the
-point commands compute on Python floats.  pytest has already imported numpy
-and scipy, so each check runs in a fresh interpreter."""
+"""Import budget of the CLI.  No command loads scipy, and only the solve of
+`weierstrass build` loads `numpy.fft`; only `dualize` and `weierstrass build`
+load numpy: the package loads its modules on first access, and the point
+commands compute on Python floats.  pytest has already imported numpy and
+scipy, so each check runs in a fresh interpreter."""
 
 import os
 import subprocess
@@ -70,15 +70,26 @@ def test_fit_loads_no_scipy(tmp_path):
     assert loaded == []
 
 
-def test_solve_loads_scipy(tmp_path):
+def test_solve_loads_no_scipy(tmp_path):
     loaded = run_fresh(f"""
         run("weierstrass", "build", "--g", "builtin:z", "--case", "1",
             "--domain", "{DOMAIN}", "--grid", "9", "--boundary", "builtin:radial")
     """, tmp_path)
-    assert "scipy.sparse.linalg" in loaded
-    heavy = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.spatial",
-             "scipy.fft")
-    assert [m for m in loaded if m.startswith(heavy)] == []
+    assert loaded == []
+
+
+def test_solve_setup_loads_no_scipy_or_fft(tmp_path):
+    # The set-up of the weierstrass-solve benchmark: fields, no solve.
+    setup = """
+        import numpy as np
+        from gaussform import weierstrass
+        weierstrass.radial_test_pair((1.5, 2.5, 0.1, 0.9), (129, 129))
+        weierstrass.ComplexField.from_function(
+            lambda z: np.conj(z) / 8.0, (1.5, 2.5, 0.1, 0.9), (129, 129),
+            weierstrass.ROLE_NORMAL_MAP)
+    """
+    assert run_fresh(setup, tmp_path) == []
+    assert run_fresh(setup, tmp_path, "numpy.fft") == []
 
 
 def test_radial_test_pair_loads_no_scipy(tmp_path):

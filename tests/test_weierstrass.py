@@ -10,6 +10,7 @@ from gaussform import weierstrass as ws
 from gaussform.errors import (ConstraintViolation, DegenerateInput, EmptyOutput,
                               GaussformError, NonImmersed, NonPositiveHeight,
                               NonRealHeight, SingularSystem, WrongCausalClass)
+from oracles import splu_solve_far_map
 
 DOMAIN = (1.5, 2.5, 0.1, 0.9)
 
@@ -211,17 +212,30 @@ class TestSolver:
         with pytest.raises(ConstraintViolation):
             ws.solve_far_map(g, lambda z: z)
 
-    def test_factorization_failure_is_singular_system(self, monkeypatch):
-        import scipy.sparse.linalg
+    def test_iteration_cap_is_singular_system(self, monkeypatch, capsys):
+        from gaussform import cli
 
-        def singular(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
+        monkeypatch.setattr(ws, "SOLVE_MAX_ITER", 2)
+        g, Gex = ws.radial_test_pair(DOMAIN, (33, 33))
+        with pytest.raises(SingularSystem) as info:
+            ws.solve_far_map(g, Gex.values)
+        assert info.value.iterations == 2
+        assert ws.SOLVE_TOL < info.value.residual < 1.0
+        assert "after 2 iterations" in str(info.value)
+        code = cli.main(["weierstrass", "build", "--g", "builtin:z", "--case", "1",
+                         "--domain", "1.5:2.5:0.1:0.9", "--grid", "33",
+                         "--boundary", "builtin:radial"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: SingularSystem: ")
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
-        g = ws.ComplexField.from_function(lambda z: z, DOMAIN, (9, 9),
-                                          ws.ROLE_NORMAL_MAP)
-        with pytest.raises(SingularSystem):
-            ws.solve_far_map(g, lambda z: z)
+    def test_non_finite_boundary_is_singular_system(self):
+        g, Gex = ws.radial_test_pair(DOMAIN, (9, 9))
+        boundary = Gex.values.copy()
+        boundary[0, 4] = np.nan
+        with pytest.raises(SingularSystem) as info:
+            ws.solve_far_map(g, boundary)
+        assert info.value.iterations == 0
 
     def test_overflowing_field_is_a_constraint_violation(self):
         # |g|^4 overflows, so the stencil holds NaN: not a singular matrix.
@@ -245,6 +259,39 @@ class TestSolver:
         assert res <= 1e-10
         with pytest.raises(EmptyOutput):
             ws.build_surface(g, solved, case=2, im_tol=1e-2)
+
+
+PIN_FIELDS = {
+    "radial": None,
+    "conj(z)/8": lambda z: np.conj(z) / 8.0,
+    "z^4/4": lambda z: z ** 4 / 4.0,
+    "exp(2z)/5": lambda z: np.exp(2.0 * z) / 5.0,
+    "1.2z/1.5": lambda z: 1.2 * z / 1.5,
+}
+
+
+class TestSpluPin:
+    """The iterative solve against the sparse LU route it replaced."""
+
+    @pytest.mark.parametrize("n", [33, 65, 129])
+    @pytest.mark.parametrize("label", list(PIN_FIELDS))
+    def test_matches_splu_route(self, label, n):
+        if PIN_FIELDS[label] is None:
+            g, Gex = ws.radial_test_pair(DOMAIN, (n, n))
+            boundary, case = Gex.values, ws.CASE_HOLOMORPHIC
+        else:
+            g = ws.ComplexField.from_function(PIN_FIELDS[label], DOMAIN, (n, n),
+                                              ws.ROLE_NORMAL_MAP)
+            boundary = ws.ComplexField.from_function(lambda z: z, DOMAIN, (n, n)).values
+            case = (ws.CASE_HOLOMORPHIC if np.abs(g.values).min() > 1.0
+                    else ws.CASE_ANTIHOLOMORPHIC)
+        solved = ws.solve_far_map(g, boundary, case)
+        oracle = splu_solve_far_map(g, boundary, case)
+        gap = np.abs(solved.values - oracle.values).max()
+        assert gap <= 1e-12 * np.abs(oracle.values).max()
+        res = np.abs(ws.compatibility_residual_field(g, solved, case)).max()
+        res_oracle = np.abs(ws.compatibility_residual_field(g, oracle, case)).max()
+        assert res <= 1.25 * res_oracle
 
 
 class TestBuild:

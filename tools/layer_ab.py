@@ -18,7 +18,10 @@ REPEAT timed passes, and reports the best pass in microseconds per call:
   ``fit_isometry`` (the fits under every sign choice of the pairing, on
   the pairing's cloud of polar points);
 * ``radial_test_pair`` (the radial profile and both fields) on the domain
-  and the 129 x 129 grid of the ``weierstrass-solve`` benchmark workload.
+  and the 129 x 129 grid of the ``weierstrass-solve`` benchmark workload;
+* ``solve_far_map`` on that domain: the radial problem at 33 x 33, 65 x 65
+  and 129 x 129 (``solve_radial_<n>``), and g = conj(z)/8 (case 2, boundary
+  data z) at 129 x 129 (``solve_conj8_129``), the fields built beforehand.
 
 A call that raises a classified error is timed like any other; the
 results themselves are compared by ``tools/report_diff.py`` and the tests,
@@ -41,12 +44,14 @@ POLAR_FAMILIES = ("translational-6.6", "ruled-6.7", "ruled-6.8", "ruled-7.4-3",
 FIT_FAMILIES = ("translational-6.6", "ruled-6.7", "ruled-6.8")
 RADIAL_DOMAIN = (1.5, 2.5, 0.1, 0.9)     # perfbench/inproc.py's DOMAIN
 RADIAL_GRID = (129, 129)
+SOLVE_GRIDS = (33, 65, 129)
 GRID = 4
 ROUNDS = 10
 REPEAT = 5
 LAYERS = ("forms_at", "polar_variety", "polar_position", "polar_forms",
           "polar_of_polar_minkowski", "fit_family_pairing", "make_surface",
-          "fit_isometry", "radial_test_pair")
+          "fit_isometry", "radial_test_pair",
+          *(f"solve_radial_{n}" for n in SOLVE_GRIDS), "solve_conj8_129")
 
 
 def layer_calls():
@@ -83,6 +88,13 @@ def layer_calls():
     calls["fit_isometry"] = [guarded(fit_all_signs(key)) for key in FIT_FAMILIES]
     calls["radial_test_pair"] = [
         guarded(weierstrass.radial_test_pair, RADIAL_DOMAIN, RADIAL_GRID)]
+    for n in SOLVE_GRIDS:
+        g, exact = weierstrass.radial_test_pair(RADIAL_DOMAIN, (n, n))
+        calls[f"solve_radial_{n}"] = [guarded(weierstrass.solve_far_map, g, exact.values)]
+    g = weierstrass.ComplexField.from_function(lambda z: z.conjugate() / 8.0, RADIAL_DOMAIN,
+                                               RADIAL_GRID, weierstrass.ROLE_NORMAL_MAP)
+    calls["solve_conj8_129"] = [guarded(weierstrass.solve_far_map, g, lambda z: z,
+                                        weierstrass.CASE_ANTIHOLOMORPHIC)]
     return calls
 
 
