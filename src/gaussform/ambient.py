@@ -3,9 +3,9 @@
 Both spaces live on the same chart ``{x : x_{n+1} > 0}``; they differ only in
 the sign vector of the conformally flat metric ``sum_A eps_A dx_A^2 / x_{n+1}^2``
 (all signs +1 for the hyperbolic space, last sign -1 for de Sitter).  The
-paper's case rules read only a space's ``curvature`` and ``normal_sign``.
+paper's case rules read only a space's ``curvature`` c and ``normal_sign``.
 The module also provides the metric matrix at a height and the
-three-dimensional lift from the half-space chart to the Minkowski model.
+three-dimensional lift to the Minkowski model, one formula in c.
 """
 
 from __future__ import annotations
@@ -26,14 +26,6 @@ class Kind(enum.Enum):
 class CausalClass(enum.Enum):
     SPACE_LIKE = "space_like"
     TIME_LIKE = "time_like"
-
-
-class Quadric(enum.Enum):
-    """Which quadric of Minkowski 4-space a point belongs to, by the Lorentz
-    square of its points."""
-
-    H = -1.0        # -X0^2 + X1^2 + X2^2 + X3^2 = -1, X0 > 0
-    DS = 1.0        # -X0^2 + X1^2 + X2^2 + X3^2 = +1
 
 
 @dataclass(frozen=True)
@@ -98,10 +90,10 @@ class HalfSpacePoint:
 
 @dataclass(frozen=True)
 class MinkowskiPoint:
-    """Point of one of the two unit quadrics in Minkowski 4-space."""
+    """Point of the unit quadric of Lorentz square ``curvature`` (the c of its space)."""
 
     coords: tuple
-    quadric: Quadric
+    curvature: float
 
     def __post_init__(self):
         if len(self.coords) != 4:
@@ -118,7 +110,7 @@ class MinkowskiPoint:
         return -x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
 
     def quadric_residual(self):
-        return abs(self.lorentz_square() - self.quadric.value)
+        return abs(self.lorentz_square() - self.curvature)
 
 
 def metric_at_height(space: AmbientSpace, height: float) -> list:
@@ -134,17 +126,15 @@ def metric_at_height(space: AmbientSpace, height: float) -> list:
 def minkowski_coords(space: AmbientSpace, x, sheet_sign=1) -> list:
     """Half-space coordinates x -> the four Minkowski coordinates, unchecked.
 
-    Plain arithmetic only, so it runs on floats and on calculus jets alike;
-    ``sheet_sign`` (the sign of X0 - X3) picks the de Sitter branch.
+    One formula in the curvature c, with s = ``sheet_sign`` (the sign of X0 - X3,
+    which picks the de Sitter branch) and 1 on H.  Plain arithmetic only, so
+    it runs on floats, calculus jets and arrays alike.
     """
     x1, x2, x3 = x
-    q = x1 * x1 + x2 * x2
-    if space.kind is Kind.HYPERBOLIC:
-        return [(q + x3 * x3 + 1.0) / (2.0 * x3), x1 / x3, x2 / x3,
-                (q + x3 * x3 - 1.0) / (2.0 * x3)]
-    s = 1.0 if sheet_sign >= 0 else -1.0
-    return [s * (q - x3 * x3 + 1.0) / (2.0 * x3), x1 / x3, x2 / x3,
-            s * (q - x3 * x3 - 1.0) / (2.0 * x3)]
+    c = space.curvature
+    s = 1.0 if c < 0.0 or sheet_sign >= 0 else -1.0
+    q, w = x1 * x1 + x2 * x2 - c * x3 * x3, 2.0 * x3
+    return [s * (q + 1.0) / w, x1 / x3, x2 / x3, s * (q - 1.0) / w]
 
 
 def to_minkowski(space: AmbientSpace, p: HalfSpacePoint, sheet_sign=1) -> MinkowskiPoint:
@@ -156,8 +146,7 @@ def to_minkowski(space: AmbientSpace, p: HalfSpacePoint, sheet_sign=1) -> Minkow
     if space.dim != 3:
         raise ValueError("Minkowski-model conversion is defined for dim 3")
     p.require_valid()
-    point = MinkowskiPoint(minkowski_coords(space, p.coords, sheet_sign),
-                           Quadric(space.curvature))
+    point = MinkowskiPoint(minkowski_coords(space, p.coords, sheet_sign), space.curvature)
     if point.quadric_residual() > QUADRIC_PRODUCE_TOL * max(1.0, max(map(abs, point.coords))**2):
         raise QuadricViolation("conversion failed to land on the quadric")
     return point

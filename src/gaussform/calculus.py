@@ -16,7 +16,8 @@ Grammar (stable public contract)::
     power  := atom ('^' unary)?          # right-associative
     atom   := NUMBER | IDENT '(' expr ')' | IDENT | '(' expr ')'
 
-Identifiers: variables ``u``, ``v``; constants ``pi``, ``e``; functions
+Identifiers: variables ``u``, ``v``; constants ``pi``, ``e`` (and ``i``
+where the parser is asked to admit the complex unit); functions
 ``sqrt sinh cosh tanh sin cos exp log abs``.  ``^`` with a non-integer
 exponent requires a positive base.
 """
@@ -33,6 +34,7 @@ from .errors import (DomainError, EvaluationError, HeightViolation, NonImmersed,
 
 FUNCTIONS = ("sqrt", "sinh", "cosh", "tanh", "sin", "cos", "exp", "log", "abs")
 CONSTANTS = {"pi": math.pi, "e": math.e}
+COMPLEX_UNIT = "i"      # a constant where parse_graph_expr admits it
 VARIABLES = ("u", "v")
 
 GRAM_DET_TOL = 1e-12
@@ -74,56 +76,6 @@ class Bin:
 class Call:
     fn: str
     arg: object
-
-
-_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _prec(node):
-    if isinstance(node, (Num, Var, Const, Call)):
-        return _PREC_ATOM
-    if isinstance(node, Neg):
-        return _PREC_UNARY
-    if isinstance(node, Bin):
-        if node.op == "^":
-            return _PREC_POW
-        return _PREC_MUL if node.op in "*/" else _PREC_ADD
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def unparse(node) -> str:
-    """Render a tree back to text; reparsing gives a structurally equal tree."""
-    if isinstance(node, Num):
-        return repr(node.value) if node.value >= 0 else f"({node.value!r})"
-    if isinstance(node, (Var, Const)):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.fn}({unparse(node.arg)})"
-    if isinstance(node, Neg):
-        inner = unparse(node.arg)
-        if _prec(node.arg) < _PREC_UNARY:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Bin):
-        lhs, rhs = unparse(node.left), unparse(node.right)
-        if node.op == "^":
-            if _prec(node.left) < _PREC_ATOM:
-                lhs = f"({lhs})"
-            if _prec(node.right) < _PREC_UNARY:
-                rhs = f"({rhs})"
-        elif node.op in "*/":
-            if _prec(node.left) < _PREC_MUL:
-                lhs = f"({lhs})"
-            # both are left-associative: an equal-precedence right child needs parens
-            if _prec(node.right) <= _PREC_MUL:
-                rhs = f"({rhs})"
-        else:
-            if _prec(node.left) < _PREC_ADD:
-                lhs = f"({lhs})"
-            if _prec(node.right) <= _PREC_ADD:
-                rhs = f"({rhs})"
-        return f"{lhs}{node.op}{rhs}"
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 # --------------------------------------------------------------------------
@@ -263,35 +215,30 @@ class GraphExpr:
     """Parsed expression over the variables u and v."""
 
     ast: object
-    constants: tuple = ()     # sorted (name, value) pairs of the extra constants
-
-    def __str__(self):
-        return unparse(self.ast)
 
     def __call__(self, u, v):
-        return evaluate(self.ast, u, v, dict(self.constants))
+        return evaluate(self.ast, u, v)
 
     def jet(self, u, v):
         """Value, gradient (fu, fv) and Hessian ((fuu, fuv), (fuv, fvv)) at
         (u, v) as floats and tuples, exact to rounding."""
-        j = _jet_eval(self.ast, u, v, dict(self.constants))
+        j = _jet_eval(self.ast, u, v)
         return j.val, (j.gu, j.gv), ((j.huu, j.huv), (j.huv, j.hvv))
 
 
-def parse_graph_expr(text: str, extra_constants=()) -> GraphExpr:
+def parse_graph_expr(text: str, complex_unit=False) -> GraphExpr:
     """Parse expression text; raises ParseError with offset and expected set.
 
-    ``extra_constants`` maps additional identifier names to values (the CLI
-    uses it to allow the imaginary unit in complex field expressions).
+    ``complex_unit`` admits the imaginary unit ``i`` as a constant (the CLI
+    allows it in complex field expressions; jets raise DomainError on it).
     """
-    extra = dict(extra_constants)
     try:
-        tree = _Parser(text, {**CONSTANTS, **extra}).parse()
+        tree = _Parser(text, [*CONSTANTS, COMPLEX_UNIT] if complex_unit else CONSTANTS).parse()
     except RecursionError:      # nested parentheses, calls or signs
         tree = None
     if tree is None or _depth(tree) > MAX_DEPTH:
         raise ParseError("expression nests too deeply", 0)
-    return GraphExpr(tree, tuple(sorted(extra.items())))
+    return GraphExpr(tree)
 
 
 def _depth(node):
@@ -315,18 +262,7 @@ _COMPLEX_FUNCS = {
     "log": cmath.log, "abs": abs,
 }
 
-_EXTRA_CONSTANT_VALUES = {"i": 1j}
-
-
-def _constant(name, constants):
-    if name in CONSTANTS:
-        return CONSTANTS[name]
-    if constants and name in constants:
-        return constants[name]
-    return _EXTRA_CONSTANT_VALUES[name]
-
-
-def evaluate(node, u, v, constants=None):
+def evaluate(node, u, v):
     """Evaluate a tree at (u, v) in complex arithmetic, constants included, for
     complex field specs: (-1)^0.5 is i, as sqrt(-1) is.  Graphs use the jets."""
     u, v = complex(u), complex(v)
@@ -337,7 +273,7 @@ def evaluate(node, u, v, constants=None):
         if isinstance(n, Var):
             return u if n.name == "u" else v
         if isinstance(n, Const):
-            return complex(_constant(n.name, constants))
+            return 1j if n.name == COMPLEX_UNIT else complex(CONSTANTS[n.name])
         if isinstance(n, Neg):
             # 0 - x keeps a real value's +0 imaginary part, so sqrt(-1) is i
             return 0.0 - rec(n.arg)
@@ -661,7 +597,7 @@ class _Jet3(_Jet):
                 f1 * tvvv + f2 * (3.0 * gv * hvv) + f3 * (gv * gv * gv))
 
 
-def _jet_eval(node, u, v, constants=None, jet=_Jet) -> _Jet:
+def _jet_eval(node, u, v, jet=_Jet) -> _Jet:
     """Jet of a tree at (u, v), of the order of the jet class ``jet``.
 
     Constant subtrees stay floats and enter the jet rules as plain operands;
@@ -699,10 +635,9 @@ def _jet_eval(node, u, v, constants=None, jet=_Jet) -> _Jet:
         if kind is Neg:
             return -rec(n.arg)
         if kind is Const:
-            value = _constant(n.name, constants)
-            if isinstance(value, complex):
+            if n.name == COMPLEX_UNIT:
                 raise DomainError(f"constant {n.name!r} is complex; jets are real")
-            return float(value)
+            return CONSTANTS[n.name]
         raise TypeError(f"not an expression node: {n!r}")
 
     out = rec(node)
@@ -736,9 +671,9 @@ class Jet2:
         return self.x[-1]
 
 
-def third_order_jet(node, u, v, constants=None) -> _Jet3:
+def third_order_jet(node, u, v) -> _Jet3:
     """Order-three jet of an expression tree at (u, v)."""
-    j = _jet_eval(node, u, v, constants, _Jet3)
+    j = _jet_eval(node, u, v, _Jet3)
     if not all(map(math.isfinite, (j.tuuu, j.tuuv, j.tuvv, j.tvvv))):
         raise EvaluationError("expression jet produced a non-finite value")
     return j
@@ -785,7 +720,7 @@ class GraphEvaluator:
         return (Var("u"), Var("v"), self.expr.ast)
 
     def jet(self, u, v):
-        j = _jet_eval(self.expr.ast, u, v, self.expr.constants and dict(self.expr.constants))
+        j = _jet_eval(self.expr.ast, u, v)
         return ((u, v, j.val), ((1.0, 0.0), (0.0, 1.0), (j.gu, j.gv)),
                 (_ZERO_HESSIAN, _ZERO_HESSIAN, ((j.huu, j.huv), (j.huv, j.hvv))))
 
@@ -810,8 +745,7 @@ class ClosedFormEvaluator:
     def jet(self, u, v):
         if self._jet_fn is not None:
             return self._jet_fn(u, v)
-        return jet_tuples([_jet_eval(c.ast, u, v, c.constants and dict(c.constants))
-                           for c in self.components])
+        return jet_tuples([_jet_eval(c.ast, u, v) for c in self.components])
 
 
 @dataclass(frozen=True)

@@ -467,7 +467,7 @@ def _complex_field_from_spec(spec, domain, n, role):
     if spec == "builtin:z":
         return weierstrass.ComplexField.from_function(
             lambda z: z, domain, (n, n), role)
-    expr = calc.parse_graph_expr(spec, extra_constants={"i": 1j})
+    expr = calc.parse_graph_expr(spec, complex_unit=True)
 
     def fn(z):
         out = np.empty(z.shape, dtype=complex)

@@ -12,9 +12,9 @@ masks), the curvature and volume transfer laws, the graph-level duality
 between the two fully nonlinear graph PDEs, and the isometry fitting used to
 match dual families (a damped Gauss-Newton fit of a horizontal translation at
 one rotation angle, on numpy arrays over all points, with no solver library).  The
-point path reads the causal case from the source space's curvature and
-normal sign; the graph-level duality names it by one direction string per
-pair of graph PDEs.
+polar map and the graph-level duality read the causal case from the source
+space's curvature c and normal sign eps_N; a direction string of the
+graph-level duality only names its source space and the partner PDE.
 """
 
 from __future__ import annotations
@@ -34,6 +34,10 @@ from .errors import (BranchPoint, CausalityViolation, DomainError, EquatorialNor
 H3_TO_DS3 = "h3-to-ds3"
 DS3_TO_H3 = "ds3-to-h3"
 DS3_TIMELIKE = "ds3-timelike"
+# Direction of the graph-level duality -> (source space, graph PDE of the dual).
+DIRECTIONS = {H3_TO_DS3: (zoo.space_for(zoo.H3), zoo.PDE_DS3),
+              DS3_TO_H3: (zoo.space_for(zoo.DS3), zoo.PDE_H3),
+              DS3_TIMELIKE: (zoo.space_for(zoo.DS3_TIMELIKE), zoo.PDE_DS3)}
 
 EQUATORIAL_TOL = 1e-12
 BRANCH_K_TOL = 1e-6
@@ -186,16 +190,10 @@ def _polar_cloud(chart: calc.SurfaceChart, u, v):
     space = chart.ambient
     jets = [calc._jet_eval(a, u, v) for a in chart.evaluator.component_asts]
     x, du, h = [j.val for j in jets], [(j.gu, j.gv) for j in jets], jets[-1].val
-    nd, nn = forms.cofactor_normal(space.signature, du)
-    root = np.sqrt(space.normal_sign * nn)
-    eta = [c / root for c in nd]
-    eta = [np.where(np.signbit(eta[2]), 0.0 - c, c) for c in eta]
-    (e, f), (f2, g) = forms.induced_metric(space, h, du)
-    det = e * g - f * f2
+    eta, ok = forms.frame_normals(space, h, du)
     _, pos = _dual_point(space, amb.minkowski_coords(space, x), eta)
-    ok = (chart.contains(u, v) & calc.chart_ok(space, h, du) & forms.normal_ok(space, nn)
-          & ~forms.orientation_tie(eta[2]) & forms.causal_class_ok(space, det, (e, det))
-          & ~_on_equator(eta[2]) & (pos[2] > 0.0))
+    ok &= (chart.contains(u, v) & calc.chart_ok(space, h, du) & ~_on_equator(eta[2])
+           & (pos[2] > 0.0))
     values = np.broadcast_arrays(*pos, *[c for j in jets for c in j.coefficients()])
     return np.column_stack(values[:3]), ok & np.isfinite(values).all(axis=0)
 
@@ -217,7 +215,7 @@ def polar_variety(chart: calc.SurfaceChart, p) -> PolarPoint:
                 or abs(np.linalg.det(bundle.second)) < BRANCH_DET_TOL)
     return PolarPoint(
         position=amb.HalfSpacePoint(tuple(pos)),
-        source_minkowski=amb.MinkowskiPoint(tuple(X), amb.Quadric(space.curvature)),
+        source_minkowski=amb.MinkowskiPoint(tuple(X), space.curvature),
         source_curvature=k,
         dual_curvature=None if branched else curvature_transfer(k, space),
         volume_ratio=abs(k - space.curvature),
@@ -286,7 +284,8 @@ def polar_of_polar_minkowski(chart: calc.SurfaceChart, p) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def graph_dualize(u, v, f, fu, fv, direction: str):
-    """Map one graph jet to the coordinates of the dual surface point.
+    """Map one graph jet to the dual surface point (c f fu - u, c f fv - v,
+    f sqrt(eps_N (|grad f|^2 - c))), with c and eps_N of the source space.
 
     Plain arithmetic, so it runs on floats and on calculus jets alike.
     Directions: hyperbolic graph -> space-like de Sitter ('h3-to-ds3'),
@@ -296,20 +295,16 @@ def graph_dualize(u, v, f, fu, fv, direction: str):
     """
     if float(f) <= 0.0:
         raise NonPositiveHeight(f"graph height {float(f)} is not positive")
+    if direction not in DIRECTIONS:
+        raise ValueError(f"unknown direction {direction!r}")
+    space = DIRECTIONS[direction][0]
+    cf, eps_n = space.curvature * f, space.normal_sign
     grad_sq = fu * fu + fv * fv
-    if direction == H3_TO_DS3:
-        return -f * fu - u, -f * fv - v, f * calc.jet_sqrt(1.0 + grad_sq)
-    if direction == DS3_TO_H3:
-        if float(grad_sq) >= 1.0:
-            raise CausalityViolation(
-                f"gradient square {float(grad_sq):.6g} must be < 1 for this direction")
-        return f * fu - u, f * fv - v, f * calc.jet_sqrt(1.0 - grad_sq)
-    if direction == DS3_TIMELIKE:
-        if float(grad_sq) <= 1.0:
-            raise CausalityViolation(
-                f"gradient square {float(grad_sq):.6g} must be > 1 for this direction")
-        return f * fu - u, f * fv - v, f * calc.jet_sqrt(grad_sq - 1.0)
-    raise ValueError(f"unknown direction {direction!r}")
+    arg = eps_n * (grad_sq - space.curvature)
+    if not float(arg) > 0.0:
+        raise CausalityViolation(f"gradient square {float(grad_sq):.6g} must be "
+                                 f"{'<' if eps_n < 0 else '>'} 1 for this direction")
+    return cf * fu - u, cf * fv - v, f * calc.jet_sqrt(arg)
 
 
 def dual_graph_jet(expr: calc.GraphExpr, p, direction: str):
@@ -322,7 +317,7 @@ def dual_graph_jet(expr: calc.GraphExpr, p, direction: str):
     """
     u, v = float(p[0]), float(p[1])
     f, fu, fv = calc.jet_partials(
-        calc.third_order_jet(expr.ast, u, v, dict(expr.constants)))
+        calc.third_order_jet(expr.ast, u, v))
     pos, dpos, ddpos = (np.array(t) for t in calc.jet_tuples(graph_dualize(
         calc.first_order_jet(u, (1.0, 0.0)), calc.first_order_jet(v, (0.0, 1.0)),
         f, fu, fv, direction)))
@@ -334,15 +329,12 @@ def dual_graph_jet(expr: calc.GraphExpr, p, direction: str):
     return float(pos[2]), wgrad, 0.5 * (whess + whess.T)
 
 
-DUAL_PDE = {H3_TO_DS3: zoo.PDE_DS3, DS3_TO_H3: zoo.PDE_H3, DS3_TIMELIKE: zoo.PDE_DS3}
-
-
 def graph_duality_residual(expr: calc.GraphExpr, p, direction: str) -> float:
     """Residual of the partner PDE on the dualized graph at p."""
     w, wgrad, whess = dual_graph_jet(expr, p, direction)
     return zoo.pde_residual_values(w, wgrad[0], wgrad[1],
                                    whess[0, 0], whess[0, 1], whess[1, 1],
-                                   DUAL_PDE[direction])
+                                   DIRECTIONS[direction][1])
 
 
 # --------------------------------------------------------------------------

@@ -236,6 +236,21 @@ def frame_normal(space, h, du, orientation):
     return eta
 
 
+def frame_normals(space, h, du, sign=1):
+    """``frame_normal`` of a surface on arrays, the sign of the last component
+    forced to ``sign``: (eta, ok), ok where its checks pass.  Run under errstate."""
+    import numpy as np
+    nd, nn = cofactor_normal(space.signature, du)
+    root = np.sqrt(space.normal_sign * nn)
+    eta = [c / root for c in nd]
+    eta = [np.where(np.signbit(eta[2]) != (sign < 0), 0.0 - c, c) for c in eta]
+    (e, f), (f2, g) = induced_metric(space, h, du)
+    det = e * g - f * f2
+    ok = ((h > 0.0) & normal_ok(space, nn) & ~orientation_tie(eta[2])
+          & causal_class_ok(space, det, (e, det)))
+    return eta, ok
+
+
 def _surface_forms(space, h, du, duu, eta, first, det):
     """(II, III, IV, H, det II, principal curvatures) of a surface, k = 2 and
     m = 3: the steps of _hypersurface_forms written out in scalars, in its

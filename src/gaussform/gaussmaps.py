@@ -42,9 +42,8 @@ def is_infinity(value) -> bool:
 
 
 def _quadric_defect(eta, space):
-    """|eta_1^2 + eta_2^2 - c eta_3^2 + c|, 2 for a time-like surface's normal."""
-    e1, e2, e3 = float(eta[0]), float(eta[1]), float(eta[2])
-    c = space.curvature
+    """|eta_1^2 + eta_2^2 - c eta_3^2 + c| on floats or arrays, 2 for a time-like normal."""
+    (e1, e2, e3), c = eta, space.curvature
     return abs(e1 * e1 + e2 * e2 - c * e3 * e3 + c)
 
 

@@ -476,9 +476,9 @@ def recovered_gauss_map(built: BuiltSurface):
     """Normal Gauss map recomputed from the built samples by grid differences.
 
     Reads only the samples, kept mask, grid and case, so it is independent of
-    the construction formulas.  Works on whole interior arrays with the
-    cofactor normal and induced metric of forms, rounding each step as
-    forms.frame_normal and gaussmaps.stereo_project do at one node; the nodes
+    the construction formulas.  Works on whole interior arrays with
+    forms.frame_normals and the quadric defect of gaussmaps, rounding each
+    step as forms.frame_normal and gaussmaps.stereo_project do at one node; the nodes
     that fail the predicates of their checks run through both in row-major
     order, so the first raises its own error.  Returns (mask, g_rec, eta3); the
     mask marks nodes with a kept 3x3 neighborhood whose image is not the pole.
@@ -489,26 +489,16 @@ def recovered_gauss_map(built: BuiltSurface):
     whole = np.lib.stride_tricks.sliding_window_view(built.kept, (3, 3)).all((2, 3))
     x, h = built.samples, built.samples[1:-1, 1:-1, 2]
     du, dv = (c[1] - c[0] for c in (built.u_coords, built.v_coords))
-    u1, u2, u3 = np.moveaxis((x[2:, 1:-1] - x[:-2, 1:-1]) / (2 * du), -1, 0)
-    v1, v2, v3 = np.moveaxis((x[1:-1, 2:] - x[1:-1, :-2]) / (2 * dv), -1, 0)
+    tangents = tuple(zip(np.moveaxis((x[2:, 1:-1] - x[:-2, 1:-1]) / (2 * du), -1, 0),
+                         np.moveaxis((x[1:-1, 2:] - x[1:-1, :-2]) / (2 * dv), -1, 0)))
+    orientation = 1 if built.case == CASE_HOLOMORPHIC else -1
     with np.errstate(all="ignore"):
-        tangents = ((u1, v1), (u2, v2), (u3, v3))
-        n, nn = forms.cofactor_normal(DS3.signature, tangents)
-        eta = np.stack(n) / np.sqrt(np.abs(nn))
-        last = eta[2]
-        eta = np.where(np.signbit(last) != (built.case != CASE_HOLOMORPHIC),
-                       0.0 - eta, eta)
-        (guu, guv), (gvu, gvv) = forms.induced_metric(DS3, h, tangents)
-        det = guu * gvv - guv * gvu
-        e1, e2, e3 = eta
-        defect = np.abs(e1 * e1 + e2 * e2 - e3 * e3 + 1.0)
+        (e1, e2, e3), ok = forms.frame_normals(DS3, h, tangents, orientation)
         # 1 - e3 cancels near the pole; above it the quadric gives it exactly.
         denom = np.where(e3 > 0.0, -(e1 * e1 + e2 * e2) / (1.0 + e3), 1.0 - e3)
         # complex / float divides the two parts separately
         g = (np.stack([e1, e2], axis=-1) / denom[..., None]).view(complex)[..., 0]
-        ok = ((h > 0.0) & forms.normal_ok(DS3, nn) & ~forms.orientation_tie(last)
-              & forms.causal_class_ok(DS3, det, (guu, det)) & ~gaussmaps.off_quadric(defect))
-    orientation = 1 if built.case == CASE_HOLOMORPHIC else -1
+        ok &= ~gaussmaps.off_quadric(gaussmaps._quadric_defect((e1, e2, e3), DS3))
     for node in zip(*np.nonzero(whole & ~ok)):    # the first failing node raises
         at = [(float(a[node]), float(b[node])) for a, b in tangents]
         gaussmaps.stereo_project(forms.frame_normal(DS3, float(h[node]), at, orientation), DS3)

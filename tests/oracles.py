@@ -10,7 +10,12 @@ forms route (``generic_fundamental_forms``, ``generic_frame_normal``) is the
 package's forms pipeline as it was written for every k before the surface
 case got closed forms; the closed forms must give its bits.  The sparse LU
 route (``splu_solve_far_map``) is the far-map solve as it was written with
-scipy; the package's iterative solve must give its field.
+scipy; the package's iterative solve must give its field.  The case rules
+as they were written with one branch per case (``branch_minkowski_coords``,
+``branch_graph_dualize``) are the references of the one formula in the
+curvature c and normal sign eps_N that replaced each.  The printer
+(``unparse``) renders a tree back to text, for the parse round trip and the
+sympy oracles; the package never prints a tree.
 """
 
 import math
@@ -19,10 +24,11 @@ from operator import mul
 import numpy as np
 
 from gaussform import ambient as amb
-from gaussform import calculus, gaussmaps
+from gaussform import calculus, duality, gaussmaps
 from gaussform import weierstrass as ws
-from gaussform.errors import (ConstraintViolation, NonImmersed, NonPositiveHeight,
-                              WrongCausalClass)
+from gaussform.calculus import Bin, Call, Const, Neg, Num, Var
+from gaussform.errors import (CausalityViolation, ConstraintViolation, NonImmersed,
+                              NonPositiveHeight, WrongCausalClass)
 from gaussform.forms import FormBundle, orientation_sign
 
 
@@ -341,3 +347,93 @@ def splu_solve_far_map(g: ws.ComplexField, boundary,
     values = bvals.copy()
     values[1:-1, 1:-1] = interior.reshape(ni, nj)
     return ws.ComplexField(values, g.u0, g.v0, du, dv, ws.ROLE_FAR_MAP)
+
+
+# --------------------------------------------------------------------------
+# The case rules with one branch per case
+# --------------------------------------------------------------------------
+
+def branch_minkowski_coords(space: amb.AmbientSpace, x, sheet_sign=1) -> list:
+    """``ambient.minkowski_coords`` with one branch per ``Kind``."""
+    x1, x2, x3 = x
+    q = x1 * x1 + x2 * x2
+    if space.kind is amb.Kind.HYPERBOLIC:
+        return [(q + x3 * x3 + 1.0) / (2.0 * x3), x1 / x3, x2 / x3,
+                (q + x3 * x3 - 1.0) / (2.0 * x3)]
+    s = 1.0 if sheet_sign >= 0 else -1.0
+    return [s * (q - x3 * x3 + 1.0) / (2.0 * x3), x1 / x3, x2 / x3,
+            s * (q - x3 * x3 - 1.0) / (2.0 * x3)]
+
+
+def branch_graph_dualize(u, v, f, fu, fv, direction: str):
+    """``duality.graph_dualize`` with one branch per direction string."""
+    if float(f) <= 0.0:
+        raise NonPositiveHeight(f"graph height {float(f)} is not positive")
+    grad_sq = fu * fu + fv * fv
+    if direction == duality.H3_TO_DS3:
+        return -f * fu - u, -f * fv - v, f * calculus.jet_sqrt(1.0 + grad_sq)
+    if direction == duality.DS3_TO_H3:
+        if float(grad_sq) >= 1.0:
+            raise CausalityViolation(
+                f"gradient square {float(grad_sq):.6g} must be < 1 for this direction")
+        return f * fu - u, f * fv - v, f * calculus.jet_sqrt(1.0 - grad_sq)
+    if direction == duality.DS3_TIMELIKE:
+        if float(grad_sq) <= 1.0:
+            raise CausalityViolation(
+                f"gradient square {float(grad_sq):.6g} must be > 1 for this direction")
+        return f * fu - u, f * fv - v, f * calculus.jet_sqrt(grad_sq - 1.0)
+    raise ValueError(f"unknown direction {direction!r}")
+
+
+# --------------------------------------------------------------------------
+# The printer
+# --------------------------------------------------------------------------
+
+_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+
+
+def _prec(node):
+    if isinstance(node, (Num, Var, Const, Call)):
+        return _PREC_ATOM
+    if isinstance(node, Neg):
+        return _PREC_UNARY
+    if isinstance(node, Bin):
+        if node.op == "^":
+            return _PREC_POW
+        return _PREC_MUL if node.op in "*/" else _PREC_ADD
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def unparse(node) -> str:
+    """Render a tree back to text; reparsing gives a structurally equal tree."""
+    if isinstance(node, Num):
+        return repr(node.value) if node.value >= 0 else f"({node.value!r})"
+    if isinstance(node, (Var, Const)):
+        return node.name
+    if isinstance(node, Call):
+        return f"{node.fn}({unparse(node.arg)})"
+    if isinstance(node, Neg):
+        inner = unparse(node.arg)
+        if _prec(node.arg) < _PREC_UNARY:
+            inner = f"({inner})"
+        return f"-{inner}"
+    if isinstance(node, Bin):
+        lhs, rhs = unparse(node.left), unparse(node.right)
+        if node.op == "^":
+            if _prec(node.left) < _PREC_ATOM:
+                lhs = f"({lhs})"
+            if _prec(node.right) < _PREC_UNARY:
+                rhs = f"({rhs})"
+        elif node.op in "*/":
+            if _prec(node.left) < _PREC_MUL:
+                lhs = f"({lhs})"
+            # both are left-associative: an equal-precedence right child needs parens
+            if _prec(node.right) <= _PREC_MUL:
+                rhs = f"({rhs})"
+        else:
+            if _prec(node.left) < _PREC_ADD:
+                lhs = f"({lhs})"
+            if _prec(node.right) <= _PREC_ADD:
+                rhs = f"({rhs})"
+        return f"{lhs}{node.op}{rhs}"
+    raise TypeError(f"not an expression node: {node!r}")

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussform import ambient as amb
+from gaussform import calculus as calc
 from gaussform.errors import NonPositiveHeight
-from oracles import branch_sign, christoffel_at_height, frame_components, to_half_space
+from oracles import (branch_minkowski_coords, branch_sign, christoffel_at_height,
+                     frame_components, to_half_space)
 
 H3 = amb.hyperbolic_space()
 DS3 = amb.de_sitter_space()
@@ -133,11 +135,11 @@ heights = st.floats(0.05, 20, allow_nan=False)
 
 class TestModelConversion:
     def test_hyperboloid_apex(self):
-        p = to_half_space(amb.MinkowskiPoint((1, 0, 0, 0), amb.Quadric.H))
+        p = to_half_space(amb.MinkowskiPoint((1, 0, 0, 0), -1.0))
         assert p.coords == (0.0, 0.0, 1.0)
 
     def test_de_sitter_example_point(self):
-        p = to_half_space(amb.MinkowskiPoint((0, 0, 0, 1), amb.Quadric.DS))
+        p = to_half_space(amb.MinkowskiPoint((0, 0, 0, 1), 1.0))
         assert np.allclose(p.coords, (0.0, 0.0, 1.0))
 
     @settings(max_examples=250, deadline=None)
@@ -169,6 +171,54 @@ class TestModelConversion:
                 back = to_half_space(mink)
                 worst = max(worst, max(abs(a - b) for a, b in zip(back.coords, x)))
         assert worst <= 1e-12 * 20
+
+
+def ieee_bits(values):
+    """The bits of every float, jet coefficient and array entry of
+    ``values``, as hex strings and bytes, so signed zeros count."""
+    out = []
+    for x in values:
+        if isinstance(x, calc._Jet):
+            out.append(ieee_bits(x.coefficients()))
+        elif isinstance(x, np.ndarray):
+            out.append(x.tobytes())
+        else:
+            out.append(float.hex(float(x)))
+    return out
+
+
+class TestLiftPin:
+    """The lift's one formula in the curvature has the bits of the lift with
+    one branch per kind of space, on floats, jets and arrays."""
+
+    CASES = [(H3, 1), (H3, -1), (DS3, 1), (DS3, -1)]
+
+    @staticmethod
+    def points(n=200):
+        rng = np.random.default_rng(31)
+        x1, x2 = rng.uniform(-5, 5, n), rng.uniform(-5, 5, n)
+        x1[:4], x2[:4] = (0.0, -0.0, 0.0, -0.0), (0.0, 0.0, -0.0, -0.0)
+        return x1, x2, rng.uniform(0.05, 20, n), rng
+
+    @pytest.mark.parametrize("space,sheet", CASES)
+    def test_floats_and_arrays(self, space, sheet):
+        x1, x2, x3, _ = self.points()
+        for x in zip(x1.tolist(), x2.tolist(), x3.tolist()):
+            assert ieee_bits(amb.minkowski_coords(space, x, sheet)) == \
+                ieee_bits(branch_minkowski_coords(space, x, sheet))
+        assert ieee_bits(amb.minkowski_coords(space, (x1, x2, x3), sheet)) == \
+            ieee_bits(branch_minkowski_coords(space, (x1, x2, x3), sheet))
+
+    @pytest.mark.parametrize("space,sheet", CASES)
+    def test_jets(self, space, sheet):
+        x1, x2, x3, rng = self.points()
+        for x in zip(x1.tolist(), x2.tolist(), x3.tolist()):
+            for jet in (lambda c: calc._Jet(c, *rng.normal(size=5)),
+                        lambda c: calc._Jet3(c, *rng.normal(size=9)),
+                        lambda c: calc.first_order_jet(c, (0.0, 1.0))):
+                xj = [jet(c) for c in x]
+                assert ieee_bits(amb.minkowski_coords(space, xj, sheet)) == \
+                    ieee_bits(branch_minkowski_coords(space, xj, sheet))
 
 
 class TestFrameComponents:

@@ -10,7 +10,7 @@ from gaussform import calculus as calc
 from gaussform import zoo
 from gaussform.errors import (DomainError, GaussformError, HeightViolation, NonImmersed,
                               OutsideDomain, ParseError)
-from oracles import NumericEvaluator
+from oracles import NumericEvaluator, unparse
 from test_cli import GRAPH_EXPRS
 
 H3 = amb.hyperbolic_space()
@@ -72,20 +72,16 @@ class TestParser:
     def test_complex_constant_gated(self):
         with pytest.raises(ParseError):
             calc.parse_graph_expr("i*u")
-        e = calc.parse_graph_expr("u + i*v", extra_constants={"i": 1j})
+        e = calc.parse_graph_expr("u + i*v", complex_unit=True)
         assert calc.evaluate(e.ast, 1.0, 2.0) == 1.0 + 2.0j
 
-    def test_extra_constant_value_kept(self):
-        e = calc.parse_graph_expr("k*u", extra_constants={"k": 2.0})
-        assert e(1, 0) == 2.0
-
-    def test_extra_constant_value_in_jets(self):
-        val, grad, _ = calc.parse_graph_expr(
-            "k*u", extra_constants={"k": 2.0}).jet(1, 0)
-        assert val == 2.0 and grad[0] == 2.0
+    def test_complex_unit_is_the_only_extra_identifier(self):
+        with pytest.raises(ParseError) as err:
+            calc.parse_graph_expr("k*u", complex_unit=True)
+        assert err.value.expected == {"u", "v", "pi", "e", "i", *calc.FUNCTIONS}
 
     def test_complex_constant_jet_is_domain_error(self):
-        e = calc.parse_graph_expr("u+i*v", extra_constants={"i": 1j})
+        e = calc.parse_graph_expr("u+i*v", complex_unit=True)
         with pytest.raises(DomainError):
             e.jet(1, 2)
 
@@ -115,10 +111,10 @@ class TestUnparse:
     @settings(max_examples=300, deadline=None)
     @given(expr_trees)
     def test_parse_unparse_fixed_point(self, tree):
-        text = calc.unparse(tree)
+        text = unparse(tree)
         reparsed = calc.parse_graph_expr(text).ast
         assert reparsed == tree
-        assert calc.parse_graph_expr(calc.unparse(reparsed)).ast == reparsed
+        assert calc.parse_graph_expr(unparse(reparsed)).ast == reparsed
 
 
 class TestJets:

@@ -11,7 +11,8 @@ from gaussform.errors import (BranchPoint, CausalityViolation, DomainError, Equa
                               GaussformError, HeightViolation, NonImmersed,
                               NonPositiveHeight, OrientationUndefined, OutsideDomain,
                               WrongCausalClass)
-from oracles import NumericEvaluator
+from oracles import NumericEvaluator, branch_graph_dualize, unparse
+from test_ambient import ieee_bits
 
 H3 = amb.hyperbolic_space()
 DS3 = amb.de_sitter_space()
@@ -21,6 +22,18 @@ CONFORMAL_PAIR_SOURCES = ["translational-6.6", "ruled-6.7", "ruled-6.8",
                           "translational-6.4", "ruled-6.2-2", "ruled-6.2-3",
                           "ruled-7.4-3", "ruled-7.4-4", "ruled-7.4-5",
                           "ruled-7.4-6"]
+# The graph families of criterion 5, each with its direction of duality.
+GRAPH_DUALITY_CASES = [
+    ("horosphere", duality.H3_TO_DS3),
+    ("equidistant-plane", duality.H3_TO_DS3),
+    ("translational-6.3", duality.DS3_TO_H3),
+    ("translational-6.3-minus", duality.DS3_TO_H3),
+    ("corollary-6", duality.DS3_TO_H3),
+    ("translational-7.3-1-plus", duality.DS3_TIMELIKE),
+    ("translational-7.3-2-plus", duality.DS3_TIMELIKE),
+    ("corollary-7-plus", duality.DS3_TIMELIKE),
+    ("flaherty-plus", duality.DS3_TIMELIKE),
+]
 
 
 class TestCurvatureTransfer:
@@ -241,7 +254,7 @@ def _sympy_polar_jet(chart, p):
     import sympy as sp
 
     u, v = sp.symbols("u v", real=True)
-    x = [sp.sympify(calc.unparse(a).replace("^", "**"),
+    x = [sp.sympify(unparse(a).replace("^", "**"),
                     locals={"u": u, "v": v, "e": sp.E, "pi": sp.pi, "abs": sp.Abs})
          for a in chart.evaluator.component_asts]
     at = {u: sp.Float(p[0], 30), v: sp.Float(p[1], 30)}
@@ -434,6 +447,17 @@ class TestFitPin:
             [float.hex(getattr(best, f)) for f in ("theta", "a", "b", "max_gap")]
 
 
+class TestFitSeeds:
+    @pytest.mark.parametrize("source", sorted(duality.PAIRINGS))
+    def test_benchmark_style_seeds_fit(self, source):
+        # Seeds drawn as the polar-duality benchmark draws one per fit.
+        rng = np.random.default_rng(2024)
+        for seed in [int(rng.integers(2**31)) for _ in range(100)]:
+            _, fit = duality.fit_family_pairing(source, count=100, seed=seed)
+            assert fit.max_gap <= 1e-6, seed
+            assert fit.theta == math.pi / 2
+
+
 class TestConformalityEquivalence:
     @pytest.mark.parametrize("key", CONFORMAL_PAIR_SOURCES)
     def test_conformal_source_conformal_dual(self, key, rng):
@@ -602,19 +626,49 @@ class TestGraphDuality:
                                   duality.DS3_TO_H3)
         assert np.allclose(p, (0, 0, 2))
 
-    @pytest.mark.parametrize("key,direction", [
-        ("horosphere", duality.H3_TO_DS3),
-        ("equidistant-plane", duality.H3_TO_DS3),
-        ("translational-6.3", duality.DS3_TO_H3),
-        ("translational-6.3-minus", duality.DS3_TO_H3),
-        ("corollary-6", duality.DS3_TO_H3),
-        ("translational-7.3-1-plus", duality.DS3_TIMELIKE),
-        ("translational-7.3-2-plus", duality.DS3_TIMELIKE),
-        ("corollary-7-plus", duality.DS3_TIMELIKE),
-        ("flaherty-plus", duality.DS3_TIMELIKE),
-    ])
+    @pytest.mark.parametrize("key,direction", GRAPH_DUALITY_CASES)
     def test_dualized_graph_solves_partner_pde(self, key, direction, rng):
         f = zoo.family_graph_expr(key)
         chart = zoo.make_surface(key)
         for p in chart.interior_points(100, rng, margin_frac=0.1):
             assert abs(duality.graph_duality_residual(f, p, direction)) <= 1e-6
+
+
+def _outcome(fn, *args):
+    """The bits of fn's result, or the class and message of its error."""
+    try:
+        return ieee_bits(fn(*args))
+    except (GaussformError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestGraphDualizePin:
+    """The one formula in c and eps_N has the bits and the errors of the
+    graph-level duality with one branch per direction."""
+
+    @pytest.mark.parametrize("direction", sorted(duality.DIRECTIONS))
+    @pytest.mark.parametrize("key", [key for key, _ in GRAPH_DUALITY_CASES])
+    def test_floats_and_jets(self, key, direction):
+        # Every family in every direction: the wrong ones raise.
+        f = zoo.family_graph_expr(key)
+        chart = zoo.make_surface(key)
+        rng = np.random.default_rng(5)
+        for u, v in chart.interior_points(20, rng, margin_frac=0.1).tolist():
+            val, grad, _ = f.jet(u, v)
+            # The jets dual_graph_jet passes: one third-order jet of f.
+            jets = (calc.first_order_jet(u, (1.0, 0.0)), calc.first_order_jet(v, (0.0, 1.0)),
+                    *calc.jet_partials(calc.third_order_jet(f.ast, u, v)))
+            for args in ((u, v, val, *grad), jets):
+                assert _outcome(duality.graph_dualize, *args, direction) == \
+                    _outcome(branch_graph_dualize, *args, direction)
+
+    @pytest.mark.parametrize("direction", [*sorted(duality.DIRECTIONS), "h3-to-h3"])
+    def test_edges(self, direction):
+        below, above = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+        for args in [(0.0, -0.0, 1.0, 0.0, 0.0), (-0.0, 0.0, 2.0, -0.0, 0.0),
+                     (0.3, 0.2, 2.0, 1.0, 0.0), (0.3, 0.2, 2.0, -0.6, 0.8),
+                     (0.3, 0.2, 2.0, below, 0.0), (0.3, 0.2, 2.0, above, -0.0),
+                     (0.3, 0.2, 0.5, 3.0, -4.0), (0.3, 0.2, 0.0, 0.5, 0.0),
+                     (0.3, 0.2, -1.0, 2.0, 0.0)]:
+            assert _outcome(duality.graph_dualize, *args, direction) == \
+                _outcome(branch_graph_dualize, *args, direction)

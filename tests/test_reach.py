@@ -7,9 +7,11 @@ it as a name, an attribute or an import anywhere but inside its own
 definition; strings and docstrings do not count.  Names are matched without
 types, so a method is also reached by an attribute of the same name on
 another object.  Dunder names are hooks the interpreter calls (``__init__``,
-``__add__``, a module's ``__getattr__``) and are not checked.  A helper that
-only tests call belongs next to those tests (see ``oracles.py``), not in the
-package.  A field is read when the package or the benchmark harness names it
+``__add__``, a module's ``__getattr__``) and are not checked.  Mentions
+inside ``__str__`` and ``__repr__`` do not count: a helper that only the
+printing hooks call serves whoever prints the object, and the package prints
+none of its trees or records that way.  A helper that only tests call
+belongs next to those tests (see ``oracles.py``), not in the package.  A field is read when the package or the benchmark harness names it
 as an attribute; passing it to a constructor does not count.
 """
 
@@ -21,6 +23,7 @@ PACKAGE = ROOT / "src" / "gaussform"
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+PRINTING_HOOKS = ("__str__", "__repr__")
 
 # Fields kept although nothing reads them, with the reason.
 UNREAD_FIELDS = {
@@ -31,8 +34,11 @@ UNREAD_FIELDS = {
 
 
 def _mentions(node, owners=()):
-    """(name, enclosing definitions) for every mention below ``node``."""
+    """(name, enclosing definitions) for every mention below ``node``,
+    except inside a printing hook."""
     if isinstance(node, DEFINITIONS):
+        if node.name in PRINTING_HOOKS:
+            return
         owners = owners + (node,)
     if isinstance(node, ast.Name):
         yield node.id, owners

@@ -17,8 +17,12 @@ REPEAT timed passes, and reports the best pass in microseconds per call:
   ``make_surface`` (the chart build with its domain scan) and
   ``fit_isometry`` (the fits under every sign choice of the pairing, on
   the pairing's cloud of polar points);
+* ``graph_duality_residual`` at the same grid of points on each graph
+  family of criterion 5 (GRAPH_DUALITY), in its direction;
 * ``radial_test_pair`` (the radial profile and both fields) on the domain
   and the 129 x 129 grid of the ``weierstrass-solve`` benchmark workload;
+* ``recovered_gauss_map`` on the surface built from the radial problem at
+  65 x 65 on that domain (solved and built beforehand);
 * ``solve_far_map`` on that domain: the radial problem at 33 x 33, 65 x 65
   and 129 x 129 (``solve_radial_<n>``), and g = conj(z)/8 (case 2, boundary
   data z) at 129 x 129 (``solve_conj8_129``), the fields built beforehand.
@@ -42,6 +46,12 @@ import time
 POLAR_FAMILIES = ("translational-6.6", "ruled-6.7", "ruled-6.8", "ruled-7.4-3",
                   "ruled-7.4-4", "translational-6.3", "corollary-6", "control-bowl")
 FIT_FAMILIES = ("translational-6.6", "ruled-6.7", "ruled-6.8")
+GRAPH_DUALITY = (("horosphere", "h3-to-ds3"), ("equidistant-plane", "h3-to-ds3"),
+                 ("translational-6.3", "ds3-to-h3"), ("translational-6.3-minus", "ds3-to-h3"),
+                 ("corollary-6", "ds3-to-h3"), ("translational-7.3-1-plus", "ds3-timelike"),
+                 ("translational-7.3-2-plus", "ds3-timelike"),
+                 ("corollary-7-plus", "ds3-timelike"), ("flaherty-plus", "ds3-timelike"))
+RECOVERY_GRID = 65
 RADIAL_DOMAIN = (1.5, 2.5, 0.1, 0.9)     # perfbench/inproc.py's DOMAIN
 RADIAL_GRID = (129, 129)
 SOLVE_GRIDS = (33, 65, 129)
@@ -50,7 +60,8 @@ ROUNDS = 10
 REPEAT = 5
 LAYERS = ("forms_at", "polar_variety", "polar_position", "polar_forms",
           "polar_of_polar_minkowski", "fit_family_pairing", "make_surface",
-          "fit_isometry", "radial_test_pair",
+          "fit_isometry", "graph_duality_residual", "radial_test_pair",
+          "recovered_gauss_map",
           *(f"solve_radial_{n}" for n in SOLVE_GRIDS), "solve_conj8_129")
 
 
@@ -67,21 +78,28 @@ def layer_calls():
                 pass
         return call
 
+    def grid_points(chart):
+        u0, u1, v0, v1 = chart.domain
+        return [(u0 + (u1 - u0) * (0.1 + 0.8 * i / (GRID - 1)),
+                 v0 + (v1 - v0) * (0.1 + 0.8 * j / (GRID - 1)))
+                for i in range(GRID) for j in range(GRID)]
+
     calls = {name: [] for name in LAYERS}
     for key in POLAR_FAMILIES:
         chart = zoo.make_surface(key)
         dual = duality.polar_chart(chart)
-        u0, u1, v0, v1 = chart.domain
-        for i in range(GRID):
-            for j in range(GRID):
-                p = (u0 + (u1 - u0) * (0.1 + 0.8 * i / (GRID - 1)),
-                     v0 + (v1 - v0) * (0.1 + 0.8 * j / (GRID - 1)))
-                calls["forms_at"].append(guarded(forms.forms_at, chart, p))
-                calls["polar_variety"].append(guarded(duality.polar_variety, chart, p))
-                calls["polar_position"].append(guarded(duality.polar_position, chart, p))
-                calls["polar_forms"].append(guarded(forms.forms_at, dual, p))
-                calls["polar_of_polar_minkowski"].append(
-                    guarded(duality.polar_of_polar_minkowski, chart, p))
+        for p in grid_points(chart):
+            calls["forms_at"].append(guarded(forms.forms_at, chart, p))
+            calls["polar_variety"].append(guarded(duality.polar_variety, chart, p))
+            calls["polar_position"].append(guarded(duality.polar_position, chart, p))
+            calls["polar_forms"].append(guarded(forms.forms_at, dual, p))
+            calls["polar_of_polar_minkowski"].append(
+                guarded(duality.polar_of_polar_minkowski, chart, p))
+    for key, direction in GRAPH_DUALITY:
+        expr = zoo.family_graph_expr(key)
+        calls["graph_duality_residual"] += [
+            guarded(duality.graph_duality_residual, expr, p, direction)
+            for p in grid_points(zoo.make_surface(key))]
     calls["fit_family_pairing"] = [
         guarded(duality.fit_family_pairing, key, count=100, seed=0) for key in FIT_FAMILIES]
     calls["make_surface"] = [guarded(zoo.make_surface, key) for key in FIT_FAMILIES]
@@ -91,6 +109,10 @@ def layer_calls():
     for n in SOLVE_GRIDS:
         g, exact = weierstrass.radial_test_pair(RADIAL_DOMAIN, (n, n))
         calls[f"solve_radial_{n}"] = [guarded(weierstrass.solve_far_map, g, exact.values)]
+        if n == RECOVERY_GRID:
+            built = weierstrass.build_surface(
+                g, weierstrass.solve_far_map(g, exact.values), im_tol=1e-2)
+            calls["recovered_gauss_map"] = [guarded(weierstrass.recovered_gauss_map, built)]
     g = weierstrass.ComplexField.from_function(lambda z: z.conjugate() / 8.0, RADIAL_DOMAIN,
                                                RADIAL_GRID, weierstrass.ROLE_NORMAL_MAP)
     calls["solve_conj8_129"] = [guarded(weierstrass.solve_far_map, g, lambda z: z,
