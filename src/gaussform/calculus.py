@@ -329,9 +329,11 @@ _THIRD_DERIVATIVES = {
 
 
 def _each(rule, width, *args):
-    """``rule`` on the floats at each entry of (N,) arrays (floats are
-    shared), as ``width`` arrays of results, NaN where it raises or an
-    argument is not finite: the float path's bits, its errors as NaN."""
+    """The float rule ``rule`` at each entry of the (N,) arrays ``args`` (a
+    float argument is broadcast), as ``width`` arrays of its results: the
+    float path's bits, and NaN where the rule raises or an argument is not
+    finite.  Functions run ``_derivatives`` on floats, powers the float jet
+    rule of ``_Jet.pow``."""
     import numpy as np
 
     args, rows = np.broadcast_arrays(*args), []
@@ -355,54 +357,51 @@ def power(x, n):
 
 
 def _jet_call(fn, x):
-    """A function of the grammar applied to a jet: f, f', f'' at x.val, with
-    the domain errors, composed by x.chain; order three adds f'''.  On an
-    array jet the float rule runs at each entry."""
+    """A function of the grammar applied to a jet: ``_derivatives`` at x.val,
+    composed by x.chain; order three adds f'''.  On an array jet
+    ``_derivatives`` runs at each entry, NaN where it raises."""
     v = x.val
     if not isinstance(v, float):
-        return x.chain(*_each(lambda t: _float_derivatives(fn, t), 3, v))
+        return x.chain(*_each(lambda t: _derivatives(fn, t), 3, v))
+    f0, f1, f2 = _derivatives(fn, v)
+    if type(x) is _Jet:
+        return x.chain(f0, f1, f2)
+    return x.chain(f0, f1, f2, _THIRD_DERIVATIVES[fn](v, f0, f1, f2))
+
+
+def _derivatives(fn, v):
+    """f, f', f'' of a function of the grammar at the float v; raises its
+    domain error."""
     if fn in ("sin", "cos") and math.isinf(v):
         raise DomainError(f"{fn} of an infinite value")
     if fn == "sqrt":
         if v <= 0.0:
             raise DomainError("sqrt needs a positive argument for derivatives")
         r = math.sqrt(v)
-        f0, f1, f2 = r, 0.5 / r, -0.25 / (r * v)
-    elif fn == "sinh":
-        f0, f1, f2 = math.sinh(v), math.cosh(v), math.sinh(v)
-    elif fn == "cosh":
-        f0, f1, f2 = math.cosh(v), math.sinh(v), math.cosh(v)
-    elif fn == "tanh":
+        return r, 0.5 / r, -0.25 / (r * v)
+    if fn == "sinh":
+        return math.sinh(v), math.cosh(v), math.sinh(v)
+    if fn == "cosh":
+        return math.cosh(v), math.sinh(v), math.cosh(v)
+    if fn == "tanh":
         t = math.tanh(v)
         s = 1.0 - t * t
-        f0, f1, f2 = t, s, -2.0 * t * s
-    elif fn == "sin":
-        f0, f1, f2 = math.sin(v), math.cos(v), -math.sin(v)
-    elif fn == "cos":
-        f0, f1, f2 = math.cos(v), -math.sin(v), -math.cos(v)
-    elif fn == "exp":
-        f0 = f1 = f2 = math.exp(v)
-    elif fn == "log":
+        return t, s, -2.0 * t * s
+    if fn == "sin":
+        return math.sin(v), math.cos(v), -math.sin(v)
+    if fn == "cos":
+        return math.cos(v), -math.sin(v), -math.cos(v)
+    if fn == "exp":
+        return (math.exp(v),) * 3
+    if fn == "log":
         if v <= 0.0:
             raise DomainError("log of nonpositive value")
-        f0, f1, f2 = math.log(v), 1.0 / v, -1.0 / (v * v)
-    elif fn == "abs":
+        return math.log(v), 1.0 / v, -1.0 / (v * v)
+    if fn == "abs":
         if v == 0.0:
             raise DomainError("abs is not differentiable at zero")
-        f0, f1, f2 = abs(v), math.copysign(1.0, v), 0.0
-    else:
-        raise TypeError(f"unknown function {fn!r}")
-    if type(x) is _Jet:
-        return x.chain(f0, f1, f2)
-    return x.chain(f0, f1, f2, _THIRD_DERIVATIVES[fn](v, f0, f1, f2))
-
-
-def _float_derivatives(fn, t):
-    """f, f', f'' at the float t, read off the jet (t, 1, 0, -0, 0, 0): its
-    huu, f' (-0) + f'', is f'' bit for bit, as no rule has a negative f'
-    where f'' is -0."""
-    j = _jet_call(fn, _Jet(t, 1.0, 0.0, -0.0))
-    return j.val, j.gu, j.huu
+        return abs(v), math.copysign(1.0, v), 0.0
+    raise TypeError(f"unknown function {fn!r}")
 
 
 class _Jet:

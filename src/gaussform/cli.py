@@ -521,8 +521,9 @@ def _cmd_weierstrass_build(args):
         if reason:
             dropped[str(reason)] = int((built.drop_reason == reason).sum())
     if args.out:
+        us, vs, samples = (a.tolist() for a in (built.u_coords, built.v_coords, built.samples))
         _write_csv(args.out, SURFACE_COLUMNS,
-                   ([i, j, built.u_coords[i], built.v_coords[j], *built.samples[i, j]]
+                   ([i, j, us[i], vs[j], *samples[i][j]]
                     for i, j in np.argwhere(built.kept).tolist()))
     if args.out_g:
         _write_csv(args.out_g, FIELD_COLUMNS, weierstrass.field_to_rows(g))

@@ -11,9 +11,10 @@ of polar points is one pass, with the float path's bits and its checks as
 masks), the curvature and volume transfer laws, the graph-level duality
 between the two fully nonlinear graph PDEs, and the isometry fitting used to
 match dual families (a damped Gauss-Newton fit of a horizontal translation at
-one rotation angle, on numpy arrays over all points, with no solver library).  The
-polar map and the graph-level duality read the causal case from the source
-space's curvature c and normal sign eps_N; a direction string of the
+one rotation angle, on numpy arrays over all points, with no solver library;
+a pairing's sign choices in the order of their start gaps until one closes).
+The polar map and the graph-level duality read the causal case from the
+source space's curvature c and normal sign eps_N; a direction string of the
 graph-level duality only names its source space and the partner PDE.
 """
 
@@ -50,6 +51,7 @@ FIT_DAMPING = 1e-3       # initial damping, relative to the trace of J^T J
 FIT_FTOL = 1e-15         # stop once a step lowers the sum of squares by a smaller fraction
 FIT_XTOL = 1e-13         # stop once a step is shorter than this times 1 + |(a, b)|
 FIT_MAX_STEPS = 100      # trial steps of one fit
+FIT_CLOSED = 1e-12       # a sign choice's fit closes at max_gap <= this (1 + max |z|)
 
 
 def dual_space(space: amb.AmbientSpace) -> amb.AmbientSpace:
@@ -379,7 +381,10 @@ def fit_family_pairing(source_key: str, params=None, count=100, seed=0):
     """Fit the known dual partner of a family to its sampled polar points.
 
     Returns (target_key, IsometryFit); the fit's max_gap bounds the
-    point-to-surface distance after the horizontal isometry.
+    point-to-surface distance after the horizontal isometry.  Sign choices
+    are fitted by their largest gap at (0, 0) until one closes, max_gap <=
+    FIT_CLOSED (1 + max |z|), else the first least max_gap is kept.
+    ValueError, before any fit, if a choice's gaps at (0, 0) are not finite.
     """
     if source_key not in PAIRINGS:
         raise ValueError(f"no recorded dual partner for family {source_key!r}")
@@ -389,13 +394,35 @@ def fit_family_pairing(source_key: str, params=None, count=100, seed=0):
     merged = zoo.resolve_params(fam, params)
     rng = np.random.default_rng(seed)
     pts = polar_positions(chart, chart.interior_points(count, rng, margin_frac=0.1))
-    best = None
-    for s1, s2 in sign_choices:
-        fit = fit_isometry(pts, height_builder(merged, s1, s2),
-                           label=f"signs ({s1:+d}, {s2:+d})")
-        if best is None or fit.max_gap < best.max_gap:
-            best = fit
-    return fam.polar_partner, best
+    heights = [height_builder(merged, s1, s2) for s1, s2 in sign_choices]
+    start = [_start_gap(_gaps_fn(pts, h)(0.0, 0.0)) for h in heights]
+    closed = FIT_CLOSED * (1.0 + float(np.abs(pts[:, 2]).max()))
+    fits = []
+    for i in sorted(range(len(heights)), key=start.__getitem__):
+        s1, s2 = sign_choices[i]
+        fit = fit_isometry(pts, heights[i], label=f"signs ({s1:+d}, {s2:+d})")
+        if fit.max_gap <= closed:
+            return fam.polar_partner, fit
+        fits.append((fit.max_gap, i, fit))
+    return fam.polar_partner, min(fits, key=lambda t: t[:2])[2]
+
+
+def _start_gap(r) -> float:
+    """Largest of the gaps r at (0, 0); ValueError if one is not finite."""
+    if not np.isfinite(r).all():
+        raise ValueError("no rotation angle produced a finite fit")
+    return float(np.abs(r).max())
+
+
+def _gaps_fn(points, height_fn):
+    """The points' vertical gaps to the target graph, a function of (a, b)."""
+    x, y, z = (np.ascontiguousarray(col, dtype=float) for col in np.asarray(points).T)
+    c, s = math.cos(FIT_ANGLE), math.sin(FIT_ANGLE)
+
+    def gaps(a, b):
+        dx, dy = x - a, y - b
+        return z - height_fn(dx * c + dy * s, -dx * s + dy * c)
+    return gaps
 
 
 def fit_isometry(points: np.ndarray, height_fn, label="") -> IsometryFit:
@@ -412,17 +439,10 @@ def fit_isometry(points: np.ndarray, height_fn, label="") -> IsometryFit:
     point-to-surface distance.  ValueError if the gaps at (0, 0) are not
     finite.
     """
-    x, y, z = (np.ascontiguousarray(col, dtype=float) for col in np.asarray(points).T)
-    c, s = math.cos(FIT_ANGLE), math.sin(FIT_ANGLE)
-
-    def gaps(a, b):
-        dx, dy = x - a, y - b
-        return z - height_fn(dx * c + dy * s, -dx * s + dy * c)
-
+    gaps = _gaps_fn(points, height_fn)
     a = b = 0.0
     r = gaps(a, b)
-    if not np.isfinite(r).all():
-        raise ValueError("no rotation angle produced a finite fit")
+    _start_gap(r)
     ssq = float(r @ r)
     damping, growth = FIT_DAMPING, 2.0
     normal = None

@@ -13,6 +13,7 @@ of the cylinder and Flaherty families, which are expression strings in v.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -142,9 +143,18 @@ def make_surface(key: str, params=None, domain=None) -> calc.SurfaceChart:
 
     Raises UnknownFamily, ParamConstraint (with the violated constraint
     named), or DomainConstraint when the rectangle leaves the valid region.
+    Charts are immutable, so 32 builds are kept, keyed on the family, each
+    merged parameter's (name, type, repr) and the rectangle's repr.
     """
+    merged = resolve_params(get_family(key), params)
+    return _build(key, tuple((n, type(x), repr(x), x) for n, x in merged.items()),
+                  repr(domain), None if domain is None else tuple(domain))
+
+
+@functools.lru_cache(maxsize=32)
+def _build(key, spec, _domain_repr, domain):
     fam = get_family(key)
-    merged = resolve_params(fam, params)
+    merged = {n: x for n, _, _, x in spec}
     if fam.builder is None:
         evaluator = calc.GraphEvaluator(calc.parse_graph_expr(fam.graph_text(merged)))
         orientation = None

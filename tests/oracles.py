@@ -13,7 +13,10 @@ route (``splu_solve_far_map``) is the far-map solve as it was written with
 scipy; the package's iterative solve must give its field.  The case rules
 as they were written with one branch per case (``branch_minkowski_coords``,
 ``branch_graph_dualize``) are the references of the one formula in the
-curvature c and normal sign eps_N that replaced each.  The printer
+curvature c and normal sign eps_N that replaced each.  The sign loop
+(``all_sign_choices_fit``) fits every sign choice of a pairing and keeps the
+best; a pairing fit that stops at the first choice to close must give its
+bits.  The printer
 (``unparse``) renders a tree back to text, for the parse round trip and the
 sympy oracles; the package never prints a tree.
 """
@@ -383,6 +386,23 @@ def branch_graph_dualize(u, v, f, fu, fv, direction: str):
                 f"gradient square {float(grad_sq):.6g} must be > 1 for this direction")
         return f * fu - u, f * fv - v, f * calculus.jet_sqrt(grad_sq - 1.0)
     raise ValueError(f"unknown direction {direction!r}")
+
+
+# --------------------------------------------------------------------------
+# The sign loop of a pairing fit
+# --------------------------------------------------------------------------
+
+def all_sign_choices_fit(pts, builder, sign_choices, params):
+    """The fit of every sign choice in table order, keeping the smallest
+    max_gap (the first among equals): the loop ``fit_family_pairing`` ran
+    before it ordered the choices by their start gap."""
+    best = None
+    for s1, s2 in sign_choices:
+        fit = duality.fit_isometry(pts, builder(params, s1, s2),
+                                   label=f"signs ({s1:+d}, {s2:+d})")
+        if best is None or fit.max_gap < best.max_gap:
+            best = fit
+    return best
 
 
 # --------------------------------------------------------------------------

@@ -466,6 +466,30 @@ class TestArrayJets:
                 assert list(map(float.hex, got)) == list(map(float.hex, want)), (u, v)
             # a non-finite entry is rerun by the float path, which decides
 
+    # Signed zeros, subnormals, huge and non-finite values, and the edges of
+    # the rules' domains and of their overflow.
+    EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300,
+                   -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan, 1.0, -1.0,
+                   709.782712893384, 709.79, -745.2, 710.47, -710.47, 711.0, 19.0,
+                   -19.0, math.pi / 2, math.pi, 1e16, 1e308]
+
+    @pytest.mark.parametrize("fn", calc.FUNCTIONS)
+    def test_function_rules_have_the_float_bits(self, fn):
+        tree = calc.Call(fn, calc.Var("u"))
+        us = np.array(self.EDGE_VALUES)
+        with np.errstate(all="ignore"):
+            jet = calc._jet_eval(tree, us, np.zeros_like(us))
+        coefficients = np.broadcast_arrays(*jet.coefficients())
+        for i, u in enumerate(self.EDGE_VALUES):
+            got = [float(c[i]) for c in coefficients]
+            want = _float_jet(tree, u, 0.0)
+            if want is None or not math.isfinite(u):
+                # A non-finite argument is NaN too, even where the float
+                # rule has a finite value (tanh and exp at infinities).
+                assert all(map(math.isnan, got)), (fn, u)
+            else:
+                assert list(map(float.hex, got)) == list(map(float.hex, want)), (fn, u)
+
     def test_entries_of_both_kinds(self):
         # One tree gives finite and non-finite entries at once, so the
         # property above checks both of its branches on it.

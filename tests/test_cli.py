@@ -168,6 +168,17 @@ class TestDualize:
         assert abs(abs(fit["theta"]) - math.pi / 2) < 1e-12
         assert fit["max_gap"] <= 1e-6
 
+    def test_fit_isometry_builds_the_chart_once(self, capsys, monkeypatch):
+        from gaussform import zoo
+
+        scans = []
+        scan = zoo._scan_domain
+        monkeypatch.setattr(zoo, "_scan_domain", lambda *a: scans.append(a) or scan(*a))
+        zoo._build.cache_clear()
+        code, _, _ = run_cli(capsys, "dualize", "translational-6.6", "--fit-isometry")
+        assert code == 0
+        assert len(scans) == 1
+
     def test_plain_dualize(self, capsys):
         code, out, _ = run_cli(capsys, "dualize", "ruled-6.2-2",
                                "--grid", "0.3:0.8:4x0.3:1.2:4")

@@ -37,6 +37,48 @@ class TestRegistry:
             forms.forms_at(chart, ((u0 + u1) / 2, (v0 + v1) / 2))
 
 
+class TestChartMemo:
+    def test_same_inputs_same_chart(self):
+        assert zoo.make_surface("ruled-6.7") is zoo.make_surface("ruled-6.7")
+        assert (zoo.make_surface("ruled-6.7", {"c": 2.0}, (0.3, 1.0, 1.8, 2.9))
+                is zoo.make_surface("ruled-6.7", {"c": 2.0}, (0.3, 1.0, 1.8, 2.9)))
+
+    def test_equal_values_of_other_bits_or_types_get_their_own_chart(self):
+        plus = zoo.make_surface("spacelike-plane", {"q": 0.0})
+        minus = zoo.make_surface("spacelike-plane", {"q": -0.0})
+        assert plus is not minus
+        assert zoo.make_surface("horosphere", {"c": 1}) is not \
+            zoo.make_surface("horosphere", {"c": 1.0})
+        up = zoo.make_surface("horosphere", domain=(0.0, 1.0, 0.0, 1.0))
+        down = zoo.make_surface("horosphere", domain=(-0.0, 1.0, -0.0, 1.0))
+        assert up is not down
+        assert [math.copysign(1.0, t) for t in down.domain] == [-1.0, 1.0, -1.0, 1.0]
+
+    def test_another_domain_another_chart(self):
+        chart = zoo.make_surface("horosphere", domain=(-1.0, 1.0, -1.0, 1.0))
+        assert chart is not zoo.make_surface("horosphere")
+        assert chart.domain == (-1.0, 1.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("key,params,domain,error", [
+        ("translational-6.3", None, (-3.0, 3.0, -3.0, 3.0), DomainConstraint),
+        ("translational-6.3", {"a": 0.0, "b": 1.0}, None, ParamConstraint),
+        ("flaherty-plus", {"psi": "1"}, None, ParamConstraint),
+    ])
+    def test_failed_builds_raise_on_every_call(self, key, params, domain, error):
+        for _ in range(3):
+            with pytest.raises(error):
+                zoo.make_surface(key, params, domain)
+
+    def test_a_kept_chart_skips_the_scan(self, monkeypatch):
+        scans = []
+        scan = zoo._scan_domain
+        monkeypatch.setattr(zoo, "_scan_domain", lambda *a: scans.append(a) or scan(*a))
+        zoo._build.cache_clear()
+        first = zoo.make_surface("ruled-6.8")
+        assert zoo.make_surface("ruled-6.8") is first
+        assert len(scans) == 1
+
+
 class TestExamples:
     def test_ruled_point_value(self):
         chart = zoo.make_surface("ruled-6.2-2", {"c": 1.0},

@@ -13,10 +13,12 @@ REPEAT timed passes, and reports the best pass in microseconds per call:
   POLAR_FAMILIES;
 * ``polar_of_polar_minkowski`` at the same points;
 * ``fit_family_pairing`` on the three families with a recorded partner
-  (100 points, seed 0), and two of its parts on the same families:
-  ``make_surface`` (the chart build with its domain scan) and
-  ``fit_isometry`` (the fits under every sign choice of the pairing, on
-  the pairing's cloud of polar points);
+  (100 points, seed 0), and three of its parts on the same families:
+  ``make_surface`` (the chart build with its domain scan, the chart memo
+  cleared before each call on a tree that has one), ``polar_cloud``
+  (``polar_positions`` at the pairing's 100 points) and ``fit_isometry``
+  (the fits under every sign choice of the pairing, on the pairing's cloud
+  of polar points);
 * ``graph_duality_residual`` at the same grid of points on each graph
   family of criterion 5 (GRAPH_DUALITY), in its direction;
 * ``radial_test_pair`` (the radial profile and both fields) on the domain
@@ -60,7 +62,7 @@ ROUNDS = 10
 REPEAT = 5
 LAYERS = ("forms_at", "polar_variety", "polar_position", "polar_forms",
           "polar_of_polar_minkowski", "fit_family_pairing", "make_surface",
-          "fit_isometry", "graph_duality_residual", "radial_test_pair",
+          "polar_cloud", "fit_isometry", "graph_duality_residual", "radial_test_pair",
           "recovered_gauss_map",
           *(f"solve_radial_{n}" for n in SOLVE_GRIDS), "solve_conj8_129")
 
@@ -102,7 +104,15 @@ def layer_calls():
             for p in grid_points(zoo.make_surface(key))]
     calls["fit_family_pairing"] = [
         guarded(duality.fit_family_pairing, key, count=100, seed=0) for key in FIT_FAMILIES]
-    calls["make_surface"] = [guarded(zoo.make_surface, key) for key in FIT_FAMILIES]
+    memo = getattr(zoo, "_build", None)     # the chart memo, where the tree has one
+
+    def build_unkept(key):
+        if memo is not None:
+            memo.cache_clear()
+        zoo.make_surface(key)
+    calls["make_surface"] = [guarded(build_unkept, key) for key in FIT_FAMILIES]
+    calls["polar_cloud"] = [guarded(duality.polar_positions, *fit_cloud_points(key))
+                            for key in FIT_FAMILIES]
     calls["fit_isometry"] = [guarded(fit_all_signs(key)) for key in FIT_FAMILIES]
     calls["radial_test_pair"] = [
         guarded(weierstrass.radial_test_pair, RADIAL_DOMAIN, RADIAL_GRID)]
@@ -120,6 +130,16 @@ def layer_calls():
     return calls
 
 
+def fit_cloud_points(key):
+    """The chart and the 100 parameter points of
+    ``fit_family_pairing(key, count=100, seed=0)``."""
+    import numpy as np
+    from gaussform import zoo
+
+    chart = zoo.make_surface(key)
+    return chart, chart.interior_points(100, np.random.default_rng(0), margin_frac=0.1)
+
+
 def fit_all_signs(key):
     """The fits of ``fit_family_pairing(key, count=100, seed=0)``, one per
     sign choice, on its cloud, which is built once (before timing)."""
@@ -127,11 +147,9 @@ def fit_all_signs(key):
     from gaussform import duality, zoo
 
     builder, sign_choices = duality.PAIRINGS[key]
-    chart = zoo.make_surface(key)
+    chart, points = fit_cloud_points(key)
     params = zoo.resolve_params(zoo.get_family(key), None)
-    rng = np.random.default_rng(0)
-    pts = np.array([duality.polar_position(chart, p).coords
-                    for p in chart.interior_points(100, rng, margin_frac=0.1)])
+    pts = np.array([duality.polar_position(chart, p).coords for p in points])
     heights = [builder(params, s1, s2) for s1, s2 in sign_choices]
     return lambda: [duality.fit_isometry(pts, height) for height in heights]
 

@@ -11,13 +11,15 @@ interpreter with ``PYTHONPATH=<tree>/src`` and its own scratch directory:
   ``zoo list`` names in either tree;
 * ``dualize --fit-isometry`` on the three families with a recorded partner;
 * ``check forms`` at a point of a graph whose induced metric overflows;
-* three ``weierstrass build`` commands that the others leave out: the
-  expression build of the exit-contract tests at ``--grid 9`` (exit 1), the
-  radial build at 17² writing ``--out-g`` and ``--out-far`` (exit 0), and a
-  case-2 build at 17² (exit 1).
+* three ``weierstrass build`` commands that the others leave out, each
+  given ``--out`` for its surface: the expression build of the
+  exit-contract tests at ``--grid 9`` (exit 1, no surface to write), the
+  radial build at 17² writing ``--out-g`` and ``--out-far`` too (exit 0),
+  and a case-2 build at 17² (exit 1, no surface to write).
 
-It compares exit codes, stderr, the files each command writes and the JSON
-on stdout, field by field.  A field is named by its JSON path with list
+It compares exit codes, stderr, the files each command writes, byte for
+byte, and the JSON on stdout, field by field.  A file whose bytes differ
+has its changed cells tallied, or ``(bytes)`` when no cell changed.  A field is named by its JSON path with list
 indices dropped (``points[].eta[]``); each changed field is printed with the
 number of values that changed and the largest relative change
 |a - b| / max(|a|, |b|) among them.  A value counts as changed when its JSON
@@ -44,10 +46,12 @@ from clisession import DOMAIN, SCRIPT  # noqa: E402
 FIT_FAMILIES = ("translational-6.6", "ruled-6.7", "ruled-6.8")
 BUILD = ["weierstrass", "build", "--domain", DOMAIN]
 BUILD_UNITS = [
-    [[*BUILD, "--g", "u+i*v", "--case", "1", "--boundary", "u", "--grid", "9"]],
+    [[*BUILD, "--g", "u+i*v", "--case", "1", "--boundary", "u", "--grid", "9",
+      "--out", "{tmp}/surface.csv"]],
     [[*BUILD, "--g", "builtin:z", "--boundary", "builtin:radial", "--grid", "17",
-      "--out-g", "{tmp}/g.csv", "--out-far", "{tmp}/far.csv"]],
-    [[*BUILD, "--g", "(u-i*v)/8", "--case", "2", "--boundary", "u-i*v", "--grid", "17"]],
+      "--out", "{tmp}/surface.csv", "--out-g", "{tmp}/g.csv", "--out-far", "{tmp}/far.csv"]],
+    [[*BUILD, "--g", "(u-i*v)/8", "--case", "2", "--boundary", "u-i*v", "--grid", "17",
+      "--out", "{tmp}/surface.csv"]],
 ]
 # A height of 1.6e-134 makes the determinant of the induced metric infinite.
 OVERFLOW_UNITS = [[["check", "forms", "--graph=7.88e-134*v", "--at", "0.2,0.2"]]]
@@ -58,8 +62,8 @@ MISSING = object()
 def run_unit(tree, unit):
     """Run the commands of one unit in order in a fresh scratch directory.
 
-    Returns one (exit code, stdout, stderr) per command and the files the
-    unit left behind, with the scratch path written as ``{tmp}``.
+    Returns one (exit code, stdout, stderr) per command, with the scratch
+    path written as ``{tmp}``, and the bytes of each file the unit left behind.
     """
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     results = []
@@ -73,7 +77,7 @@ def run_unit(tree, unit):
                             proc.stderr.replace(tmp, "{tmp}")))
         files = {}
         for name in sorted(os.listdir(tmp)):
-            with open(os.path.join(tmp, name), encoding="utf-8", errors="replace") as fh:
+            with open(os.path.join(tmp, name), "rb") as fh:
                 files[name] = fh.read()
     return results, files
 
@@ -218,7 +222,11 @@ def main(argv):
                 problems.append(f"{' && '.join(map(' '.join, unit))}: "
                                 f"{fname} written on one side only")
             elif a != b:
-                compare_file(fname, a, b, tally)
+                cells = sum(tally.count.values())
+                compare_file(fname, a.decode(errors="replace"), b.decode(errors="replace"),
+                             tally)
+                if sum(tally.count.values()) == cells:
+                    tally.add(f"{fname} (bytes)", None, None)
 
     print(f"{commands} commands per tree, {identical} with identical exit code, "
           f"stdout and stderr")
