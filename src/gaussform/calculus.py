@@ -1,12 +1,15 @@
 """Two-jet evaluation of parametric surfaces and graphs.
 
 The module owns a small expression language for user-supplied graph functions
-f(u, v) and evaluates it as plain numbers or as forward jets carried through
-every node as plain scalars: of order two (value, gradient, Hessian), so
-graph charts have exact derivatives, and of order three, so the polar map,
-which differentiates a chart, has them too; order-two jets also run on (N,)
-float arrays, with the float path's bits.  Parametric charts built from
-closed-form components reuse the same jet engine.
+f(u, v) and evaluates it as plain numbers or as forward jets: of order two
+(value, gradient, Hessian), so graph charts have exact derivatives, and of
+order three, so the polar map, which differentiates a chart, has them too.
+Each tree is compiled once into a kernel, straight-line Python over local
+floats that performs the operations of the jet rules in their order
+(source transformation: Griewank and Walther, Evaluating Derivatives,
+ch. 6 and 13); order-two kernels also run on (N,) float arrays, with the
+float path's bits.  Only the build walks a tree.  Parametric charts built
+from closed-form components reuse the same kernels.
 
 Grammar (stable public contract)::
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from . import ambient
 from .errors import (DomainError, EvaluationError, HeightViolation, NonImmersed,
@@ -38,7 +42,7 @@ COMPLEX_UNIT = "i"      # a constant where parse_graph_expr admits it
 VARIABLES = ("u", "v")
 
 GRAM_DET_TOL = 1e-12
-MAX_DEPTH = 200     # levels of the deepest tree; evaluation recurses once per level
+MAX_DEPTH = 200     # levels of the deepest tree; kernel builds and `evaluate` recurse per level
 
 
 # --------------------------------------------------------------------------
@@ -222,8 +226,8 @@ class GraphExpr:
     def jet(self, u, v):
         """Value, gradient (fu, fv) and Hessian ((fuu, fuv), (fuv, fvv)) at
         (u, v) as floats and tuples, exact to rounding."""
-        j = _jet_eval(self.ast, u, v)
-        return j.val, (j.gu, j.gv), ((j.huu, j.huv), (j.huv, j.hvv))
+        val, gu, gv, huu, huv, hvv = _jet_eval(self.ast, u, v)
+        return val, (gu, gv), ((huu, huv), (huv, hvv))
 
 
 def parse_graph_expr(text: str, complex_unit=False) -> GraphExpr:
@@ -328,12 +332,11 @@ _THIRD_DERIVATIVES = {
 }
 
 
-def _each(rule, width, *args):
+def _each(rule, width, *args, all_finite=False):
     """The float rule ``rule`` at each entry of the (N,) arrays ``args`` (a
     float argument is broadcast), as ``width`` arrays of its results: the
-    float path's bits, and NaN where the rule raises or an argument is not
-    finite.  Functions run ``_derivatives`` on floats, powers the float jet
-    rule of ``_Jet.pow``."""
+    float path's bits, and NaN where the rule raises or, with
+    ``all_finite``, where an argument is not finite."""
     import numpy as np
 
     args, rows = np.broadcast_arrays(*args), []
@@ -343,7 +346,8 @@ def _each(rule, width, *args):
         except (ArithmeticError, ValueError, DomainError):
             rows.append((math.nan,) * width)
     out = np.array(rows, dtype=float).reshape(-1, width)
-    out[~np.isfinite(args).all(axis=0)] = math.nan
+    if all_finite:
+        out[~np.isfinite(args).all(axis=0)] = math.nan
     return out.T
 
 
@@ -354,19 +358,6 @@ def power(x, n):
         return x ** n
     import numpy as np
     return np.float_power(x, n)
-
-
-def _jet_call(fn, x):
-    """A function of the grammar applied to a jet: ``_derivatives`` at x.val,
-    composed by x.chain; order three adds f'''.  On an array jet
-    ``_derivatives`` runs at each entry, NaN where it raises."""
-    v = x.val
-    if not isinstance(v, float):
-        return x.chain(*_each(lambda t: _derivatives(fn, t), 3, v))
-    f0, f1, f2 = _derivatives(fn, v)
-    if type(x) is _Jet:
-        return x.chain(f0, f1, f2)
-    return x.chain(f0, f1, f2, _THIRD_DERIVATIVES[fn](v, f0, f1, f2))
 
 
 def _derivatives(fn, v):
@@ -404,14 +395,38 @@ def _derivatives(fn, v):
     raise TypeError(f"unknown function {fn!r}")
 
 
+def _power_derivatives(v, o):
+    """f, f', f'', f''' of t -> t^o at the float v, for an exponent o known
+    only at call time; None where o is 0, whose power is the constant 1.
+    A kernel inlines this rule for an exponent it knows."""
+    if not math.isfinite(o):
+        raise DomainError("power with a non-finite exponent")
+    if o == round(o):
+        n = int(round(o))
+        if n == 0:
+            return None
+        if v == 0.0 and n < 0:
+            raise DomainError("zero base with negative exponent")
+        f0 = v ** n
+        f1 = n * v ** (n - 1)
+        f2 = n * (n - 1) * (v ** (n - 2) if n != 1 else 0.0)
+    else:
+        if v <= 0.0:
+            raise DomainError("non-integer power of nonpositive base")
+        f0 = v ** o
+        f1, f2 = o * f0 / v, o * (o - 1.0) * f0 / (v * v)
+    # f''' = (o - 2) f'' / v; v is 0 only for an integer o >= 1.
+    return f0, f1, f2, (o - 2.0) * f2 / v if v != 0.0 else (6.0 if o == 3 else 0.0)
+
+
 class _Jet:
     """Value, gradient and Hessian with respect to (u, v), propagated forward.
 
     The six Taylor coefficients are plain scalars: the value ``val``, the
     gradient ``gu``, ``gv`` and the Hessian ``huu``, ``huv``, ``hvv``
     (Griewank and Walther, Evaluating Derivatives, ch. 13).  A float operand
-    takes part as a constant without being lifted into a jet.  An order-two
-    jet may hold (N,) float arrays, NaN where the float rules would raise.
+    takes part as a constant without being lifted into a jet.  The polar
+    map and the normal run on these jets; trees run on kernels (below).
     """
 
     __slots__ = ("val", "gu", "gv", "huu", "huv", "hvv")
@@ -423,9 +438,6 @@ class _Jet:
         self.huu = huu
         self.huv = huv
         self.hvv = hvv
-
-    def coefficients(self):
-        return self.val, self.gu, self.gv, self.huu, self.huv, self.hvv
 
     def __float__(self):
         return float(self.val)
@@ -475,14 +487,10 @@ class _Jet:
         return self._reciprocal() * o
 
     def _reciprocal(self):
-        if isinstance(self.val, float):
-            if self.val == 0.0:
-                raise DomainError("division by zero")
-            inv = 1.0 / self.val
-            inv3 = inv**3
-        else:                           # an array's zeros give inf, and NaN below
-            inv = 1.0 / self.val
-            inv3 = power(inv, 3)
+        if self.val == 0.0:
+            raise DomainError("division by zero")
+        inv = 1.0 / self.val
+        inv3 = inv**3
         gu, gv = self.gu, self.gv
         return _Jet(inv, -gu * inv * inv, -gv * inv * inv,
                     -self.huu * inv * inv + 2.0 * (gu * gu) * inv3,
@@ -497,155 +505,306 @@ class _Jet:
                     f1 * self.huv + f2 * (gu * gv),
                     f1 * self.hvv + f2 * (gv * gv))
 
-    def pow(self, o):
-        if not isinstance(self.val, float) or type(o) is _Jet and not isinstance(o.val, float):
-            exponent = o.coefficients() if isinstance(o, _Jet) else (o,)
-            return _Jet(*_each(lambda *c: _Jet(*c[:6]).pow(_Jet(*c[6:]) if c[7:] else c[6])
-                               .coefficients(), 6, *self.coefficients(), *exponent))
-        if isinstance(o, _Jet):
-            if any(o.coefficients()[1:]):
-                if self.val <= 0.0:
-                    raise DomainError("variable power of nonpositive base")
-                return _jet_call("exp", o * _jet_call("log", self))
-            o = o.val
+
+# --------------------------------------------------------------------------
+# Kernels: each tree compiled once into straight-line jet code
+# --------------------------------------------------------------------------
+
+# The slots of a jet's coefficients: value, gradient, Hessian and, of order
+# three, the third derivatives.  In the rules below ``{auv}`` is the d_uv
+# slot of the operand a.
+_SLOTS = ("", "u", "v", "uu", "uv", "vv", "uuu", "uuv", "uvv", "vvv")
+
+# Each rule is the expression of one coefficient of a jet operation, with
+# the operations, the order and the grouping of ``_Jet`` (order two) and of
+# its order-three extension, so a kernel keeps the bits of either.  The
+# product a * b:
+_MUL = ("{a} * {b}", "{au} * {b} + {bu} * {a}", "{av} * {b} + {bv} * {a}",
+        "{auu} * {b} + {buu} * {a} + {au} * {bu} + {au} * {bu}",
+        "{auv} * {b} + {buv} * {a} + {au} * {bv} + {av} * {bu}",
+        "{avv} * {b} + {bvv} * {a} + {av} * {bv} + {av} * {bv}",
+        "{auuu} * {b} + {buuu} * {a} + 3.0 * ({auu} * {bu} + {au} * {buu})",
+        "{auuv} * {b} + {buuv} * {a} + {auu} * {bv} + {av} * {buu}"
+        " + 2.0 * ({auv} * {bu} + {au} * {buv})",
+        "{auvv} * {b} + {buvv} * {a} + {avv} * {bu} + {au} * {bvv}"
+        " + 2.0 * ({auv} * {bv} + {av} * {buv})",
+        "{avvv} * {b} + {bvvv} * {a} + 3.0 * ({avv} * {bv} + {av} * {bvv})")
+# The derivatives of f(a), given f' to f''' at a's value (Faa di Bruno):
+_CHAIN = ("{f1} * {au}", "{f1} * {av}",
+          "{f1} * {auu} + {f2} * ({au} * {au})",
+          "{f1} * {auv} + {f2} * ({au} * {av})",
+          "{f1} * {avv} + {f2} * ({av} * {av})",
+          "{f1} * {auuu} + {f2} * (3.0 * {au} * {auu}) + {f3} * ({au} * {au} * {au})",
+          "{f1} * {auuv} + {f2} * ({auu} * {av} + 2.0 * {au} * {auv})"
+          " + {f3} * ({au} * {au} * {av})",
+          "{f1} * {auvv} + {f2} * ({avv} * {au} + 2.0 * {av} * {auv})"
+          " + {f3} * ({au} * {av} * {av})",
+          "{f1} * {avvv} + {f2} * (3.0 * {av} * {avv}) + {f3} * ({av} * {av} * {av})")
+# 1 / a to order two, from inv = 1 / a and inv3 = inv ** 3:
+_RECIPROCAL = ("{inv}", "-{au} * {inv} * {inv}", "-{av} * {inv} * {inv}",
+               "-{auu} * {inv} * {inv} + 2.0 * ({au} * {au}) * {inv3}",
+               "-{auv} * {inv} * {inv} + 2.0 * ({au} * {av}) * {inv3}",
+               "-{avv} * {inv} * {inv} + 2.0 * ({av} * {av}) * {inv3}")
+
+
+def _named(prefix, jet):
+    return {prefix + slot: c for slot, c in zip(_SLOTS, jet)}
+
+
+class _Emitter:
+    """Writes one kernel: the operations of the jet rules over local names.
+
+    A jet is a list of the names of its coefficients (or the literals 0.0
+    and 1.0); a float, the value of a constant subtree, is a pair of its
+    name and, where the build knows it, its value.  Constants live in the
+    namespace ``ns``, so no text of a tree reaches the source.  Every
+    operation is emitted in the walker's post-order, so the kernel raises
+    the walker's first error.
+    """
+
+    def __init__(self, order, ns):
+        self.order, self.width, self.ns = order, 4 * order - 2, ns
+        self.lines, self.pad, self.count = [], "    ", 0
+
+    def const(self, value):
+        name = f"c{len(self.ns)}"
+        self.ns[name] = value
+        return name
+
+    def line(self, text):
+        self.lines.append(f"{self.pad}{text}\n")
+
+    def let(self, expr):
+        if expr.isidentifier():
+            return expr
+        self.count += 1
+        self.line(f"t{self.count} = {expr}")
+        return f"t{self.count}"
+
+    def unpack(self, expr, count):
+        names = [f"t{self.count + i + 1}" for i in range(count)]
+        self.count += count
+        self.line(f"{', '.join(names)} = {expr}")
+        return names
+
+    def fail(self, cond, message, error="DomainError"):
+        text = f"raise {error}({self.const(message)})"
+        self.line(f"if {cond}: {text}" if cond else text)
+
+    def rule(self, templates, **names):
+        return [self.let(t.format(**names)) for t in templates]
+
+    def lift(self, x):
+        return [x[0]] + ["0.0"] * (self.width - 1) if type(x) is tuple else x
+
+    def branch(self, cond, then, other):
+        """``if cond: then() else: other()``; the names both assign."""
+        out = [f"t{self.count + i + 1}" for i in range(self.width)]
+        self.count += self.width
+        for head, body in ((f"if {cond}:", then), ("else:", other)):
+            self.line(head)
+            self.pad += "    "
+            self.line(f"{', '.join(out)} = {', '.join(body())}")
+            self.pad = self.pad[:-4]
+        return out
+
+    def function(self, params, out):
+        source = f"def kernel({params}):\n{''.join(self.lines)}    return ({', '.join(out)},)\n"
+        exec(compile(source, "<jet kernel>", "exec"), self.ns)
+        return self.ns.pop("kernel")
+
+    def walk(self, n, arrays):
+        """Emit a subtree; its value and whether it reads u or v.  With
+        ``arrays``, u and v are arrays, and an operation on a value that
+        reads them takes the rule for arrays."""
+        kind = type(n)
+        if kind is Var:
+            jet = ["u", "1.0", "0.0"] if n.name == "u" else ["v", "0.0", "1.0"]
+            return jet + ["0.0"] * (self.width - 3), True
+        if kind is Num:
+            k = self.const(n.value)
+            return ((k, n.value) if type(n.value) is float
+                    else (self.let(f"float({k})"), None)), False
+        if kind is Const:               # an unknown name raises the lookup's KeyError
+            if n.name == COMPLEX_UNIT:
+                self.fail(None, f"constant {n.name!r} is complex; jets are real")
+            if n.name in CONSTANTS:
+                return (self.const(CONSTANTS[n.name]), CONSTANTS[n.name]), False
+            return (self.let(f"CONSTANTS[{self.const(n.name)}]"), None), False
+        if kind is Neg:
+            x, var = self.walk(n.arg, arrays)
+            if type(x) is tuple:
+                return (self.let(f"-{x[0]}"), None if x[1] is None else -x[1]), var
+            return [self.let(f"-{c}") for c in x], var
+        if kind is Call:
+            x, var = self.walk(n.arg, arrays)
+            return self.call(n.fn, self.lift(x), arrays and var), var
+        if kind is Bin:
+            (a, va), (b, vb), op = self.walk(n.left, arrays), self.walk(n.right, arrays), n.op
+            if type(a) is tuple and (op == "^" or type(b) is tuple):
+                a = self.lift(a)
+            if op == "+" or op == "-":
+                return self.plus(a, b, "+" if op == "+" else "-"), va or vb
+            if op == "*":
+                return self.times(a, b), va or vb
+            if op == "/":
+                return self.divide(a, b, arrays and vb), va or vb
+            if type(a) is tuple:
+                self.fail(None, "'float' object has no attribute 'pow'", "AttributeError")
+            return self.power(self.lift(a), b, arrays and (va or vb)), va or vb
+        self.line(f'raise TypeError(f"not an expression node: {{{self.const(n)}!r}}")')
+        return ("0.0", None), False
+
+    def plus(self, a, b, sign):
+        if type(a) is tuple:            # float +- jet: the jet's reflected rule
+            if sign == "+":
+                return [self.let(f"{b[0]} + {a[0]}"), *b[1:]]
+            return [self.let(f"{a[0]} - {b[0]}"), *[self.let(f"-{c}") for c in b[1:]]]
+        if type(b) is tuple:
+            return [self.let(f"{a[0]} {sign} {b[0]}"), *a[1:]]
+        return [self.let(f"{x} {sign} {y}") for x, y in zip(a, b)]
+
+    def times(self, a, b):
+        if type(a) is tuple:
+            a, b = b, a
+        if type(b) is tuple:
+            return [self.let(f"{c} * {b[0]}") for c in a]
+        return self.rule(_MUL[:self.width], **_named("a", a), **_named("b", b))
+
+    def divide(self, a, b, arrays):
+        if type(b) is tuple:
+            self.fail(f"{b[0]} == 0.0", "division by zero")
+            r = self.let(f"1.0 / {b[0]}")
+            return [self.let(f"{c} * {r}") for c in a]
+        if not arrays:                  # an array's zeros give inf, and NaN below
+            self.fail(f"{b[0]} == 0.0", "division by zero")
+        inv = self.let(f"1.0 / {b[0]}")
+        inv3 = self.let(f"power({inv}, 3)" if arrays else f"{inv} ** 3")
+        r = self.rule(_RECIPROCAL, **_named("a", b), inv=inv, inv3=inv3)
+        if self.width == 10:
+            f = [self.let(f"-{inv} * {inv}"), self.let(f"2.0 * {inv3}"),
+                 self.let(f"-6.0 * {inv3} * {inv}")]
+            r += self.rule(_CHAIN[5:], **_named("a", b), f1=f[0], f2=f[1], f3=f[2])
+        return [self.let(f"{c} * {a[0]}") for c in r] if type(a) is tuple else self.times(a, r)
+
+    def chain(self, a, f0, f1, f2, f3=None):
+        return [f0, *self.rule(_CHAIN[:self.width - 1], **_named("a", a), f1=f1, f2=f2, f3=f3)]
+
+    def call(self, fn, a, arrays):
+        if arrays:
+            f = self.unpack(f"each({self.const(partial(_derivatives, fn))}, 3, {a[0]})", 3)
+        else:
+            f = self.unpack(f"derivatives({self.const(fn)}, {a[0]})", 3)
+        if self.width == 10:
+            third = self.const(_THIRD_DERIVATIVES[fn] if fn in FUNCTIONS else None)
+            f.append(self.let(f"{third}({a[0]}, {', '.join(f)})"))
+        return self.chain(a, *f)
+
+    def power(self, a, b, arrays):
+        """a ** b for a jet a; a jet exponent b takes exp(b log a) where its
+        derivatives are not all zero at call time, as ``_Jet.pow`` did."""
+        if arrays:                      # the float rule at each entry
+            args = a + ([b[0]] if type(b) is tuple else b)
+            params = [f"p{i}" for i in range(len(args))]
+            sub, w = _Emitter(self.order, self.ns), self.width
+            out = sub.power(params[:w], (params[w], b[1]) if type(b) is tuple else params[w:],
+                            False)
+            rule = self.const(sub.function(", ".join(params), out))
+            return self.unpack(f"each({rule}, {w}, {', '.join(args)}, all_finite=True)", w)
+        if type(b) is list:
+            def variable():
+                self.fail(f"{a[0]} <= 0.0", "variable power of nonpositive base")
+                return self.call("exp", self.times(b, self.call("log", a, False)), False)
+            return self.branch(" or ".join(b[1:]), variable, lambda: self.runtime_power(a, b[0]))
+        return self.runtime_power(a, b[0]) if b[1] is None else self.constant_power(a, b[1])
+
+    def runtime_power(self, a, o):
+        """a ** o for an exponent o known only at call time."""
+        p = self.let(f"power_derivatives({a[0]}, {o})")
+        return self.branch(f"{p} is None", lambda: self.lift(("1.0", 1.0)),
+                           lambda: self.chain(a, *self.unpack(p, 4)))
+
+    def constant_power(self, a, o):
+        """``_power_derivatives`` inlined for the exponent o, then the chain."""
+        v, k = a[0], self.const
         if not math.isfinite(o):
-            raise DomainError("power with a non-finite exponent")
-        v = self.val
+            self.fail(None, "power with a non-finite exponent")
+            return a
         if o == round(o):
             n = int(round(o))
             if n == 0:
-                return type(self)(1.0)
-            if v == 0.0 and n < 0:
-                raise DomainError("zero base with negative exponent")
-            f0 = v ** n
-            f1 = n * v ** (n - 1)
-            f2 = n * (n - 1) * (v ** (n - 2) if n != 1 else 0.0)
+                return self.lift(("1.0", 1.0))
+            if n < 0:
+                self.fail(f"{v} == 0.0", "zero base with negative exponent")
+            f = [self.let(f"{v} ** {k(n)}"), self.let(f"{k(n)} * {v} ** {k(n - 1)}"),
+                 self.let(f"{k(n * (n - 1))} * {v} ** {k(n - 2)}") if n != 1 else "0.0"]
         else:
-            if v <= 0.0:
-                raise DomainError("non-integer power of nonpositive base")
-            f0 = v ** o
-            f1, f2 = o * f0 / v, o * (o - 1.0) * f0 / (v * v)
-        if type(self) is _Jet:
-            return self.chain(f0, f1, f2)
-        # f''' = (o - 2) f'' / v; v is 0 only for an integer o >= 1.
-        return self.chain(f0, f1, f2, (o - 2.0) * f2 / v if v != 0.0
-                          else (6.0 if o == 3 else 0.0))
+            self.fail(f"{v} <= 0.0", "non-integer power of nonpositive base")
+            f = [self.let(f"{v} ** {k(o)}")]
+            f += [self.let(f"{k(o)} * {f[0]} / {v}"),
+                  self.let(f"{k(o * (o - 1.0))} * {f[0]} / ({v} * {v})")]
+        if self.width == 10:
+            f.append(self.let(f"{k(o - 2.0)} * {f[2]} / {v} if {v} != 0.0 "
+                              f"else {6.0 if o == 3 else 0.0}"))
+        return self.chain(a, *f)
 
 
-class _Jet3(_Jet):
-    """Order-three jet: the six coefficients of ``_Jet`` by its own rules, and
-    the third derivatives ``tuuu``, ``tuuv``, ``tuvv``, ``tvvv``."""
-
-    __slots__ = ("tuuu", "tuuv", "tuvv", "tvvv")
-
-    def __init__(self, val, gu=0.0, gv=0.0, huu=0.0, huv=0.0, hvv=0.0,
-                 tuuu=0.0, tuuv=0.0, tuvv=0.0, tvvv=0.0):
-        _Jet.__init__(self, val, gu, gv, huu, huv, hvv)
-        self.tuuu, self.tuuv, self.tuvv, self.tvvv = tuuu, tuuv, tuvv, tvvv
-
-    def coefficients(self):
-        return _Jet.coefficients(self) + (self.tuuu, self.tuuv, self.tuvv, self.tvvv)
-
-    def __add__(self, o):
-        low = _Jet.__add__(self, o).coefficients()
-        if isinstance(o, _Jet3):
-            return _Jet3(*low, self.tuuu + o.tuuu, self.tuuv + o.tuuv,
-                         self.tuvv + o.tuvv, self.tvvv + o.tvvv)
-        return _Jet3(*low, self.tuuu, self.tuuv, self.tuvv, self.tvvv)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Jet3(*[-c for c in self.coefficients()])
-
-    # a - b and a + (-b) round identically.
-    def __sub__(self, o):
-        return self + -o
-
-    def __rsub__(self, o):
-        return -self + o
-
-    def __mul__(self, o):
-        low = _Jet.__mul__(self, o).coefficients()
-        if not isinstance(o, _Jet3):
-            return _Jet3(*low, self.tuuu * o, self.tuuv * o, self.tuvv * o, self.tvvv * o)
-        a, au, av, auu, auv, avv, auuu, auuv, auvv, avvv = self.coefficients()
-        b, bu, bv, buu, buv, bvv, buuu, buuv, buvv, bvvv = o.coefficients()
-        return _Jet3(*low, auuu * b + buuu * a + 3.0 * (auu * bu + au * buu),
-                     auuv * b + buuv * a + auu * bv + av * buu + 2.0 * (auv * bu + au * buv),
-                     auvv * b + buvv * a + avv * bu + au * bvv + 2.0 * (auv * bv + av * buv),
-                     avvv * b + bvvv * a + 3.0 * (avv * bv + av * bvv))
-
-    __rmul__ = __mul__
-
-    def _reciprocal(self):
-        low = _Jet._reciprocal(self).coefficients()
-        inv = low[0]
-        inv3 = inv**3
-        return _Jet3(*low, *self._third(-inv * inv, 2.0 * inv3, -6.0 * inv3 * inv))
-
-    def chain(self, f0, f1, f2, f3):
-        return _Jet3(*_Jet.chain(self, f0, f1, f2).coefficients(), *self._third(f1, f2, f3))
-
-    def _third(self, f1, f2, f3):
-        """Third derivatives of f(self) given f', f'', f''' (Faa di Bruno)."""
-        _, gu, gv, huu, huv, hvv, tuuu, tuuv, tuvv, tvvv = self.coefficients()
-        return (f1 * tuuu + f2 * (3.0 * gu * huu) + f3 * (gu * gu * gu),
-                f1 * tuuv + f2 * (huu * gv + 2.0 * gu * huv) + f3 * (gu * gu * gv),
-                f1 * tuvv + f2 * (hvv * gu + 2.0 * gv * huv) + f3 * (gu * gv * gv),
-                f1 * tvvv + f2 * (3.0 * gv * hvv) + f3 * (gv * gv * gv))
+def _build(node, order, arrays):
+    """The kernel of a tree: (u, v) -> its jet's coefficients.  On floats
+    it raises EvaluationError where one is not finite."""
+    e = _Emitter(order, {"derivatives": _derivatives, "power_derivatives": _power_derivatives,
+                         "each": _each, "power": power, "isfinite": math.isfinite,
+                         "CONSTANTS": CONSTANTS, "DomainError": DomainError,
+                         "EvaluationError": EvaluationError})
+    out = e.lift(e.walk(node, arrays)[0])
+    names = [c for c in out if c.isidentifier()]
+    if names and not arrays:            # the sum screens: 0 * x is 0 for a finite x
+        e.fail(f"({' + '.join(names)}) * 0.0 != 0.0 and "
+               f"not ({' and '.join(f'isfinite({c})' for c in names)})",
+               "expression jet produced a non-finite value", "EvaluationError")
+    return e.function("u, v", out)
 
 
-def _jet_eval(node, u, v, jet=_Jet) -> _Jet:
-    """Jet of a tree at (u, v), of the order of the jet class ``jet``.
+KERNEL_MEMO = 256
+_KERNELS = {}           # (id(tree), order, arrays) -> (tree, kernel), oldest first
+
+
+def _remember(node, order, arrays):
+    """Build a tree's kernel into the memo, which is keyed on the tree's
+    identity (a frozen tree would hash all its nodes at every lookup) and
+    keeps the tree, so no other tree takes its key; past KERNEL_MEMO
+    kernels the oldest goes.  Two threads may build one kernel twice, and
+    each gets a right one."""
+    entry = _KERNELS[id(node), order, arrays] = node, _build(node, order, arrays)
+    while len(_KERNELS) > KERNEL_MEMO:
+        try:
+            del _KERNELS[next(iter(_KERNELS))]
+        except (KeyError, RuntimeError):        # another thread changed the memo
+            pass
+    return entry
+
+
+def _jet_eval(node, u, v, order=2):
+    """The Taylor coefficients of a tree at (u, v), from its kernel: of order
+    two the value, gradient and Hessian (val, gu, gv, huu, huv, hvv), of
+    order three also d_uuu, d_uuv, d_uvv, d_vvv.
 
     Constant subtrees stay floats and enter the jet rules as plain operands;
     a float is lifted into a jet only where a rule needs one of its own: the
     base of a power, the argument of a function, and an operation between
     two floats (so their domain errors are the jet rules' errors).  On (N,)
-    arrays u, v an order-two array jet is left unchecked for its caller.
+    arrays u, v an order-two jet is left unchecked for its caller: NaN where
+    a function or power rule raises, non-finite where a divisor is zero.
     """
-    if (type(u) is not float or type(v) is not float) and not getattr(u, "ndim", 0):
-        u, v = float(u), float(v)
-    ju, jv = jet(u, 1.0), jet(v, 0.0, 1.0)
-
-    def rec(n):
-        kind = type(n)
-        if kind is Var:
-            return ju if n.name == "u" else jv
-        if kind is Num:
-            return float(n.value)
-        if kind is Bin:
-            a, b, op = rec(n.left), rec(n.right), n.op
-            if type(a) is not jet and (op == "^" or type(b) is not jet):
-                a = jet(a)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                return a / b
-            return a.pow(b)
-        if kind is Call:
-            x = rec(n.arg)
-            return _jet_call(n.fn, x if type(x) is jet else jet(x))
-        if kind is Neg:
-            return -rec(n.arg)
-        if kind is Const:
-            if n.name == COMPLEX_UNIT:
-                raise DomainError(f"constant {n.name!r} is complex; jets are real")
-            return CONSTANTS[n.name]
-        raise TypeError(f"not an expression node: {n!r}")
-
-    out = rec(node)
-    if type(out) is not jet:
-        out = jet(out)
-    if isinstance(u, float) and not all(map(math.isfinite, (out.val, out.gu, out.gv,
-                                                            out.huu, out.huv, out.hvv))):
-        raise EvaluationError("expression jet produced a non-finite value")
-    return out
+    arrays = False
+    if type(u) is not float or type(v) is not float:
+        arrays = bool(getattr(u, "ndim", 0))
+        if not arrays:
+            u, v = float(u), float(v)
+    entry = _KERNELS.get((id(node), order, arrays))
+    if entry is None or entry[0] is not node:
+        entry = _remember(node, order, arrays)
+    return entry[1](u, v)
 
 
 # --------------------------------------------------------------------------
@@ -670,20 +829,19 @@ class Jet2:
         return self.x[-1]
 
 
-def third_order_jet(node, u, v) -> _Jet3:
-    """Order-three jet of an expression tree at (u, v)."""
-    j = _jet_eval(node, u, v, _Jet3)
-    if not all(map(math.isfinite, (j.tuuu, j.tuuv, j.tuvv, j.tvvv))):
-        raise EvaluationError("expression jet produced a non-finite value")
-    return j
+def third_order_jet(node, u, v) -> tuple:
+    """The ten coefficients of the order-three jet of an expression tree at
+    (u, v): value, gradient, Hessian, then d_uuu, d_uuv, d_uvv, d_vvv."""
+    return _jet_eval(node, u, v, 3)
 
 
-def jet_partials(j: _Jet3):
-    """Order-two jets of x, x_u and x_v from one order-three jet of x, for
-    pipelines that need second derivatives of x_u and x_v (a normal, say)."""
-    return (_Jet(j.val, j.gu, j.gv, j.huu, j.huv, j.hvv),
-            _Jet(j.gu, j.huu, j.huv, j.tuuu, j.tuuv, j.tuvv),
-            _Jet(j.gv, j.huv, j.hvv, j.tuuv, j.tuvv, j.tvvv))
+def jet_partials(j):
+    """Order-two jets of x, x_u and x_v from the ten coefficients of one
+    order-three jet of x, for pipelines that need second derivatives of x_u
+    and x_v (a normal, say)."""
+    val, gu, gv, huu, huv, hvv, tuuu, tuuv, tuvv, tvvv = j
+    return (_Jet(val, gu, gv, huu, huv, hvv), _Jet(gu, huu, huv, tuuu, tuuv, tuvv),
+            _Jet(gv, huv, hvv, tuuv, tuvv, tvvv))
 
 
 def first_order_jet(val, grad) -> "_Jet":
@@ -694,7 +852,7 @@ def first_order_jet(val, grad) -> "_Jet":
 def jet_sqrt(x):
     """Square root usable on floats and jets alike."""
     if isinstance(x, _Jet):
-        return _jet_call("sqrt", x)
+        return x.chain(*_derivatives("sqrt", x.val))
     return math.sqrt(x)
 
 
@@ -719,9 +877,9 @@ class GraphEvaluator:
         return (Var("u"), Var("v"), self.expr.ast)
 
     def jet(self, u, v):
-        j = _jet_eval(self.expr.ast, u, v)
-        return ((u, v, j.val), ((1.0, 0.0), (0.0, 1.0), (j.gu, j.gv)),
-                (_ZERO_HESSIAN, _ZERO_HESSIAN, ((j.huu, j.huv), (j.huv, j.hvv))))
+        val, gu, gv, huu, huv, hvv = _jet_eval(self.expr.ast, u, v)
+        return ((u, v, val), ((1.0, 0.0), (0.0, 1.0), (gu, gv)),
+                (_ZERO_HESSIAN, _ZERO_HESSIAN, ((huu, huv), (huv, hvv))))
 
 
 class ClosedFormEvaluator:
@@ -744,7 +902,9 @@ class ClosedFormEvaluator:
     def jet(self, u, v):
         if self._jet_fn is not None:
             return self._jet_fn(u, v)
-        return jet_tuples([_jet_eval(c.ast, u, v) for c in self.components])
+        x, du, duu = zip(*[(j[0], (j[1], j[2]), ((j[3], j[4]), (j[4], j[5])))
+                           for j in [_jet_eval(c.ast, u, v) for c in self.components]])
+        return x, du, duu
 
 
 @dataclass(frozen=True)

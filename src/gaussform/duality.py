@@ -191,12 +191,12 @@ def _polar_cloud(chart: calc.SurfaceChart, u, v):
     """Polar positions at the arrays u, v, and where every check passes."""
     space = chart.ambient
     jets = [calc._jet_eval(a, u, v) for a in chart.evaluator.component_asts]
-    x, du, h = [j.val for j in jets], [(j.gu, j.gv) for j in jets], jets[-1].val
+    x, du, h = [j[0] for j in jets], [j[1:3] for j in jets], jets[-1][0]
     eta, ok = forms.frame_normals(space, h, du)
     _, pos = _dual_point(space, amb.minkowski_coords(space, x), eta)
     ok &= (chart.contains(u, v) & calc.chart_ok(space, h, du) & ~_on_equator(eta[2])
            & (pos[2] > 0.0))
-    values = np.broadcast_arrays(*pos, *[c for j in jets for c in j.coefficients()])
+    values = np.broadcast_arrays(*pos, *[c for j in jets for c in j])
     return np.column_stack(values[:3]), ok & np.isfinite(values).all(axis=0)
 
 
@@ -240,10 +240,8 @@ def polar_chart(chart: calc.SurfaceChart) -> calc.SurfaceChart:
     space = chart.ambient
 
     def jet_fn(u, v):
-        jets = [calc.third_order_jet(a, u, v) for a in asts]
-        x, du, _ = calc.jet_tuples(jets)
-        calc.check_chart_jet(space, u, v, x, du)
-        x, xu, xv = zip(*map(calc.jet_partials, jets))
+        x, xu, xv = zip(*[calc.jet_partials(calc.third_order_jet(a, u, v)) for a in asts])
+        calc.check_chart_jet(space, u, v, *calc.jet_tuples(x)[:2])
         eta = forms.frame_normal(space, x[-1], tuple(zip(xu, xv)),
                                  chart.orientation_at((u, v)))
         _, _, pos = _checked_dual_point(space, x, eta)

@@ -228,7 +228,11 @@ def solve_far_map(g: ComplexField, boundary,
 
     ring = bvals.copy()
     ring[1:-1, 1:-1] = 0.0
-    rhs = -stencil(ring)
+    with np.errstate(all="ignore"):
+        rhs = -stencil(ring)
+    if np.isfinite(ring).all() and not np.isfinite(rhs).all():
+        raise ConstraintViolation("compatibility stencil has a non-finite boundary "
+                                  "term: the boundary data overflows")
     # Scaled by a power of two, the solve keeps its bits and no norm overflows.
     unit = 2.0 ** -np.frexp(np.abs(rhs).max())[1]
     rhs = rhs * unit
@@ -252,40 +256,41 @@ def solve_far_map(g: ComplexField, boundary,
     def norm(x):
         return np.sqrt(np.sum(np.abs(x) ** 2))
 
-    interior, done = precondition(rhs), 0      # the Laplacian's solution first
-    while True:
-        r = rhs - operator(interior)
-        beta, scale = norm(r), norm(np.abs(rhs) + size * np.abs(interior))
-        if beta <= SOLVE_TOL * scale:
-            break
-        if done >= SOLVE_MAX_ITER or not np.isfinite(beta):
-            raise SingularSystem("far-map solve did not reach rounding level",
-                                 done, beta / scale)
-        basis = np.empty((ni, SOLVE_RESTART + 1, nj), complex)   # vector k is basis[:, k]
-        hess = np.zeros((SOLVE_RESTART + 1, SOLVE_RESTART), complex)
-        gamma, rotations = np.zeros(SOLVE_RESTART + 1, complex), []
-        basis[:, 0], gamma[0] = r / beta, beta
-        for k in range(SOLVE_RESTART):
-            w = operator(precondition(basis[:, k]))
-            for _ in range(2):         # classical Gram-Schmidt, run twice
-                h = (basis[:, :k + 1] @ w.conj()[..., None]).sum(axis=0)[:, 0].conj()
-                w = w - h @ basis[:, :k + 1]
-                hess[:k + 1, k] += h
-            hess[k + 1, k] = norm_w = norm(w)
-            for i, rotation in enumerate(rotations):
-                rotate(hess[:, k], i, *rotation)
-            top, rho = hess[k, k], np.hypot(abs(hess[k, k]), norm_w)
-            rotations.append((abs(top) / rho, top * norm_w / (abs(top) * rho) if top else 1.0))
-            rotate(hess[:, k], k, *rotations[k])
-            rotate(gamma, k, *rotations[k])
-            done += 1
-            # Aim 16x below the goal, so the update's rounding cannot leave the
-            # true residual above it, where the next cycle would stall.
-            if abs(gamma[k + 1]) <= SOLVE_TOL * scale / 16 or done >= SOLVE_MAX_ITER:
+    with np.errstate(all="ignore"):       # a non-finite residual raises
+        interior, done = precondition(rhs), 0      # the Laplacian's solution first
+        while True:
+            r = rhs - operator(interior)
+            beta, scale = norm(r), norm(np.abs(rhs) + size * np.abs(interior))
+            if beta <= SOLVE_TOL * scale:
                 break
-            basis[:, k + 1] = w / norm_w
-        y = np.linalg.solve(np.triu(hess[:k + 1, :k + 1]), gamma[:k + 1])
-        interior = interior + precondition(y @ basis[:, :k + 1])
+            if done >= SOLVE_MAX_ITER or not np.isfinite(beta):
+                raise SingularSystem("far-map solve did not reach rounding level",
+                                     done, beta / scale)
+            basis = np.empty((ni, SOLVE_RESTART + 1, nj), complex)   # vector k is basis[:, k]
+            hess = np.zeros((SOLVE_RESTART + 1, SOLVE_RESTART), complex)
+            gamma, rotations = np.zeros(SOLVE_RESTART + 1, complex), []
+            basis[:, 0], gamma[0] = r / beta, beta
+            for k in range(SOLVE_RESTART):
+                w = operator(precondition(basis[:, k]))
+                for _ in range(2):         # classical Gram-Schmidt, run twice
+                    h = (basis[:, :k + 1] @ w.conj()[..., None]).sum(axis=0)[:, 0].conj()
+                    w = w - h @ basis[:, :k + 1]
+                    hess[:k + 1, k] += h
+                hess[k + 1, k] = norm_w = norm(w)
+                for i, rotation in enumerate(rotations):
+                    rotate(hess[:, k], i, *rotation)
+                top, rho = hess[k, k], np.hypot(abs(hess[k, k]), norm_w)
+                rotations.append((abs(top) / rho, top * norm_w / (abs(top) * rho) if top else 1.0))
+                rotate(hess[:, k], k, *rotations[k])
+                rotate(gamma, k, *rotations[k])
+                done += 1
+                # Aim 16x below the goal, so the update's rounding cannot leave the
+                # true residual above it, where the next cycle would stall.
+                if abs(gamma[k + 1]) <= SOLVE_TOL * scale / 16 or done >= SOLVE_MAX_ITER:
+                    break
+                basis[:, k + 1] = w / norm_w
+            y = np.linalg.solve(np.triu(hess[:k + 1, :k + 1]), gamma[:k + 1])
+            interior = interior + precondition(y @ basis[:, :k + 1])
 
     ring[1:-1, 1:-1] = interior / unit
     return ComplexField(ring, g.u0, g.v0, du, dv, ROLE_FAR_MAP)

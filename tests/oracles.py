@@ -18,7 +18,11 @@ curvature c and normal sign eps_N that replaced each.  The sign loop
 best; a pairing fit that stops at the first choice to close must give its
 bits.  The printer
 (``unparse``) renders a tree back to text, for the parse round trip and the
-sympy oracles; the package never prints a tree.
+sympy oracles; the package never prints a tree.  The tree walker
+(``walk_jet``, with ``jet_call``, ``jet_pow`` and the order-three jet
+``Jet3``) evaluates a tree's jets by one jet object per operation, as the
+package did before it compiled each tree into a kernel; the kernels must
+give its bits and its errors.
 """
 
 import math
@@ -30,8 +34,9 @@ from gaussform import ambient as amb
 from gaussform import calculus, duality, gaussmaps
 from gaussform import weierstrass as ws
 from gaussform.calculus import Bin, Call, Const, Neg, Num, Var
-from gaussform.errors import (CausalityViolation, ConstraintViolation, NonImmersed,
-                              NonPositiveHeight, WrongCausalClass)
+from gaussform.errors import (CausalityViolation, ConstraintViolation, DomainError,
+                              EvaluationError, NonImmersed, NonPositiveHeight,
+                              WrongCausalClass)
 from gaussform.forms import FormBundle, orientation_sign
 
 
@@ -457,3 +462,202 @@ def unparse(node) -> str:
                 rhs = f"({rhs})"
         return f"{lhs}{node.op}{rhs}"
     raise TypeError(f"not an expression node: {node!r}")
+
+
+# --------------------------------------------------------------------------
+# The tree walker: jets of a tree by one jet object per operation
+# --------------------------------------------------------------------------
+
+JET_SLOTS = ("val", "gu", "gv", "huu", "huv", "hvv", "tuuu", "tuuv", "tuvv", "tvvv")
+
+
+def coefficients(jet):
+    """The Taylor coefficients of an order-two or order-three jet object,
+    in slot order."""
+    return tuple(getattr(jet, slot) for slot in JET_SLOTS[:len(JET_SLOTS) if
+                                                            isinstance(jet, Jet3) else 6])
+
+
+class Jet3(calculus._Jet):
+    """Order-three jet: the six coefficients of ``calculus._Jet`` by its own
+    rules, and the third derivatives ``tuuu``, ``tuuv``, ``tuvv``, ``tvvv``."""
+
+    __slots__ = ("tuuu", "tuuv", "tuvv", "tvvv")
+
+    def __init__(self, val, gu=0.0, gv=0.0, huu=0.0, huv=0.0, hvv=0.0,
+                 tuuu=0.0, tuuv=0.0, tuvv=0.0, tvvv=0.0):
+        calculus._Jet.__init__(self, val, gu, gv, huu, huv, hvv)
+        self.tuuu, self.tuuv, self.tuvv, self.tvvv = tuuu, tuuv, tuvv, tvvv
+
+    def _low(self, jet):
+        return coefficients(jet)[:6]
+
+    def __add__(self, o):
+        low = self._low(calculus._Jet.__add__(self, o))
+        if isinstance(o, Jet3):
+            return Jet3(*low, self.tuuu + o.tuuu, self.tuuv + o.tuuv,
+                        self.tuvv + o.tuvv, self.tvvv + o.tvvv)
+        return Jet3(*low, self.tuuu, self.tuuv, self.tuvv, self.tvvv)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet3(*[-c for c in coefficients(self)])
+
+    # a - b and a + (-b) round identically.
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        low = self._low(calculus._Jet.__mul__(self, o))
+        if not isinstance(o, Jet3):
+            return Jet3(*low, self.tuuu * o, self.tuuv * o, self.tuvv * o, self.tvvv * o)
+        a, au, av, auu, auv, avv, auuu, auuv, auvv, avvv = coefficients(self)
+        b, bu, bv, buu, buv, bvv, buuu, buuv, buvv, bvvv = coefficients(o)
+        return Jet3(*low, auuu * b + buuu * a + 3.0 * (auu * bu + au * buu),
+                    auuv * b + buuv * a + auu * bv + av * buu + 2.0 * (auv * bu + au * buv),
+                    auvv * b + buvv * a + avv * bu + au * bvv + 2.0 * (auv * bv + av * buv),
+                    avvv * b + bvvv * a + 3.0 * (avv * bv + av * bvv))
+
+    __rmul__ = __mul__
+
+    def _reciprocal(self):
+        low = self._low(calculus._Jet._reciprocal(self))
+        inv = low[0]
+        inv3 = inv**3
+        return Jet3(*low, *self._third(-inv * inv, 2.0 * inv3, -6.0 * inv3 * inv))
+
+    def chain(self, f0, f1, f2, f3):
+        return Jet3(*self._low(calculus._Jet.chain(self, f0, f1, f2)),
+                    *self._third(f1, f2, f3))
+
+    def _third(self, f1, f2, f3):
+        """Third derivatives of f(self) given f', f'', f''' (Faa di Bruno)."""
+        _, gu, gv, huu, huv, hvv, tuuu, tuuv, tuvv, tvvv = coefficients(self)
+        return (f1 * tuuu + f2 * (3.0 * gu * huu) + f3 * (gu * gu * gu),
+                f1 * tuuv + f2 * (huu * gv + 2.0 * gu * huv) + f3 * (gu * gu * gv),
+                f1 * tuvv + f2 * (hvv * gu + 2.0 * gv * huv) + f3 * (gu * gv * gv),
+                f1 * tvvv + f2 * (3.0 * gv * hvv) + f3 * (gv * gv * gv))
+
+
+def jet_call(fn, x):
+    """A function of the grammar applied to a jet: ``_derivatives`` at x.val,
+    composed by x.chain; order three adds f'''.  On an array jet
+    ``_derivatives`` runs at each entry, NaN where it raises."""
+    v = x.val
+    if not isinstance(v, float):
+        return x.chain(*calculus._each(lambda t: calculus._derivatives(fn, t), 3, v))
+    f0, f1, f2 = calculus._derivatives(fn, v)
+    if type(x) is calculus._Jet:
+        return x.chain(f0, f1, f2)
+    return x.chain(f0, f1, f2, calculus._THIRD_DERIVATIVES[fn](v, f0, f1, f2))
+
+
+def jet_pow(x, o):
+    """x ** o for a jet x and a float or jet o; on arrays the float rule at
+    each entry, NaN where it raises or an argument is not finite."""
+    if not isinstance(x.val, float) or type(o) is calculus._Jet and not isinstance(o.val, float):
+        exponent = coefficients(o) if isinstance(o, calculus._Jet) else (o,)
+        return calculus._Jet(*calculus._each(
+            lambda *c: coefficients(jet_pow(calculus._Jet(*c[:6]),
+                                            calculus._Jet(*c[6:]) if c[7:] else c[6])),
+            6, *coefficients(x), *exponent, all_finite=True))
+    if isinstance(o, calculus._Jet):
+        if any(coefficients(o)[1:]):
+            if x.val <= 0.0:
+                raise DomainError("variable power of nonpositive base")
+            return jet_call("exp", o * jet_call("log", x))
+        o = o.val
+    if not math.isfinite(o):
+        raise DomainError("power with a non-finite exponent")
+    v = x.val
+    if o == round(o):
+        n = int(round(o))
+        if n == 0:
+            return type(x)(1.0)
+        if v == 0.0 and n < 0:
+            raise DomainError("zero base with negative exponent")
+        f0 = v ** n
+        f1 = n * v ** (n - 1)
+        f2 = n * (n - 1) * (v ** (n - 2) if n != 1 else 0.0)
+    else:
+        if v <= 0.0:
+            raise DomainError("non-integer power of nonpositive base")
+        f0 = v ** o
+        f1, f2 = o * f0 / v, o * (o - 1.0) * f0 / (v * v)
+    if type(x) is calculus._Jet:
+        return x.chain(f0, f1, f2)
+    # f''' = (o - 2) f'' / v; v is 0 only for an integer o >= 1.
+    return x.chain(f0, f1, f2, (o - 2.0) * f2 / v if v != 0.0
+                   else (6.0 if o == 3 else 0.0))
+
+
+def array_reciprocal(x):
+    """1 / x of an order-two jet of arrays, by the rule of ``_Jet``: an
+    array's zeros give inf, and NaN below."""
+    inv = 1.0 / x.val
+    inv3 = calculus.power(inv, 3)
+    gu, gv = x.gu, x.gv
+    return calculus._Jet(inv, -gu * inv * inv, -gv * inv * inv,
+                         -x.huu * inv * inv + 2.0 * (gu * gu) * inv3,
+                         -x.huv * inv * inv + 2.0 * (gu * gv) * inv3,
+                         -x.hvv * inv * inv + 2.0 * (gv * gv) * inv3)
+
+
+def walk_jet(node, u, v, jet=calculus._Jet):
+    """Jet of a tree at (u, v), of the order of the jet class ``jet``, by a
+    recursive walk that dispatches every node at every point.
+
+    Constant subtrees stay floats and enter the jet rules as plain operands;
+    a float is lifted into a jet only where a rule needs one of its own: the
+    base of a power, the argument of a function, and an operation between
+    two floats.  On (N,) arrays u, v an order-two array jet is left
+    unchecked for its caller.
+    """
+    if (type(u) is not float or type(v) is not float) and not getattr(u, "ndim", 0):
+        u, v = float(u), float(v)
+    ju, jv = jet(u, 1.0), jet(v, 0.0, 1.0)
+
+    def rec(n):
+        kind = type(n)
+        if kind is Var:
+            return ju if n.name == "u" else jv
+        if kind is Num:
+            return float(n.value)
+        if kind is Bin:
+            a, b, op = rec(n.left), rec(n.right), n.op
+            if type(a) is not jet and (op == "^" or type(b) is not jet):
+                a = jet(a)
+            if op == "+":
+                return a + b
+            if op == "-":
+                return a - b
+            if op == "*":
+                return a * b
+            if op == "/":
+                if type(b) is jet and not isinstance(b.val, float):
+                    return a * array_reciprocal(b)
+                return a / b
+            if type(a) is not jet:
+                return a.pow(b)         # a float: the AttributeError of an unknown op
+            return jet_pow(a, b)
+        if kind is Call:
+            x = rec(n.arg)
+            return jet_call(n.fn, x if type(x) is jet else jet(x))
+        if kind is Neg:
+            return -rec(n.arg)
+        if kind is Const:
+            if n.name == calculus.COMPLEX_UNIT:
+                raise DomainError(f"constant {n.name!r} is complex; jets are real")
+            return calculus.CONSTANTS[n.name]
+        raise TypeError(f"not an expression node: {n!r}")
+
+    out = rec(node)
+    if type(out) is not jet:
+        out = jet(out)
+    if isinstance(u, float) and not all(map(math.isfinite, coefficients(out))):
+        raise EvaluationError("expression jet produced a non-finite value")
+    return out

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from gaussform import calculus as calc
 from gaussform import zoo
 from gaussform.errors import (DomainError, GaussformError, HeightViolation, NonImmersed,
                               OutsideDomain, ParseError)
-from oracles import NumericEvaluator, unparse
+from oracles import Jet3, NumericEvaluator, coefficients, unparse, walk_jet
 from test_cli import GRAPH_EXPRS
 
 H3 = amb.hyperbolic_space()
@@ -225,7 +227,7 @@ class TestJetSympyOracle:
         tree = calc.parse_graph_expr(text).ast
         for _ in range(3):
             u, v = rng.uniform(0.2, 1.5, 2)
-            got = calc.third_order_jet(tree, u, v).coefficients()
+            got = calc.third_order_jet(tree, u, v)
             want = _sympy_partials(text, u, v, JET3_ORDERS)
             for (a, b), g, w in zip(JET3_ORDERS, got, want):
                 assert g == pytest.approx(w, rel=1e-12, abs=1e-12), (a, b)
@@ -433,9 +435,17 @@ ARRAY_V = np.array([0.0, 1.0, -0.5, 0.0, 2.0, 1e200, -3.0, 0.1, 0.25, -2.5])
 
 def _float_jet(ast, u, v):
     try:
-        return calc._jet_eval(ast, u, v).coefficients()
+        return calc._jet_eval(ast, u, v)
     except (GaussformError, ArithmeticError):
         return None
+
+
+def _rule_raises(fn, u):
+    try:
+        calc._derivatives(fn, u)
+    except (ArithmeticError, DomainError):
+        return True
+    return False
 
 
 class TestArrayJets:
@@ -456,7 +466,7 @@ class TestArrayJets:
         except (GaussformError, ArithmeticError):
             jet = None          # a rule failed on a constant: every point fails
         rows = zip(*(np.broadcast_to(c, ARRAY_U.shape).tolist()
-                     for c in jet.coefficients())) if jet else [None] * len(ARRAY_U)
+                     for c in jet)) if jet else [None] * len(ARRAY_U)
         for u, v, got in zip(ARRAY_U.tolist(), ARRAY_V.tolist(), rows):
             want = _float_jet(ast, u, v)
             if got is None:
@@ -479,16 +489,18 @@ class TestArrayJets:
         us = np.array(self.EDGE_VALUES)
         with np.errstate(all="ignore"):
             jet = calc._jet_eval(tree, us, np.zeros_like(us))
-        coefficients = np.broadcast_arrays(*jet.coefficients())
+        coefficients = np.broadcast_arrays(*jet)
         for i, u in enumerate(self.EDGE_VALUES):
             got = [float(c[i]) for c in coefficients]
             want = _float_jet(tree, u, 0.0)
-            if want is None or not math.isfinite(u):
-                # A non-finite argument is NaN too, even where the float
-                # rule has a finite value (tanh and exp at infinities).
-                assert all(map(math.isnan, got)), (fn, u)
-            else:
+            if want is not None:
+                # Also at infinite arguments where the float rule has a
+                # finite value (tanh at infinities, exp at -inf).
                 assert list(map(float.hex, got)) == list(map(float.hex, want)), (fn, u)
+            elif _rule_raises(fn, u):
+                assert all(map(math.isnan, got)), (fn, u)
+            else:       # the float path's final check raises
+                assert not all(map(math.isfinite, got)), (fn, u)
 
     def test_entries_of_both_kinds(self):
         # One tree gives finite and non-finite entries at once, so the
@@ -496,5 +508,168 @@ class TestArrayJets:
         ast = calc.parse_graph_expr("abs(u)*log(v)+sqrt(u)").ast
         with np.errstate(all="ignore"):
             jet = calc._jet_eval(ast, ARRAY_U, ARRAY_V)
-        finite = np.isfinite(np.broadcast_arrays(*jet.coefficients())).all(axis=0)
+        finite = np.isfinite(np.broadcast_arrays(*jet)).all(axis=0)
         assert finite.any() and not finite.all()
+
+
+def _outcome(fn, *args):
+    """Each coefficient that ``fn(tree, u, v, ...)`` returns, as its type and
+    the bits of its entries (broadcast to the points), or the class and
+    message of the error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(*args)
+    except Exception as exc:        # every error: compared by class and message
+        return type(exc).__name__, str(exc)
+    if not isinstance(out, tuple):
+        out = coefficients(out)
+    return [(type(c).__name__,
+             list(map(float.hex, np.broadcast_to(c, np.shape(args[1])).ravel().tolist())))
+            for c in out]
+
+
+def _pinned(tree, points):
+    """Assert that the tree's kernels give the walker's outcome: order two
+    and three at each float point, and order two on the points as arrays
+    and on ARRAY_U, ARRAY_V."""
+    for u, v in points:
+        assert _outcome(calc._jet_eval, tree, u, v) == _outcome(walk_jet, tree, u, v), (u, v)
+        assert _outcome(calc._jet_eval, tree, u, v, 3) == \
+            _outcome(walk_jet, tree, u, v, Jet3), (u, v)
+    us, vs = np.array(points).T.copy()
+    for u, v in ((us, vs), (ARRAY_U, ARRAY_V)):
+        assert _outcome(calc._jet_eval, tree, u, v) == _outcome(walk_jet, tree, u, v)
+
+
+class TestKernelPin:
+    """A tree's kernel has the bits and the errors of the tree walker that
+    tests/oracles.py keeps, of order two and three on floats and of order
+    two on arrays, signed zeros included."""
+
+    EDGE = TestArrayJets.EDGE_VALUES
+    POINTS = [*np.random.default_rng(7).uniform(-2.0, 2.0, (6, 2)).tolist(),
+              *zip(EDGE, EDGE[::-1]), *zip(EDGE[5:] + EDGE[:5], EDGE)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(expr_trees)
+    def test_trees(self, tree):
+        _pinned(tree, self.POINTS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(GRAPH_EXPRS)
+    @example("((1)/((u)-(u)))^(0)")
+    @example("(u)^(v)+(1e-320)/(v)")
+    @example("2^(1e308*10-1e308*10)")
+    def test_graph_texts(self, text):
+        _pinned(calc.parse_graph_expr(text).ast, self.POINTS)
+
+    @pytest.mark.parametrize("key", zoo.family_keys())
+    def test_family_components(self, key):
+        # Every family's component trees, the polar sources' among them.
+        chart = zoo.make_surface(key)
+        points = chart.interior_points(8, np.random.default_rng(3)).tolist()
+        for tree in chart.evaluator.component_asts:
+            _pinned(tree, points + self.POINTS[:10])
+
+    def test_programmatic_trees(self):
+        u, v = calc.Var("u"), calc.Var("v")
+        odd = [calc.Num(math.nan), calc.Num(math.inf), calc.Num(-math.inf), calc.Num(-0.0),
+               calc.Num(2), calc.Num(0.0), calc.Neg(calc.Num(-0.0)), calc.Num(1.0),
+               calc.Num(3.0), calc.Num(0.5), calc.Neg(calc.Num(1.0)), calc.Num(-2.0),
+               calc.Num(1e300)]
+        trees = [calc.Call("foo", u), calc.Call("foo", calc.Call("log", calc.Num(-1.0))),
+                 calc.Const("tau"), calc.Const(calc.COMPLEX_UNIT), calc.Var("w"),
+                 calc.Bin("%", u, v), calc.Bin("%", calc.Num(2.0), u),
+                 calc.Bin("%", calc.Num(2.0), calc.Num(3.0)), calc.Bin("+", u, "u")]
+        for num in odd:
+            trees += [num, calc.Bin("^", u, num), calc.Bin("^", num, u), calc.Bin("/", u, num),
+                      calc.Bin("/", num, u), calc.Bin("*", num, v), calc.Bin("-", num, u),
+                      calc.Call("exp", num), calc.Bin("^", calc.Bin("+", u, num), v)]
+        for tree in trees:
+            _pinned(tree, self.POINTS)
+
+    def test_building_never_raises(self):
+        # The build evaluates nothing, so a kernel raises when called, in
+        # the walker's order, and a chart's OutsideDomain comes first.
+        trees = [calc.parse_graph_expr(t).ast for t in
+                 ("log(-1)+u", "u+1/0", "2^(1e308*10)", "sin(1e308*10)*u", "(-1)^0.5")]
+        trees += [calc.Call("foo", calc.Var("u")), calc.Const("i"), object()]
+        for tree in trees:
+            for order, arrays in ((2, False), (3, False), (2, True)):
+                calc._remember(tree, order, arrays)
+            _pinned(tree, self.POINTS[:4])
+        chart = calc.SurfaceChart((0.0, 1.0, 0.0, 1.0),
+                                  calc.GraphEvaluator(calc.parse_graph_expr("log(-1)+u")), H3)
+        with pytest.raises(OutsideDomain):
+            calc.jet2_eval(chart, (2.0, 0.5))
+        with pytest.raises(DomainError, match="log of nonpositive value"):
+            calc.jet2_eval(chart, (0.5, 0.5))
+
+    def test_tree_text_stays_out_of_the_source(self):
+        # Names, numbers and constants of a tree live in the kernel's
+        # namespace; its code holds only the generator's own names.
+        name = "sin); import os; (sin"
+        tree = calc.Bin("+", calc.Call(name, calc.Var("u")),
+                        calc.Bin("^", calc.Num(12345.678), calc.Const("pi")))
+        for order, arrays in ((2, False), (3, False), (2, True)):
+            code = calc._remember(tree, order, arrays)[1].__code__
+            assert 12345.678 not in code.co_consts and math.pi not in code.co_consts
+            assert not {name, "os", "pi", "sin"} & {*code.co_names, *code.co_consts}
+        assert _outcome(calc._jet_eval, tree, 0.5, 0.5) == ("TypeError",
+                                                            f"unknown function {name!r}")
+
+    def test_memo_is_bounded(self):
+        first = calc.parse_graph_expr("u*v+1").ast
+        want = calc._jet_eval(first, 0.5, 0.25)
+        trees = [calc.parse_graph_expr(f"u+{i}").ast for i in range(calc.KERNEL_MEMO + 20)]
+        for tree in trees:
+            calc._jet_eval(tree, 0.5, 0.25)
+        assert len(calc._KERNELS) <= calc.KERNEL_MEMO
+        assert (id(first), 2, False) not in calc._KERNELS      # the oldest went
+        kept = [entry for key, entry in calc._KERNELS.items() if key[0] == id(trees[-1])]
+        assert kept and kept[0][0] is trees[-1]                 # kept with its tree
+        assert calc._jet_eval(first, 0.5, 0.25) == want
+
+    def test_memo_under_threads(self):
+        # Threads share the memo without a lock: evictions and double builds
+        # race, and every jet must still be its own tree's.
+        trees = [calc.parse_graph_expr(f"u*{i}+v^2").ast for i in range(calc.KERNEL_MEMO + 16)]
+        want = [calc._jet_eval(tree, 0.5, 0.25) for tree in trees]
+        wrong, failed = [], []
+
+        def work(shift):
+            try:
+                for i in [*range(shift, len(trees)), *range(shift)]:
+                    if calc._jet_eval(trees[i], 0.5, 0.25) != want[i]:
+                        wrong.append(i)
+            except Exception as exc:        # noqa: BLE001 - reported below
+                failed.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(37 * k,)) for k in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert wrong == [] and failed == []
+        assert len(calc._KERNELS) <= calc.KERNEL_MEMO
+
+    def test_deepest_allowed_tree(self):
+        depth = calc.MAX_DEPTH
+        trees = [calc.parse_graph_expr("+".join(["u"] * depth)).ast]
+        for tree, wrap in ((calc.Var("u"), lambda t: calc.Call("sin", t)),
+                           (calc.Var("v"), calc.Neg),
+                           (calc.Neg(calc.Var("u")),     # two levels a step
+                            lambda t: calc.Bin("^", calc.Bin("+", t, calc.Num(1.5)),
+                                               calc.Var("v")))):
+            while calc._depth(tree) < depth:
+                tree = wrap(tree)
+            trees.append(tree)
+        for tree in trees:
+            assert calc._depth(tree) == depth
+            _pinned(tree, self.POINTS[:8])

@@ -391,6 +391,20 @@ class TestBadInputsExitTwo:
         assert err.count("\n") == 1
         assert caught == []
 
+    def test_weierstrass_overflowing_boundary(self, capsys):
+        # The boundary's stencil term overflows; the solver names that before
+        # solving, instead of a NaN residual after four numpy warnings.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "weierstrass", "build",
+                                     "--g", "builtin:z", "--case", "1",
+                                     "--domain", "1.5:2.5:0.1:0.9", "--grid", "9",
+                                     "--boundary", "1e307*exp(u)")
+        assert (code, out) == (2, "")
+        assert err == ("error: ConstraintViolation: compatibility stencil has a "
+                       "non-finite boundary term: the boundary data overflows\n")
+        assert caught == []
+
     @pytest.mark.parametrize("bounds", [("1", "-1", "-1", "1"),
                                         ("-1", "inf", "-1", "1")])
     def test_check_bad_graph_domain(self, capsys, bounds):
@@ -636,13 +650,17 @@ class TestExitContract:
     @example(g="u+i*v", boundary="u", case="1", im_tol="nan", grid="9")
     @example(g="u+i*v", boundary="u", case="1", im_tol="-1.0", grid="9")
     @example(g="u+i*v", boundary="u", case="1", im_tol="0.01", grid="100000")
+    @example(g="builtin:z", boundary="1e307*exp(u)", case="1", im_tol="0.01", grid="9")
     def test_build_fields_and_grids(self, g, boundary, case, im_tol, grid):
-        code, out, err = run_contract(
-            ["weierstrass", "build", f"--g={g}", f"--boundary={boundary}",
-             "--case", case, "--domain", "1.5:2.5:0.1:0.9", f"--grid={grid}",
-             f"--im-tol={im_tol}"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_contract(
+                ["weierstrass", "build", f"--g={g}", f"--boundary={boundary}",
+                 "--case", case, "--domain", "1.5:2.5:0.1:0.9", f"--grid={grid}",
+                 f"--im-tol={im_tol}"])
         assert code in (0, 1, 2)
         assert "Traceback" not in err
+        assert "Warning" not in err and caught == []
         if code != 2:
             assert json.loads(out)["schema_version"] == 1
 

@@ -12,8 +12,8 @@ from gaussform import calculus as calc
 from gaussform import cli, duality, forms, zoo
 from gaussform.errors import (GaussformError, NonImmersed, OrientationUndefined,
                               WrongCausalClass)
-from oracles import (NumericEvaluator, christoffel_at_height, generic_frame_normal,
-                     generic_fundamental_forms)
+from oracles import (NumericEvaluator, christoffel_at_height, coefficients,
+                     generic_frame_normal, generic_fundamental_forms)
 
 H3 = amb.hyperbolic_space()
 DS3 = amb.de_sitter_space()
@@ -429,7 +429,7 @@ def _bits(fn, *args):
         out = (out.eta, out.first, out.second, out.third, out.fourth,
                out.mean_curvature, out.gauss_curvature, out.principal_curvatures)
     else:
-        out = [c.coefficients() if isinstance(c, calc._Jet) else c for c in out]
+        out = [coefficients(c) if isinstance(c, calc._Jet) else c for c in out]
     return repr(out)
 
 

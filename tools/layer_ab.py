@@ -12,6 +12,14 @@ REPEAT timed passes, and reports the best pass in microseconds per call:
   ``polar_chart``, at a 4 x 4 grid of points (10 % margins) on each of
   POLAR_FAMILIES;
 * ``polar_of_polar_minkowski`` at the same points;
+* ``jet2_eval`` at a 4 x 4 grid of points on each of the 13 charts of the
+  ``forms-grid`` benchmark workload (its ten families and three graphs);
+* ``third_order_jet`` of each component tree of POLAR_FAMILIES at their
+  grid points;
+* ``kernel_build``: one jet of each component tree of every zoo family at
+  the centre of its chart, the kernel memo cleared before each family on a
+  tree that has one (so a call builds the family's kernels), the chart
+  built beforehand;
 * ``fit_family_pairing`` on the three families with a recorded partner
   (100 points, seed 0), and three of its parts on the same families:
   ``make_surface`` (the chart build with its domain scan, the chart memo
@@ -61,7 +69,8 @@ GRID = 4
 ROUNDS = 10
 REPEAT = 5
 LAYERS = ("forms_at", "polar_variety", "polar_position", "polar_forms",
-          "polar_of_polar_minkowski", "fit_family_pairing", "make_surface",
+          "polar_of_polar_minkowski", "jet2_eval", "third_order_jet", "kernel_build",
+          "fit_family_pairing", "make_surface",
           "polar_cloud", "fit_isometry", "graph_duality_residual", "radial_test_pair",
           "recovered_gauss_map",
           *(f"solve_radial_{n}" for n in SOLVE_GRIDS), "solve_conj8_129")
@@ -69,7 +78,7 @@ LAYERS = ("forms_at", "polar_variety", "polar_position", "polar_forms",
 
 def layer_calls():
     """{layer: [zero-argument calls]} on the fixed inputs."""
-    from gaussform import duality, forms, weierstrass, zoo
+    from gaussform import calculus, duality, forms, weierstrass, zoo
     from gaussform.errors import GaussformError
 
     def guarded(fn, *args, **kwargs):
@@ -97,6 +106,21 @@ def layer_calls():
             calls["polar_forms"].append(guarded(forms.forms_at, dual, p))
             calls["polar_of_polar_minkowski"].append(
                 guarded(duality.polar_of_polar_minkowski, chart, p))
+            calls["third_order_jet"] += [guarded(calculus.third_order_jet, tree, *p)
+                                         for tree in chart.evaluator.component_asts]
+    for chart in forms_grid_charts():
+        calls["jet2_eval"] += [guarded(calculus.jet2_eval, chart, p)
+                               for p in grid_points(chart)]
+    kernels = getattr(calculus, "_KERNELS", None)     # the kernel memo, where the tree has one
+
+    def first_jets(chart):
+        if kernels is not None:
+            kernels.clear()
+        u0, u1, v0, v1 = chart.domain
+        for tree in chart.evaluator.component_asts:
+            calculus._jet_eval(tree, 0.5 * (u0 + u1), 0.5 * (v0 + v1))
+    calls["kernel_build"] = [guarded(first_jets, zoo.make_surface(key))
+                             for key in zoo.family_keys()]
     for key, direction in GRAPH_DUALITY:
         expr = zoo.family_graph_expr(key)
         calls["graph_duality_residual"] += [
@@ -128,6 +152,20 @@ def layer_calls():
     calls["solve_conj8_129"] = [guarded(weierstrass.solve_far_map, g, lambda z: z,
                                         weierstrass.CASE_ANTIHOLOMORPHIC)]
     return calls
+
+
+def forms_grid_charts():
+    """The 13 charts of the ``forms-grid`` workload of perfbench/inproc.py."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench"))
+    import inproc
+    from gaussform import calculus, zoo
+
+    charts = [zoo.make_surface(key) for key in inproc.FORMS_FAMILIES]
+    for _, text, space, domain, *_ in inproc.FREE_GRAPHS:
+        charts.append(calculus.SurfaceChart(domain, calculus.GraphEvaluator(
+            calculus.parse_graph_expr(text)), zoo.space_for(space)))
+    return charts
 
 
 def fit_cloud_points(key):
