@@ -9,7 +9,11 @@ floats that performs the operations of the jet rules in their order
 (source transformation: Griewank and Walther, Evaluating Derivatives,
 ch. 6 and 13); order-two kernels also run on (N,) float arrays, with the
 float path's bits.  Only the build walks a tree.  Parametric charts built
-from closed-form components reuse the same kernels.
+from closed-form components reuse the same kernels.  The same emitter
+compiles plain arithmetic traced on its operands (``compile_traced``, of
+order one, two or three): the polar map, written once for floats, runs
+so as kernels, its checks and sign choices (``read``, ``where``) emitted as
+calls to the functions of floats that the float path calls.
 
 Grammar (stable public contract)::
 
@@ -30,7 +34,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import partial
 
 from . import ambient
 from .errors import (DomainError, EvaluationError, HeightViolation, NonImmersed,
@@ -360,39 +363,60 @@ def power(x, n):
     return np.float_power(x, n)
 
 
-def _derivatives(fn, v):
-    """f, f', f'' of a function of the grammar at the float v; raises its
-    domain error."""
-    if fn in ("sin", "cos") and math.isinf(v):
+def _finite(fn, v):
+    if math.isinf(v):
         raise DomainError(f"{fn} of an infinite value")
-    if fn == "sqrt":
-        if v <= 0.0:
-            raise DomainError("sqrt needs a positive argument for derivatives")
-        r = math.sqrt(v)
-        return r, 0.5 / r, -0.25 / (r * v)
-    if fn == "sinh":
-        return math.sinh(v), math.cosh(v), math.sinh(v)
-    if fn == "cosh":
-        return math.cosh(v), math.sinh(v), math.cosh(v)
-    if fn == "tanh":
-        t = math.tanh(v)
-        s = 1.0 - t * t
-        return t, s, -2.0 * t * s
-    if fn == "sin":
-        return math.sin(v), math.cos(v), -math.sin(v)
-    if fn == "cos":
-        return math.cos(v), -math.sin(v), -math.cos(v)
-    if fn == "exp":
-        return (math.exp(v),) * 3
-    if fn == "log":
-        if v <= 0.0:
-            raise DomainError("log of nonpositive value")
-        return math.log(v), 1.0 / v, -1.0 / (v * v)
-    if fn == "abs":
-        if v == 0.0:
-            raise DomainError("abs is not differentiable at zero")
-        return abs(v), math.copysign(1.0, v), 0.0
-    raise TypeError(f"unknown function {fn!r}")
+    return v
+
+
+def _sqrt(v):
+    if v <= 0.0:
+        raise DomainError("sqrt needs a positive argument for derivatives")
+    r = math.sqrt(v)
+    return r, 0.5 / r, -0.25 / (r * v)
+
+
+def _tanh(v):
+    t = math.tanh(v)
+    s = 1.0 - t * t
+    return t, s, -2.0 * t * s
+
+
+def _log(v):
+    if v <= 0.0:
+        raise DomainError("log of nonpositive value")
+    return math.log(v), 1.0 / v, -1.0 / (v * v)
+
+
+def _abs(v):
+    if v == 0.0:
+        raise DomainError("abs is not differentiable at zero")
+    return abs(v), math.copysign(1.0, v), 0.0
+
+
+# f, f', f'' of each function of the grammar at a float; each raises its
+# domain error.
+_RULES = {
+    "sqrt": _sqrt,
+    "sinh": lambda v: (math.sinh(v), math.cosh(v), math.sinh(v)),
+    "cosh": lambda v: (math.cosh(v), math.sinh(v), math.cosh(v)),
+    "tanh": _tanh,
+    "sin": lambda v: (math.sin(_finite("sin", v)), math.cos(v), -math.sin(v)),
+    "cos": lambda v: (math.cos(_finite("cos", v)), -math.sin(v), -math.cos(v)),
+    "exp": lambda v: (math.exp(v),) * 3,
+    "log": _log,
+    "abs": _abs,
+}
+
+
+def _rule(fn):
+    """The rule of the function named fn; an unknown name's rule raises
+    TypeError when called."""
+    rule = _RULES.get(fn)
+    if rule is None:
+        def rule(v):
+            raise TypeError(f"unknown function {fn!r}")
+    return rule
 
 
 def _power_derivatives(v, o):
@@ -419,93 +443,6 @@ def _power_derivatives(v, o):
     return f0, f1, f2, (o - 2.0) * f2 / v if v != 0.0 else (6.0 if o == 3 else 0.0)
 
 
-class _Jet:
-    """Value, gradient and Hessian with respect to (u, v), propagated forward.
-
-    The six Taylor coefficients are plain scalars: the value ``val``, the
-    gradient ``gu``, ``gv`` and the Hessian ``huu``, ``huv``, ``hvv``
-    (Griewank and Walther, Evaluating Derivatives, ch. 13).  A float operand
-    takes part as a constant without being lifted into a jet.  The polar
-    map and the normal run on these jets; trees run on kernels (below).
-    """
-
-    __slots__ = ("val", "gu", "gv", "huu", "huv", "hvv")
-
-    def __init__(self, val, gu=0.0, gv=0.0, huu=0.0, huv=0.0, hvv=0.0):
-        self.val = val
-        self.gu = gu
-        self.gv = gv
-        self.huu = huu
-        self.huv = huv
-        self.hvv = hvv
-
-    def __float__(self):
-        return float(self.val)
-
-    def __add__(self, o):
-        if isinstance(o, _Jet):
-            return _Jet(self.val + o.val, self.gu + o.gu, self.gv + o.gv,
-                        self.huu + o.huu, self.huv + o.huv, self.hvv + o.hvv)
-        return _Jet(self.val + o, self.gu, self.gv, self.huu, self.huv, self.hvv)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if isinstance(o, _Jet):
-            return _Jet(self.val - o.val, self.gu - o.gu, self.gv - o.gv,
-                        self.huu - o.huu, self.huv - o.huv, self.hvv - o.hvv)
-        return _Jet(self.val - o, self.gu, self.gv, self.huu, self.huv, self.hvv)
-
-    def __rsub__(self, o):
-        return _Jet(o - self.val, -self.gu, -self.gv, -self.huu, -self.huv, -self.hvv)
-
-    def __neg__(self):
-        return _Jet(-self.val, -self.gu, -self.gv, -self.huu, -self.huv, -self.hvv)
-
-    def __mul__(self, o):
-        if not isinstance(o, _Jet):
-            return _Jet(self.val * o, self.gu * o, self.gv * o,
-                        self.huu * o, self.huv * o, self.hvv * o)
-        a, b = self.val, o.val
-        au, av, bu, bv = self.gu, self.gv, o.gu, o.gv
-        cuu, cvv = au * bu, av * bv
-        return _Jet(a * b, au * b + bu * a, av * b + bv * a,
-                    self.huu * b + o.huu * a + cuu + cuu,
-                    self.huv * b + o.huv * a + au * bv + av * bu,
-                    self.hvv * b + o.hvv * a + cvv + cvv)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        if not isinstance(o, _Jet):
-            if o == 0.0:
-                raise DomainError("division by zero")
-            return self * (1.0 / o)
-        return self * o._reciprocal()
-
-    def __rtruediv__(self, o):
-        return self._reciprocal() * o
-
-    def _reciprocal(self):
-        if self.val == 0.0:
-            raise DomainError("division by zero")
-        inv = 1.0 / self.val
-        inv3 = inv**3
-        gu, gv = self.gu, self.gv
-        return _Jet(inv, -gu * inv * inv, -gv * inv * inv,
-                    -self.huu * inv * inv + 2.0 * (gu * gu) * inv3,
-                    -self.huv * inv * inv + 2.0 * (gu * gv) * inv3,
-                    -self.hvv * inv * inv + 2.0 * (gv * gv) * inv3)
-
-    def chain(self, f0, f1, f2):
-        """Compose with a scalar function given value/first/second derivative."""
-        gu, gv = self.gu, self.gv
-        return _Jet(f0, f1 * gu, f1 * gv,
-                    f1 * self.huu + f2 * (gu * gu),
-                    f1 * self.huv + f2 * (gu * gv),
-                    f1 * self.hvv + f2 * (gv * gv))
-
-
 # --------------------------------------------------------------------------
 # Kernels: each tree compiled once into straight-line jet code
 # --------------------------------------------------------------------------
@@ -516,8 +453,9 @@ class _Jet:
 _SLOTS = ("", "u", "v", "uu", "uv", "vv", "uuu", "uuv", "uvv", "vvv")
 
 # Each rule is the expression of one coefficient of a jet operation, with
-# the operations, the order and the grouping of ``_Jet`` (order two) and of
-# its order-three extension, so a kernel keeps the bits of either.  The
+# the operations, the order and the grouping of the jet class ``_Jet`` (order
+# two) and of its order-three extension, which tests/oracles.py keeps, so a
+# kernel keeps the bits of either; order one takes the first three.  The
 # product a * b:
 _MUL = ("{a} * {b}", "{au} * {b} + {bu} * {a}", "{av} * {b} + {bv} * {a}",
         "{auu} * {b} + {buu} * {a} + {au} * {bu} + {au} * {bu}",
@@ -559,12 +497,13 @@ class _Emitter:
     name and, where the build knows it, its value.  Constants live in the
     namespace ``ns``, so no text of a tree reaches the source.  Every
     operation is emitted in the walker's post-order, so the kernel raises
-    the walker's first error.
+    the walker's first error.  A reciprocal is emitted once per divisor:
+    the same straight-line code gives the same bits.
     """
 
     def __init__(self, order, ns):
-        self.order, self.width, self.ns = order, 4 * order - 2, ns
-        self.lines, self.pad, self.count = [], "    ", 0
+        self.order, self.width, self.ns = order, (order + 1) * (order + 2) // 2, ns
+        self.lines, self.pad, self.count, self.reciprocals = [], "    ", 0, {}
 
     def const(self, value):
         name = f"c{len(self.ns)}"
@@ -601,17 +540,44 @@ class _Emitter:
         """``if cond: then() else: other()``; the names both assign."""
         out = [f"t{self.count + i + 1}" for i in range(self.width)]
         self.count += self.width
+        kept = dict(self.reciprocals)   # one arm's reciprocals are unset in the other
         for head, body in ((f"if {cond}:", then), ("else:", other)):
             self.line(head)
             self.pad += "    "
             self.line(f"{', '.join(out)} = {', '.join(body())}")
-            self.pad = self.pad[:-4]
+            self.pad, self.reciprocals = self.pad[:-4], dict(kept)
         return out
 
-    def function(self, params, out):
-        source = f"def kernel({params}):\n{''.join(self.lines)}    return ({', '.join(out)},)\n"
+    def function(self, params, result):
+        source = f"def kernel({params}):\n{''.join(self.lines)}    return {result}\n"
         exec(compile(source, "<jet kernel>", "exec"), self.ns)
         return self.ns.pop("kernel")
+
+    def text(self, x):
+        """Source of x: an operand's value, a list or tuple of sources, or a
+        constant."""
+        if type(x) is _Operand:
+            return x.x[0]
+        if type(x) is list or type(x) is tuple:
+            inner = ", ".join(map(self.text, x))
+            return f"[{inner}]" if type(x) is list else f"({inner},)"
+        return self.const(x)
+
+    def operand(self, x):
+        """A jet of the coefficient names x, or the float of the name x."""
+        return _Operand(self, (x, None) if type(x) is str else list(x))
+
+    def read(self, fn, args):
+        """The call fn(*args) on the values of the operands in args, as a
+        float operand."""
+        return _Operand(self, (self.let(f"{self.const(fn)}({', '.join(map(self.text, args))})"),
+                               None))
+
+    def select(self, flag, a, b):
+        """The jets of the list a where the value named flag is true, else
+        those of b, coefficient by coefficient."""
+        return [_Operand(self, [p if p == q else self.let(f"{p} if {flag} else {q}")
+                                for p, q in zip(x.x, y.x)]) for x, y in zip(a, b)]
 
     def walk(self, n, arrays):
         """Emit a subtree; its value and whether it reads u or v.  With
@@ -672,29 +638,37 @@ class _Emitter:
         return self.rule(_MUL[:self.width], **_named("a", a), **_named("b", b))
 
     def divide(self, a, b, arrays):
+        key = b[0] if type(b) is tuple else tuple(b)
+        r = self.reciprocals.get(key)
+        if r is None:
+            r = self.reciprocals[key] = self.reciprocal(b, arrays)
         if type(b) is tuple:
-            self.fail(f"{b[0]} == 0.0", "division by zero")
-            r = self.let(f"1.0 / {b[0]}")
             return [self.let(f"{c} * {r}") for c in a]
-        if not arrays:                  # an array's zeros give inf, and NaN below
+        return [self.let(f"{c} * {a[0]}") for c in r] if type(a) is tuple else self.times(a, r)
+
+    def reciprocal(self, b, arrays):
+        """1 / b: a name for a float b, else a jet."""
+        if type(b) is tuple or not arrays:  # an array's zeros give inf, and NaN below
             self.fail(f"{b[0]} == 0.0", "division by zero")
         inv = self.let(f"1.0 / {b[0]}")
+        if type(b) is tuple:
+            return inv
+        if self.width == 3:
+            return self.rule(_RECIPROCAL[:3], **_named("a", b), inv=inv)
         inv3 = self.let(f"power({inv}, 3)" if arrays else f"{inv} ** 3")
         r = self.rule(_RECIPROCAL, **_named("a", b), inv=inv, inv3=inv3)
         if self.width == 10:
             f = [self.let(f"-{inv} * {inv}"), self.let(f"2.0 * {inv3}"),
                  self.let(f"-6.0 * {inv3} * {inv}")]
             r += self.rule(_CHAIN[5:], **_named("a", b), f1=f[0], f2=f[1], f3=f[2])
-        return [self.let(f"{c} * {a[0]}") for c in r] if type(a) is tuple else self.times(a, r)
+        return r
 
     def chain(self, a, f0, f1, f2, f3=None):
         return [f0, *self.rule(_CHAIN[:self.width - 1], **_named("a", a), f1=f1, f2=f2, f3=f3)]
 
     def call(self, fn, a, arrays):
-        if arrays:
-            f = self.unpack(f"each({self.const(partial(_derivatives, fn))}, 3, {a[0]})", 3)
-        else:
-            f = self.unpack(f"derivatives({self.const(fn)}, {a[0]})", 3)
+        rule = self.const(_rule(fn))
+        f = self.unpack(f"each({rule}, 3, {a[0]})" if arrays else f"{rule}({a[0]})", 3)
         if self.width == 10:
             third = self.const(_THIRD_DERIVATIVES[fn] if fn in FUNCTIONS else None)
             f.append(self.let(f"{third}({a[0]}, {', '.join(f)})"))
@@ -709,7 +683,7 @@ class _Emitter:
             sub, w = _Emitter(self.order, self.ns), self.width
             out = sub.power(params[:w], (params[w], b[1]) if type(b) is tuple else params[w:],
                             False)
-            rule = self.const(sub.function(", ".join(params), out))
+            rule = self.const(sub.function(", ".join(params), f"({', '.join(out)},)"))
             return self.unpack(f"each({rule}, {w}, {', '.join(args)}, all_finite=True)", w)
         if type(b) is list:
             def variable():
@@ -749,20 +723,40 @@ class _Emitter:
         return self.chain(a, *f)
 
 
+def _emitter(order):
+    return _Emitter(order, {"power_derivatives": _power_derivatives, "each": _each,
+                            "power": power, "isfinite": math.isfinite,
+                            "CONSTANTS": CONSTANTS, "DomainError": DomainError,
+                            "EvaluationError": EvaluationError})
+
+
 def _build(node, order, arrays):
     """The kernel of a tree: (u, v) -> its jet's coefficients.  On floats
     it raises EvaluationError where one is not finite."""
-    e = _Emitter(order, {"derivatives": _derivatives, "power_derivatives": _power_derivatives,
-                         "each": _each, "power": power, "isfinite": math.isfinite,
-                         "CONSTANTS": CONSTANTS, "DomainError": DomainError,
-                         "EvaluationError": EvaluationError})
+    e = _emitter(order)
     out = e.lift(e.walk(node, arrays)[0])
     names = [c for c in out if c.isidentifier()]
     if names and not arrays:            # the sum screens: 0 * x is 0 for a finite x
         e.fail(f"({' + '.join(names)}) * 0.0 != 0.0 and "
                f"not ({' and '.join(f'isfinite({c})' for c in names)})",
                "expression jet produced a non-finite value", "EvaluationError")
-    return e.function("u, v", out)
+    return e.function("u, v", f"({', '.join(out)},)")
+
+
+def compile_traced(order, params, body):
+    """``kernel(<params>)`` of order ``order`` from ``body(e)``, arithmetic
+    traced once on operands of the emitter e (``e.unpack``, ``e.operand``);
+    it returns the values of what body returns (operands in lists, tuples)."""
+    e = _emitter(order)
+    _TRACES.append(e)
+    try:
+        result = body(e)
+    finally:
+        _TRACES.remove(e)
+    return e.function(params, e.text(result))
+
+
+_TRACES = []            # the emitters tracing a kernel now, in any thread
 
 
 KERNEL_MEMO = 256
@@ -835,32 +829,82 @@ def third_order_jet(node, u, v) -> tuple:
     return _jet_eval(node, u, v, 3)
 
 
-def jet_partials(j):
-    """Order-two jets of x, x_u and x_v from the ten coefficients of one
-    order-three jet of x, for pipelines that need second derivatives of x_u
-    and x_v (a normal, say)."""
-    val, gu, gv, huu, huv, hvv, tuuu, tuuv, tuvv, tvvv = j
-    return (_Jet(val, gu, gv, huu, huv, hvv), _Jet(gu, huu, huv, tuuu, tuuv, tuvv),
-            _Jet(gv, huv, hvv, tuuv, tuvv, tvvv))
+# The slots of x, x_u and x_v, each of order two, in an order-three jet of x.
+PARTIALS = ((0, 1, 2, 3, 4, 5), (1, 3, 4, 6, 7, 8), (2, 4, 5, 7, 8, 9))
 
 
-def first_order_jet(val, grad) -> "_Jet":
-    """Jet with a zero Hessian: plain arithmetic on it gives exact first derivatives."""
-    return _Jet(float(val), float(grad[0]), float(grad[1]))
+def _operators(cls):
+    """Give the operand class + - * / and their reflections, each emitting
+    its jet rule."""
+    for name, rule in (("add", lambda e, a, b: e.plus(a, b, "+")),
+                       ("sub", lambda e, a, b: e.plus(a, b, "-")), ("mul", _Emitter.times),
+                       ("truediv", lambda e, a, b: e.divide(a, b, False))):
+        setattr(cls, f"__{name}__", lambda self, o, rule=rule: self.apply(rule, o, False))
+        setattr(cls, f"__r{name}__", lambda self, o, rule=rule: self.apply(rule, o, True))
+    return cls
+
+
+@_operators
+class _Operand:
+    """A value of a kernel being built: a jet, as the list of its
+    coefficients' names, or a float known only at run time, (name, None).
+    Its operators emit the jet rules, so arithmetic run on operands writes a
+    kernel with the bits of that arithmetic run on jets."""
+
+    __slots__ = ("e", "x")
+
+    def __init__(self, e, x):
+        self.e, self.x = e, x
+
+    def apply(self, rule, o, reflected):
+        b = o.x if type(o) is _Operand else (self.e.const(o), o)
+        a = self.e.lift(self.x) if type(self.x) is tuple and type(b) is tuple else self.x
+        return _Operand(self.e, rule(self.e, *((b, a) if reflected else (a, b))))
+
+    def __neg__(self):
+        return _Operand(self.e, [self.e.let(f"-{c}") for c in self.x])
+
+    def call(self, fn):
+        """The function of the grammar named fn, by its jet rule."""
+        return _Operand(self.e, self.e.call(fn, self.e.lift(self.x), False))
+
+    def coefficients(self):
+        return [_Operand(self.e, (c, None)) for c in self.x]
+
+
+def read(fn, *args):
+    """``fn(*args)`` for a function fn of the float values of its arguments
+    (a check or a sign choice), on floats or jets.  While a kernel is
+    traced, an operand among the arguments makes it emit the call into the
+    kernel instead, on the operands' values (in lists too), and return a
+    float operand."""
+    if _TRACES and _Operand in map(type, args):
+        return next(a for a in args if type(a) is _Operand).e.read(fn, args)
+    return fn(*args)
+
+
+def where(flag, fn, xs):
+    """``fn(xs) if flag else xs``, for a list xs of jets; on an operand
+    flag, a choice that the kernel makes."""
+    if type(flag) is _Operand:
+        return flag.e.select(flag.x[0], fn(xs), xs)
+    return fn(xs) if flag else xs
 
 
 def jet_sqrt(x):
-    """Square root usable on floats and jets alike."""
-    if isinstance(x, _Jet):
-        return x.chain(*_derivatives("sqrt", x.val))
-    return math.sqrt(x)
+    """Square root of a float, or of a jet (a kernel operand, or any jet
+    with its ``call``) by the jet rule of sqrt."""
+    return math.sqrt(x) if isinstance(x, (int, float)) else x.call("sqrt")
 
 
 def jet_tuples(jets):
-    """(x, du, duu) of a list of component jets, as tuples of floats."""
-    return (tuple([j.val for j in jets]),
-            tuple([(j.gu, j.gv) for j in jets]),
-            tuple([((j.huu, j.huv), (j.huv, j.hvv)) for j in jets]))
+    """(x, du, duu) of component jets (kernel operands), as tuples of their
+    coefficients, for a kernel's result; (x, du) of order one."""
+    c = [j.coefficients() for j in jets]
+    out = (tuple(j[0] for j in c), tuple((j[1], j[2]) for j in c))
+    if len(c[0]) == 3:
+        return out
+    return (*out, tuple(((j[3], j[4]), (j[4], j[5])) for j in c))
 
 
 _ZERO_HESSIAN = ((0.0, 0.0), (0.0, 0.0))
@@ -871,10 +915,8 @@ class GraphEvaluator:
 
     def __init__(self, expr: GraphExpr):
         self.expr = expr
-
-    @property
-    def component_asts(self):
-        return (Var("u"), Var("v"), self.expr.ast)
+        # Built once: the kernel memo is keyed on each tree's identity.
+        self.component_asts = (Var("u"), Var("v"), expr.ast)
 
     def jet(self, u, v):
         val, gu, gv, huu, huv, hvv = _jet_eval(self.expr.ast, u, v)

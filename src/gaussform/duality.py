@@ -5,10 +5,12 @@ The unit normal of a surface, parallel translated to the origin of Minkowski
 space and vice versa (time-like de Sitter surfaces stay on the de Sitter
 quadric).  This module computes that dual point through one polar-map code
 path, with the normal and checks of ``forms.frame_normal``, that runs on
-floats and on jets (so the dual chart has exact derivatives and double
-polarity can be checked at full precision) and on arrays (so a fit's cloud
-of polar points is one pass, with the float path's bits and its checks as
-masks), the curvature and volume transfer laws, the graph-level duality
+floats, on arrays (so a fit's cloud of polar points is one pass, with the
+float path's bits and its checks as masks) and, traced once per space and
+order, as a straight-line jet kernel (so the dual chart has exact
+derivatives and double polarity can be checked at full precision; its
+checks and sign choices are calls to the float path's own functions), the
+curvature and volume transfer laws, the graph-level duality
 between the two fully nonlinear graph PDEs, and the isometry fitting used to
 match dual families (a damped Gauss-Newton fit of a horizontal translation at
 one rotation angle, on numpy arrays over all points, with no solver library;
@@ -108,23 +110,38 @@ def _on_equator(c):
     return abs(c) < EQUATORIAL_TOL
 
 
+def _check_equator(c):
+    if _on_equator(float(c)):
+        raise EquatorialNormal("dual point would land on the degenerate set")
+
+
+def _check_dual_height(z):
+    if not float(z) > 0.0:
+        raise NonPositiveHeight("dual point left the upper half-space")
+
+
+def _lower_sheet(v0):
+    return float(v0) < 0.0
+
+
 def _dual_point(space: amb.AmbientSpace, X, eta):
     """Lifted normal V on the dual quadric and its half-space chart position.
 
     X is the Minkowski lift of the source point and eta the oriented normal
-    frame components.  Plain arithmetic on floats or calculus jets, so running
-    it on jets differentiates the polar map; on arrays the sign choices are
-    made entry by entry.  Returns (V, pos) as lists.
+    frame components.  Plain arithmetic on floats, jets or kernel operands,
+    its sign choices read on float values, so running it on jets
+    differentiates the polar map; on arrays the sign choices are made entry
+    by entry.  Returns (V, pos) as lists.
     """
     V = _normal_from_lift(X, eta)
     if isinstance(V[0], np.ndarray):  # the sign choices below, entry by entry
         V = [np.where(V[0] < 0.0, -c, c) for c in V] if space.normal_sign < 0 else V
         d = abs(V[0] - V[3])          # the bits of copysign(1.0, d) * d
     else:
-        if space.normal_sign < 0 and float(V[0]) < 0.0:
-            V = [-c for c in V]       # pick the upper sheet of the hyperboloid
+        if space.normal_sign < 0:     # pick the upper sheet of the hyperboloid
+            V = calc.where(calc.read(_lower_sheet, V[0]), lambda V: [-c for c in V], V)
         d = V[0] - V[3]
-        d = math.copysign(1.0, float(d)) * d
+        d = calc.read(math.copysign, 1.0, d) * d
     return V, [V[1] / d, V[2] / d, 1.0 / d]
 
 
@@ -147,22 +164,25 @@ class PolarPoint:
 def _checked_dual_point(space: amb.AmbientSpace, x, eta):
     """The source lift X, the dual point V and its chart position, after the
     equator check and with the position's height checked positive.  Runs on
-    floats and on calculus jets."""
-    if _on_equator(float(eta[2])):
-        raise EquatorialNormal("dual point would land on the degenerate set")
+    floats, jets and kernel operands."""
+    calc.read(_check_equator, eta[2])
     X = amb.minkowski_coords(space, x)
     V, pos = _dual_point(space, X, eta)
-    if not float(pos[2]) > 0.0:
-        raise NonPositiveHeight("dual point left the upper half-space")
+    calc.read(_check_dual_height, pos[2])
     return X, V, pos
+
+
+def _polar_map(space: amb.AmbientSpace, x, du, orientation):
+    """``_checked_dual_point`` of the source point x with the frame normal of
+    the tangent map du, on floats, jets and kernel operands."""
+    return _checked_dual_point(space, x, forms.frame_normal(space, x[-1], du, orientation))
 
 
 def polar_position(chart: calc.SurfaceChart, p) -> amb.HalfSpacePoint:
     """``polar_variety(chart, p).position``, bit for bit and with
     the same errors, without the forms and the curvature transfer."""
     jet = calc.jet2_eval(chart, p)
-    eta = forms.frame_normal(chart.ambient, jet.height, jet.du, chart.orientation_at(p))
-    _, _, pos = _checked_dual_point(chart.ambient, jet.x, eta)
+    _, _, pos = _polar_map(chart.ambient, jet.x, jet.du, chart.orientation_at(p))
     return amb.HalfSpacePoint(tuple(pos))
 
 
@@ -214,7 +234,7 @@ def polar_variety(chart: calc.SurfaceChart, p) -> PolarPoint:
 
     k = bundle.gauss_curvature
     branched = (abs(k - space.curvature) < BRANCH_K_TOL
-                or abs(np.linalg.det(bundle.second)) < BRANCH_DET_TOL)
+                or abs(forms._det(bundle.second)) < BRANCH_DET_TOL)
     return PolarPoint(
         position=amb.HalfSpacePoint(tuple(pos)),
         source_minkowski=amb.MinkowskiPoint(tuple(X), space.curvature),
@@ -232,20 +252,15 @@ def polar_chart(chart: calc.SurfaceChart) -> calc.SurfaceChart:
     third-order jet per component expression of the source chart gives
     second-order jets of x, x_u and x_v.  The point path's checks run in its
     order: the chart checks of ``calc.jet2_eval`` on the jets' values, then
-    ``forms.frame_normal`` and ``_checked_dual_point``, which are plain
-    arithmetic, so jets pass through them exactly.  Building the chart does
-    no symbolic work.
+    those of ``_polar_map``.  The map runs as one kernel per space (see
+    ``_kernel``).  Building the chart does no symbolic work.
     """
     asts = chart.evaluator.component_asts
     space = chart.ambient
 
     def jet_fn(u, v):
-        x, xu, xv = zip(*[calc.jet_partials(calc.third_order_jet(a, u, v)) for a in asts])
-        calc.check_chart_jet(space, u, v, *calc.jet_tuples(x)[:2])
-        eta = forms.frame_normal(space, x[-1], tuple(zip(xu, xv)),
+        return _kernel(space, 2)([calc.third_order_jet(a, u, v) for a in asts], u, v,
                                  chart.orientation_at((u, v)))
-        _, _, pos = _checked_dual_point(space, x, eta)
-        return calc.jet_tuples(pos)
 
     return calc.SurfaceChart(chart.domain, calc.ClosedFormEvaluator(jet_fn=jet_fn),
                              dual_space(space))
@@ -264,46 +279,95 @@ def polar_of_polar_minkowski(chart: calc.SurfaceChart, p) -> np.ndarray:
     the sign of V0 - V3 (a hyperbolic dual has one sheet).
     """
     src = calc.jet2_eval(chart, p)
-    x = [calc.first_order_jet(c, d) for c, d in zip(src.x, src.du)]
-    xu, xv = ([calc.first_order_jet(d[i], dd[i]) for d, dd in zip(src.du, src.duu)]
-              for i in (0, 1))
-    eta = forms.frame_normal(chart.ambient, x[-1], tuple(zip(xu, xv)),
-                             chart.orientation_at(p))
-    _, V, pos = _checked_dual_point(chart.ambient, x, eta)
-    y, dy, _ = calc.jet_tuples(pos)
+    y, dy, d = _kernel(chart.ambient, 1)(src.x, src.du, src.duu, chart.orientation_at(p))
     space = dual_space(chart.ambient)
     calc.check_chart_jet(space, float(p[0]), float(p[1]), y, dy)
     eta = forms.frame_normal(space, y[-1], dy, None)
-    branch = -1 if float(V[0] - V[3]) < 0.0 else 1
-    _, second = minkowski_normal(space, y, eta, branch)
+    _, second = minkowski_normal(space, y, eta, -1 if d < 0.0 else 1)
     return second
+
+
+_KERNELS = {}       # (dim, c, eps_N, order) of a space, or a direction -> kernel
+
+
+def _kernel(source, order=2):
+    """``_polar_map`` of a chart in the space ``source``, or for a direction
+    ``graph_dualize``, traced once per process into a kernel: of order two
+    (the order-three coefficients of each component, u, v, orientation) ->
+    (x, du, duu) of the dual point; of order one (x, du, duu of the source,
+    orientation) -> (x, du, the value of V0 - V3); for a direction (those
+    of f, u, v) -> (x, du, duu)."""
+    key = source if type(source) is str else (source.dim, source.curvature,
+                                              source.normal_sign, order)
+    kernel = _KERNELS.get(key)
+    if kernel is None:
+        params, trace = (("f, u, v", _traced_graph) if type(source) is str else
+                         ("jets, u, v, orientation", _traced_chart) if order == 2 else
+                         ("x, du, duu, orientation", _traced_double))
+        kernel = _KERNELS[key] = calc.compile_traced(order, params, lambda e: trace(e, source))
+    return kernel
+
+
+def _traced_chart(e, space):
+    comps = [e.unpack(f"jets[{i}]", 10) for i in range(space.dim)]
+    x, xu, xv = ([e.operand([c[i] for i in slots]) for c in comps] for slots in calc.PARTIALS)
+    du = tuple(zip(xu, xv))
+    calc.read(calc.check_chart_jet, space, e.operand("u"), e.operand("v"), x, du)
+    return calc.jet_tuples(_polar_map(space, x, du, e.operand("orientation"))[2])
+
+
+def _traced_double(e, space):
+    x = e.unpack("x", space.dim)
+    du = [e.unpack(f"du[{k}]", 2) for k in range(space.dim)]
+    xs = [e.operand([c, *d]) for c, d in zip(x, du)]
+    xu, xv = ([e.operand([d[i], *e.unpack(f"duu[{k}][{i}]", 2)]) for k, d in enumerate(du)]
+              for i in (0, 1))
+    _, V, pos = _polar_map(space, xs, tuple(zip(xu, xv)), e.operand("orientation"))
+    return (*calc.jet_tuples(pos), (V[0] - V[3]).coefficients()[0])
+
+
+def _traced_graph(e, direction):
+    c = e.unpack("f", 10)
+    f, fu, fv = (e.operand([c[i] for i in slots]) for slots in calc.PARTIALS)
+    u = e.operand(["u", "1.0", "0.0", "0.0", "0.0", "0.0"])
+    v = e.operand(["v", "0.0", "1.0", "0.0", "0.0", "0.0"])
+    return calc.jet_tuples(graph_dualize(u, v, f, fu, fv, direction))
 
 
 # --------------------------------------------------------------------------
 # Graph-level duality
 # --------------------------------------------------------------------------
 
+def _check_graph_height(f):
+    if float(f) <= 0.0:
+        raise NonPositiveHeight(f"graph height {float(f)} is not positive")
+
+
+def _check_gradient(arg, grad_sq, eps_n):
+    if not float(arg) > 0.0:
+        raise CausalityViolation(f"gradient square {float(grad_sq):.6g} must be "
+                                 f"{'<' if eps_n < 0 else '>'} 1 for this direction")
+
+
 def graph_dualize(u, v, f, fu, fv, direction: str):
     """Map one graph jet to the dual surface point (c f fu - u, c f fv - v,
     f sqrt(eps_N (|grad f|^2 - c))), with c and eps_N of the source space.
 
-    Plain arithmetic, so it runs on floats and on calculus jets alike.
-    Directions: hyperbolic graph -> space-like de Sitter ('h3-to-ds3'),
-    space-like de Sitter graph -> hyperbolic ('ds3-to-h3', needs gradient
-    square < 1), time-like de Sitter graph -> time-like de Sitter
-    ('ds3-timelike', needs gradient square > 1).
+    Plain arithmetic with its checks read on float values, so it runs on
+    floats, jets and kernel operands alike.  Directions: hyperbolic graph
+    -> space-like de Sitter ('h3-to-ds3'), space-like de Sitter graph ->
+    hyperbolic ('ds3-to-h3', needs gradient square < 1), time-like de
+    Sitter graph -> time-like de Sitter ('ds3-timelike', needs gradient
+    square > 1).
     """
-    if float(f) <= 0.0:
-        raise NonPositiveHeight(f"graph height {float(f)} is not positive")
+    calc.read(_check_graph_height, f)
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
     space = DIRECTIONS[direction][0]
     cf, eps_n = space.curvature * f, space.normal_sign
     grad_sq = fu * fu + fv * fv
     arg = eps_n * (grad_sq - space.curvature)
-    if not float(arg) > 0.0:
-        raise CausalityViolation(f"gradient square {float(grad_sq):.6g} must be "
-                                 f"{'<' if eps_n < 0 else '>'} 1 for this direction")
+    calc.read(_check_gradient, arg, grad_sq, eps_n)
     return cf * fu - u, cf * fv - v, f * calc.jet_sqrt(arg)
 
 
@@ -311,16 +375,15 @@ def dual_graph_jet(expr: calc.GraphExpr, p, direction: str):
     """Height of the dualized graph with gradient and Hessian in its own base.
 
     graph_dualize runs on second-order jets of f, f_u and f_v (one
-    third-order jet of f), which gives the dual position (p1, p2, w) with
-    exact derivatives in (u, v); the chain rule then inverts the base map
-    (u, v) -> (p1, p2).
+    third-order jet of f), as a kernel per direction, which gives the dual
+    position (p1, p2, w) with exact derivatives in (u, v); the chain rule
+    then inverts the base map (u, v) -> (p1, p2).
     """
     u, v = float(p[0]), float(p[1])
-    f, fu, fv = calc.jet_partials(
-        calc.third_order_jet(expr.ast, u, v))
-    pos, dpos, ddpos = (np.array(t) for t in calc.jet_tuples(graph_dualize(
-        calc.first_order_jet(u, (1.0, 0.0)), calc.first_order_jet(v, (0.0, 1.0)),
-        f, fu, fv, direction)))
+    f = calc.third_order_jet(expr.ast, u, v)
+    if direction not in DIRECTIONS:     # its errors in their order, from the float path
+        graph_dualize(u, v, f[0], f[1], f[2], direction)
+    pos, dpos, ddpos = (np.array(t) for t in _kernel(direction)(f, u, v))
     # With J = d(p1, p2)/d(u, v): grad_uv w = J^T grad w and
     # hess_uv w = J^T (hess w) J + sum_k (grad w)_k hess_uv p_k.
     jac_inv = np.linalg.inv(dpos[:2])

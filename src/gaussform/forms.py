@@ -166,6 +166,30 @@ def orientation_sign(eta, orientation) -> float:
     return 1.0 if math.copysign(1.0, eta_last) == math.copysign(1.0, want) else -1.0
 
 
+def _check_normal(space, h, nn):
+    """A positive height h, then normal_ok on nn, else their errors."""
+    if not (float(h) > 0.0):
+        raise NonPositiveHeight(f"height {float(h)} is not positive")
+    nn = float(nn)
+    if not normal_ok(space, nn):
+        if nn == 0.0:
+            raise NonImmersed("tangent map is degenerate: the cofactor normal vanishes")
+        if math.isnan(nn):               # its sign bit is arbitrary
+            raise NonImmersed("tangent map is not finite: the normal's scalar square is NaN")
+        raise WrongCausalClass(f"normal has scalar square of sign "
+                               f"{math.copysign(1.0, nn):+.0f}, "
+                               f"expected {space.normal_sign:+d}")
+
+
+def _flips(eta, orientation):
+    """Whether the orientation asks for -eta."""
+    return orientation_sign(eta, orientation) < 0.0
+
+
+def _negated(eta):
+    return [0.0 - c for c in eta]
+
+
 def _oriented_normal(space, h, du, orientation):
     """Frame components eta of the oriented unit normal, as a list.
 
@@ -173,11 +197,10 @@ def _oriented_normal(space, h, du, orientation):
     is the vector nd of signed cofactors of ``du`` (the cross product for
     m = 3) weighted by the signature, which is orthogonal to every tangent
     in the metric eps_A dx_A^2 / h^2; its scalar square nn sets the causal
-    class, and eta = +-nd / sqrt|nn|.  Plain arithmetic with comparisons on
-    float values, so it runs on floats and on calculus jets alike.
+    class, and eta = +-nd / sqrt|nn|.  Plain arithmetic, with its checks
+    and its sign choice read on float values through ``calculus.read``, so
+    it runs on floats, on jets and on kernel operands alike.
     """
-    if not (float(h) > 0.0):
-        raise NonPositiveHeight(f"height {float(h)} is not positive")
     eps = space.signature
     # Negations are written 0.0 - c, so a zero component stays +0.0 in reports.
     if space.dim == 3:
@@ -187,24 +210,17 @@ def _oriented_normal(space, h, du, orientation):
         nd = [eps[a] * _det(du[:a] + du[a + 1:]) for a in range(m)]
         nd[1::2] = [0.0 - c for c in nd[1::2]]     # the cofactor signs
         nn = sum(eps[a] * nd[a] * nd[a] for a in range(m))
-    if not normal_ok(space, float(nn)):
-        if float(nn) == 0.0:
-            raise NonImmersed("tangent map is degenerate: the cofactor normal vanishes")
-        if math.isnan(float(nn)):        # its sign bit is arbitrary
-            raise NonImmersed("tangent map is not finite: the normal's scalar square is NaN")
-        raise WrongCausalClass(f"normal has scalar square of sign "
-                               f"{math.copysign(1.0, float(nn)):+.0f}, "
-                               f"expected {space.normal_sign:+d}")
+    # Nothing above raises, so the height is checked first here.
+    calculus.read(_check_normal, space, h, nn)
     root = calculus.jet_sqrt(space.normal_sign * nn)
     eta = [c / root for c in nd]
-    if orientation_sign(eta, orientation) < 0.0:
-        eta = [0.0 - c for c in eta]
-    return eta
+    return calculus.where(calculus.read(_flips, eta, orientation), _negated, eta)
 
 
 def cofactor_normal(eps, du):
     """The cofactor normal nd of a 3 x 2 tangent map du weighted by the
-    signature eps, and its scalar square nn, on floats, jets or arrays."""
+    signature eps, and its scalar square nn, on floats, jets, kernel
+    operands or arrays."""
     (x0, y0), (x1, y1), (x2, y2) = du
     nd = [eps[0] * (x1 * y2 - y1 * x2), 0.0 - eps[1] * (x0 * y2 - y0 * x2),
           eps[2] * (x0 * y1 - y0 * x1)]
@@ -224,15 +240,19 @@ def induced_metric(space, h, du):
     return [[_dot([wa * c for wa, c in zip(w, ci)], cj) for cj in cols] for ci in cols]
 
 
+def _check_metric(space, h, du):
+    check_causal_class(space, induced_metric(
+        space, float(h), [[float(c) for c in row] for row in du]))
+
+
 def frame_normal(space, h, du, orientation):
     """Frame components eta of the oriented unit normal at height h with
     tangent map du, with the checks of fundamental_forms in its order (the
     normal, then the causal class of the induced metric) but none of the
-    forms.  Runs on floats and on calculus jets; the causal class is checked
-    on their float values."""
+    forms.  Runs on floats, jets and kernel operands; the causal class is
+    checked on their float values."""
     eta = _oriented_normal(space, h, du, orientation)
-    check_causal_class(space, induced_metric(
-        space, float(h), [[float(c) for c in row] for row in du]))
+    calculus.read(_check_metric, space, h, du)
     return eta
 
 

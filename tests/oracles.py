@@ -22,7 +22,11 @@ sympy oracles; the package never prints a tree.  The tree walker
 (``walk_jet``, with ``jet_call``, ``jet_pow`` and the order-three jet
 ``Jet3``) evaluates a tree's jets by one jet object per operation, as the
 package did before it compiled each tree into a kernel; the kernels must
-give its bits and its errors.
+give its bits and its errors.  The polar map as it ran on that jet class
+(``jet_polar_chart_jet``, ``jet_polar_of_polar_minkowski`` and
+``jet_graph_duality_residual``, on ``_Jet`` with ``jet_partials`` and
+``first_order_jet``, the checks and sign choices written inline) is the
+reference of the polar map's kernels.
 """
 
 import math
@@ -31,12 +35,12 @@ from operator import mul
 import numpy as np
 
 from gaussform import ambient as amb
-from gaussform import calculus, duality, gaussmaps
+from gaussform import calculus, duality, gaussmaps, zoo
 from gaussform import weierstrass as ws
 from gaussform.calculus import Bin, Call, Const, Neg, Num, Var
 from gaussform.errors import (CausalityViolation, ConstraintViolation, DomainError,
-                              EvaluationError, NonImmersed, NonPositiveHeight,
-                              WrongCausalClass)
+                              EquatorialNormal, EvaluationError, NonImmersed,
+                              NonPositiveHeight, WrongCausalClass)
 from gaussform.forms import FormBundle, orientation_sign
 
 
@@ -468,6 +472,116 @@ def unparse(node) -> str:
 # The tree walker: jets of a tree by one jet object per operation
 # --------------------------------------------------------------------------
 
+class _Jet:
+    """Value, gradient and Hessian with respect to (u, v), propagated forward.
+
+    The six Taylor coefficients are plain scalars: the value ``val``, the
+    gradient ``gu``, ``gv`` and the Hessian ``huu``, ``huv``, ``hvv``
+    (Griewank and Walther, Evaluating Derivatives, ch. 13).  A float operand
+    takes part as a constant without being lifted into a jet.  ``call``
+    applies a function of the grammar, as a kernel operand's does.
+    """
+
+    __slots__ = ("val", "gu", "gv", "huu", "huv", "hvv")
+
+    def __init__(self, val, gu=0.0, gv=0.0, huu=0.0, huv=0.0, hvv=0.0):
+        self.val = val
+        self.gu = gu
+        self.gv = gv
+        self.huu = huu
+        self.huv = huv
+        self.hvv = hvv
+
+    def __float__(self):
+        return float(self.val)
+
+    def call(self, fn):
+        return jet_call(fn, self)
+
+    def __add__(self, o):
+        if isinstance(o, _Jet):
+            return _Jet(self.val + o.val, self.gu + o.gu, self.gv + o.gv,
+                        self.huu + o.huu, self.huv + o.huv, self.hvv + o.hvv)
+        return _Jet(self.val + o, self.gu, self.gv, self.huu, self.huv, self.hvv)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if isinstance(o, _Jet):
+            return _Jet(self.val - o.val, self.gu - o.gu, self.gv - o.gv,
+                        self.huu - o.huu, self.huv - o.huv, self.hvv - o.hvv)
+        return _Jet(self.val - o, self.gu, self.gv, self.huu, self.huv, self.hvv)
+
+    def __rsub__(self, o):
+        return _Jet(o - self.val, -self.gu, -self.gv, -self.huu, -self.huv, -self.hvv)
+
+    def __neg__(self):
+        return _Jet(-self.val, -self.gu, -self.gv, -self.huu, -self.huv, -self.hvv)
+
+    def __mul__(self, o):
+        if not isinstance(o, _Jet):
+            return _Jet(self.val * o, self.gu * o, self.gv * o,
+                        self.huu * o, self.huv * o, self.hvv * o)
+        a, b = self.val, o.val
+        au, av, bu, bv = self.gu, self.gv, o.gu, o.gv
+        cuu, cvv = au * bu, av * bv
+        return _Jet(a * b, au * b + bu * a, av * b + bv * a,
+                    self.huu * b + o.huu * a + cuu + cuu,
+                    self.huv * b + o.huv * a + au * bv + av * bu,
+                    self.hvv * b + o.hvv * a + cvv + cvv)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if not isinstance(o, _Jet):
+            if o == 0.0:
+                raise DomainError("division by zero")
+            return self * (1.0 / o)
+        return self * o._reciprocal()
+
+    def __rtruediv__(self, o):
+        return self._reciprocal() * o
+
+    def _reciprocal(self):
+        if self.val == 0.0:
+            raise DomainError("division by zero")
+        inv = 1.0 / self.val
+        inv3 = inv**3
+        gu, gv = self.gu, self.gv
+        return _Jet(inv, -gu * inv * inv, -gv * inv * inv,
+                    -self.huu * inv * inv + 2.0 * (gu * gu) * inv3,
+                    -self.huv * inv * inv + 2.0 * (gu * gv) * inv3,
+                    -self.hvv * inv * inv + 2.0 * (gv * gv) * inv3)
+
+    def chain(self, f0, f1, f2):
+        """Compose with a scalar function given value/first/second derivative."""
+        gu, gv = self.gu, self.gv
+        return _Jet(f0, f1 * gu, f1 * gv,
+                    f1 * self.huu + f2 * (gu * gu),
+                    f1 * self.huv + f2 * (gu * gv),
+                    f1 * self.hvv + f2 * (gv * gv))
+
+
+def jet_partials(j):
+    """Order-two jets of x, x_u and x_v from the ten coefficients of one
+    order-three jet of x."""
+    val, gu, gv, huu, huv, hvv, tuuu, tuuv, tuvv, tvvv = j
+    return (_Jet(val, gu, gv, huu, huv, hvv), _Jet(gu, huu, huv, tuuu, tuuv, tuvv),
+            _Jet(gv, huv, hvv, tuuv, tuvv, tvvv))
+
+
+def first_order_jet(val, grad):
+    """Jet with a zero Hessian: plain arithmetic on it gives exact first derivatives."""
+    return _Jet(float(val), float(grad[0]), float(grad[1]))
+
+
+def jet_tuples(jets):
+    """(x, du, duu) of a list of component jets, as tuples of floats."""
+    return (tuple([j.val for j in jets]),
+            tuple([(j.gu, j.gv) for j in jets]),
+            tuple([((j.huu, j.huv), (j.huv, j.hvv)) for j in jets]))
+
+
 JET_SLOTS = ("val", "gu", "gv", "huu", "huv", "hvv", "tuuu", "tuuv", "tuvv", "tvvv")
 
 
@@ -478,22 +592,22 @@ def coefficients(jet):
                                                             isinstance(jet, Jet3) else 6])
 
 
-class Jet3(calculus._Jet):
-    """Order-three jet: the six coefficients of ``calculus._Jet`` by its own
+class Jet3(_Jet):
+    """Order-three jet: the six coefficients of ``_Jet`` by its own
     rules, and the third derivatives ``tuuu``, ``tuuv``, ``tuvv``, ``tvvv``."""
 
     __slots__ = ("tuuu", "tuuv", "tuvv", "tvvv")
 
     def __init__(self, val, gu=0.0, gv=0.0, huu=0.0, huv=0.0, hvv=0.0,
                  tuuu=0.0, tuuv=0.0, tuvv=0.0, tvvv=0.0):
-        calculus._Jet.__init__(self, val, gu, gv, huu, huv, hvv)
+        _Jet.__init__(self, val, gu, gv, huu, huv, hvv)
         self.tuuu, self.tuuv, self.tuvv, self.tvvv = tuuu, tuuv, tuvv, tvvv
 
     def _low(self, jet):
         return coefficients(jet)[:6]
 
     def __add__(self, o):
-        low = self._low(calculus._Jet.__add__(self, o))
+        low = self._low(_Jet.__add__(self, o))
         if isinstance(o, Jet3):
             return Jet3(*low, self.tuuu + o.tuuu, self.tuuv + o.tuuv,
                         self.tuvv + o.tuvv, self.tvvv + o.tvvv)
@@ -512,7 +626,7 @@ class Jet3(calculus._Jet):
         return -self + o
 
     def __mul__(self, o):
-        low = self._low(calculus._Jet.__mul__(self, o))
+        low = self._low(_Jet.__mul__(self, o))
         if not isinstance(o, Jet3):
             return Jet3(*low, self.tuuu * o, self.tuuv * o, self.tuvv * o, self.tvvv * o)
         a, au, av, auu, auv, avv, auuu, auuv, auvv, avvv = coefficients(self)
@@ -525,13 +639,13 @@ class Jet3(calculus._Jet):
     __rmul__ = __mul__
 
     def _reciprocal(self):
-        low = self._low(calculus._Jet._reciprocal(self))
+        low = self._low(_Jet._reciprocal(self))
         inv = low[0]
         inv3 = inv**3
         return Jet3(*low, *self._third(-inv * inv, 2.0 * inv3, -6.0 * inv3 * inv))
 
     def chain(self, f0, f1, f2, f3):
-        return Jet3(*self._low(calculus._Jet.chain(self, f0, f1, f2)),
+        return Jet3(*self._low(_Jet.chain(self, f0, f1, f2)),
                     *self._third(f1, f2, f3))
 
     def _third(self, f1, f2, f3):
@@ -544,14 +658,14 @@ class Jet3(calculus._Jet):
 
 
 def jet_call(fn, x):
-    """A function of the grammar applied to a jet: ``_derivatives`` at x.val,
+    """A function of the grammar applied to a jet: its rule at x.val,
     composed by x.chain; order three adds f'''.  On an array jet
-    ``_derivatives`` runs at each entry, NaN where it raises."""
+    the rule runs at each entry, NaN where it raises."""
     v = x.val
     if not isinstance(v, float):
-        return x.chain(*calculus._each(lambda t: calculus._derivatives(fn, t), 3, v))
-    f0, f1, f2 = calculus._derivatives(fn, v)
-    if type(x) is calculus._Jet:
+        return x.chain(*calculus._each(calculus._rule(fn), 3, v))
+    f0, f1, f2 = calculus._rule(fn)(v)
+    if type(x) is _Jet:
         return x.chain(f0, f1, f2)
     return x.chain(f0, f1, f2, calculus._THIRD_DERIVATIVES[fn](v, f0, f1, f2))
 
@@ -559,13 +673,13 @@ def jet_call(fn, x):
 def jet_pow(x, o):
     """x ** o for a jet x and a float or jet o; on arrays the float rule at
     each entry, NaN where it raises or an argument is not finite."""
-    if not isinstance(x.val, float) or type(o) is calculus._Jet and not isinstance(o.val, float):
-        exponent = coefficients(o) if isinstance(o, calculus._Jet) else (o,)
-        return calculus._Jet(*calculus._each(
-            lambda *c: coefficients(jet_pow(calculus._Jet(*c[:6]),
-                                            calculus._Jet(*c[6:]) if c[7:] else c[6])),
+    if not isinstance(x.val, float) or type(o) is _Jet and not isinstance(o.val, float):
+        exponent = coefficients(o) if isinstance(o, _Jet) else (o,)
+        return _Jet(*calculus._each(
+            lambda *c: coefficients(jet_pow(_Jet(*c[:6]),
+                                            _Jet(*c[6:]) if c[7:] else c[6])),
             6, *coefficients(x), *exponent, all_finite=True))
-    if isinstance(o, calculus._Jet):
+    if isinstance(o, _Jet):
         if any(coefficients(o)[1:]):
             if x.val <= 0.0:
                 raise DomainError("variable power of nonpositive base")
@@ -588,7 +702,7 @@ def jet_pow(x, o):
             raise DomainError("non-integer power of nonpositive base")
         f0 = v ** o
         f1, f2 = o * f0 / v, o * (o - 1.0) * f0 / (v * v)
-    if type(x) is calculus._Jet:
+    if type(x) is _Jet:
         return x.chain(f0, f1, f2)
     # f''' = (o - 2) f'' / v; v is 0 only for an integer o >= 1.
     return x.chain(f0, f1, f2, (o - 2.0) * f2 / v if v != 0.0
@@ -601,13 +715,13 @@ def array_reciprocal(x):
     inv = 1.0 / x.val
     inv3 = calculus.power(inv, 3)
     gu, gv = x.gu, x.gv
-    return calculus._Jet(inv, -gu * inv * inv, -gv * inv * inv,
+    return _Jet(inv, -gu * inv * inv, -gv * inv * inv,
                          -x.huu * inv * inv + 2.0 * (gu * gu) * inv3,
                          -x.huv * inv * inv + 2.0 * (gu * gv) * inv3,
                          -x.hvv * inv * inv + 2.0 * (gv * gv) * inv3)
 
 
-def walk_jet(node, u, v, jet=calculus._Jet):
+def walk_jet(node, u, v, jet=_Jet):
     """Jet of a tree at (u, v), of the order of the jet class ``jet``, by a
     recursive walk that dispatches every node at every point.
 
@@ -661,3 +775,69 @@ def walk_jet(node, u, v, jet=calculus._Jet):
     if isinstance(u, float) and not all(map(math.isfinite, coefficients(out))):
         raise EvaluationError("expression jet produced a non-finite value")
     return out
+
+
+# --------------------------------------------------------------------------
+# The polar map on one jet object per operation
+# --------------------------------------------------------------------------
+
+def jet_checked_dual_point(space, x, eta):
+    """``duality._checked_dual_point`` as it ran on ``_Jet``, with its checks
+    and sign choices inline on float values and the lift with one branch
+    per kind of space."""
+    if abs(float(eta[2])) < duality.EQUATORIAL_TOL:
+        raise EquatorialNormal("dual point would land on the degenerate set")
+    X = branch_minkowski_coords(space, x)
+    V = duality._normal_from_lift(X, eta)
+    if space.normal_sign < 0 and float(V[0]) < 0.0:
+        V = [-c for c in V]
+    d = V[0] - V[3]
+    d = math.copysign(1.0, float(d)) * d
+    pos = [V[1] / d, V[2] / d, 1.0 / d]
+    if not float(pos[2]) > 0.0:
+        raise NonPositiveHeight("dual point left the upper half-space")
+    return X, V, pos
+
+
+def jet_polar_chart_jet(chart, u, v):
+    """``duality.polar_chart(chart).evaluator.jet(u, v)`` by the polar map on
+    order-two ``_Jet``s of x, x_u and x_v, with the k-parameter normal."""
+    space = chart.ambient
+    x, xu, xv = zip(*[jet_partials(calculus.third_order_jet(a, u, v))
+                      for a in chart.evaluator.component_asts])
+    calculus.check_chart_jet(space, u, v, *jet_tuples(x)[:2])
+    eta = generic_frame_normal(space, x[-1], tuple(zip(xu, xv)), chart.orientation_at((u, v)))
+    return jet_tuples(jet_checked_dual_point(space, x, eta)[2])
+
+
+def jet_polar_of_polar_minkowski(chart, p):
+    """``duality.polar_of_polar_minkowski`` by the polar map on first-order
+    ``_Jet``s of x, x_u and x_v, with the k-parameter normal."""
+    src = calculus.jet2_eval(chart, p)
+    x = [first_order_jet(c, d) for c, d in zip(src.x, src.du)]
+    xu, xv = ([first_order_jet(d[i], dd[i]) for d, dd in zip(src.du, src.duu)]
+              for i in (0, 1))
+    eta = generic_frame_normal(chart.ambient, x[-1], tuple(zip(xu, xv)),
+                               chart.orientation_at(p))
+    _, V, pos = jet_checked_dual_point(chart.ambient, x, eta)
+    y, dy, _ = jet_tuples(pos)
+    space = duality.dual_space(chart.ambient)
+    calculus.check_chart_jet(space, float(p[0]), float(p[1]), y, dy)
+    eta = generic_frame_normal(space, y[-1], dy, None)
+    branch = -1 if float(V[0] - V[3]) < 0.0 else 1
+    return duality.minkowski_normal(space, y, eta, branch)[1]
+
+
+def jet_graph_duality_residual(expr, p, direction):
+    """``duality.graph_duality_residual`` by the graph-level duality with
+    one branch per direction, on ``_Jet``s of u, v, f, f_u and f_v."""
+    u, v = float(p[0]), float(p[1])
+    f, fu, fv = jet_partials(calculus.third_order_jet(expr.ast, u, v))
+    pos, dpos, ddpos = (np.array(t) for t in jet_tuples(branch_graph_dualize(
+        first_order_jet(u, (1.0, 0.0)), first_order_jet(v, (0.0, 1.0)), f, fu, fv, direction)))
+    jac_inv = np.linalg.inv(dpos[:2])
+    wgrad = jac_inv.T @ dpos[2]
+    whess = jac_inv.T @ (ddpos[2] - wgrad[0] * ddpos[0] - wgrad[1] * ddpos[1]) @ jac_inv
+    whess = 0.5 * (whess + whess.T)
+    return zoo.pde_residual_values(float(pos[2]), wgrad[0], wgrad[1], whess[0, 0],
+                                   whess[0, 1], whess[1, 1], duality.DIRECTIONS[direction][1])

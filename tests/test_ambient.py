@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from gaussform import ambient as amb
 from gaussform import calculus as calc
 from gaussform.errors import NonPositiveHeight
-from oracles import (Jet3, branch_minkowski_coords, branch_sign, christoffel_at_height,
-                     coefficients, frame_components, to_half_space)
+from oracles import (Jet3, _Jet, branch_minkowski_coords, branch_sign, christoffel_at_height,
+                     coefficients, first_order_jet, frame_components, to_half_space)
 
 H3 = amb.hyperbolic_space()
 DS3 = amb.de_sitter_space()
@@ -178,7 +178,7 @@ def ieee_bits(values):
     ``values``, as hex strings and bytes, so signed zeros count."""
     out = []
     for x in values:
-        if isinstance(x, calc._Jet):
+        if isinstance(x, _Jet):
             out.append(ieee_bits(coefficients(x)))
         elif isinstance(x, np.ndarray):
             out.append(x.tobytes())
@@ -213,9 +213,9 @@ class TestLiftPin:
     def test_jets(self, space, sheet):
         x1, x2, x3, rng = self.points()
         for x in zip(x1.tolist(), x2.tolist(), x3.tolist()):
-            for jet in (lambda c: calc._Jet(c, *rng.normal(size=5)),
+            for jet in (lambda c: _Jet(c, *rng.normal(size=5)),
                         lambda c: Jet3(c, *rng.normal(size=9)),
-                        lambda c: calc.first_order_jet(c, (0.0, 1.0))):
+                        lambda c: first_order_jet(c, (0.0, 1.0))):
                 xj = [jet(c) for c in x]
                 assert ieee_bits(amb.minkowski_coords(space, xj, sheet)) == \
                     ieee_bits(branch_minkowski_coords(space, xj, sheet))

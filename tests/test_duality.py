@@ -12,7 +12,8 @@ from gaussform.errors import (BranchPoint, CausalityViolation, DomainError, Equa
                               NonPositiveHeight, OrientationUndefined, OutsideDomain,
                               WrongCausalClass)
 from oracles import (NumericEvaluator, all_sign_choices_fit, branch_graph_dualize,
-                     unparse)
+                     first_order_jet, jet_graph_duality_residual, jet_partials,
+                     jet_polar_chart_jet, jet_polar_of_polar_minkowski, unparse)
 from test_ambient import ieee_bits
 
 H3 = amb.hyperbolic_space()
@@ -722,8 +723,8 @@ class TestGraphDualizePin:
         for u, v in chart.interior_points(20, rng, margin_frac=0.1).tolist():
             val, grad, _ = f.jet(u, v)
             # The jets dual_graph_jet passes: one third-order jet of f.
-            jets = (calc.first_order_jet(u, (1.0, 0.0)), calc.first_order_jet(v, (0.0, 1.0)),
-                    *calc.jet_partials(calc.third_order_jet(f.ast, u, v)))
+            jets = (first_order_jet(u, (1.0, 0.0)), first_order_jet(v, (0.0, 1.0)),
+                    *jet_partials(calc.third_order_jet(f.ast, u, v)))
             for args in ((u, v, val, *grad), jets):
                 assert _outcome(duality.graph_dualize, *args, direction) == \
                     _outcome(branch_graph_dualize, *args, direction)
@@ -738,3 +739,127 @@ class TestGraphDualizePin:
                      (0.3, 0.2, -1.0, 2.0, 0.0)]:
             assert _outcome(duality.graph_dualize, *args, direction) == \
                 _outcome(branch_graph_dualize, *args, direction)
+
+
+def _hex_outcome(fn, *args):
+    """fn's result as the float.hex of every float in it, nested tuples and
+    arrays included (so signed zeros count), or the class and message of
+    its error."""
+    def bits(x):
+        if isinstance(x, (tuple, list, np.ndarray)):
+            return [bits(c) for c in x]
+        return float.hex(float(x))
+    try:
+        return bits(fn(*args))
+    except (GaussformError, ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _past_edges(chart, count, rng, reach=0.3):
+    """Points over the chart's rectangle widened by ``reach`` of each side."""
+    u0, u1, v0, v1 = chart.domain
+    du, dv = reach * (u1 - u0), reach * (v1 - v0)
+    return np.column_stack([rng.uniform(u0 - du, u1 + du, count),
+                            rng.uniform(v0 - dv, v1 + dv, count)]).tolist()
+
+
+def _redeclared(key):
+    """A family's chart declared in each space, under its own orientation
+    and under each kind of override: none, a sign, a reference vector, one
+    orthogonal to every normal, and a callable."""
+    base = zoo.make_surface(key)
+    mid = 0.5 * (base.domain[0] + base.domain[1])
+    overrides = (base.orientation, None, 1, -1, (0.3, -0.2, 0.9), (0.0, 0.0, 0.0),
+                 lambda u, v: 1 if u < mid else (0.0, 1.0, 0.0))
+    return [calc.SurfaceChart(base.domain, base.evaluator, space, orientation)
+            for space in (H3, DS3, DS3_TL) for orientation in overrides]
+
+
+class TestPolarKernelPin:
+    """The polar map's kernels have the bits and the errors of the polar map
+    run on one jet object per operation (tests/oracles.py): the dual chart's
+    jets, the double polar and the graph-level duality, on every family,
+    past the edges of its rectangle, in every space and under every kind of
+    orientation override."""
+
+    @pytest.mark.parametrize("key", zoo.family_keys())
+    def test_polar_chart_jets(self, key):
+        rng = np.random.default_rng(41)
+        for chart in _redeclared(key):
+            jet = duality.polar_chart(chart).evaluator.jet
+            for u, v in _past_edges(chart, 12, rng):
+                assert _hex_outcome(jet, u, v) == \
+                    _hex_outcome(jet_polar_chart_jet, chart, u, v), (chart, u, v)
+
+    @pytest.mark.parametrize("key", zoo.family_keys())
+    def test_polar_of_polar(self, key):
+        rng = np.random.default_rng(43)
+        for chart in _redeclared(key):
+            for p in _past_edges(chart, 12, rng):
+                assert _hex_outcome(duality.polar_of_polar_minkowski, chart, p) == \
+                    _hex_outcome(jet_polar_of_polar_minkowski, chart, p), (chart, p)
+
+    @pytest.mark.parametrize("direction", sorted(duality.DIRECTIONS))
+    @pytest.mark.parametrize("key", [key for key, _ in GRAPH_DUALITY_CASES])
+    def test_graph_duality(self, key, direction):
+        rng = np.random.default_rng(47)
+        expr = zoo.family_graph_expr(key)
+        for p in _past_edges(zoo.make_surface(key), 30, rng):
+            assert _hex_outcome(duality.graph_duality_residual, expr, p, direction) == \
+                _hex_outcome(jet_graph_duality_residual, expr, p, direction), p
+
+    def test_unknown_direction(self):
+        expr = zoo.family_graph_expr("horosphere")
+        for p, error in (((0.5, 0.5), ValueError), ((0.5, -2.0), NonPositiveHeight)):
+            assert _hex_outcome(duality.graph_duality_residual, calc.parse_graph_expr("v"),
+                                p, "h3-to-h3")[0] == error.__name__
+        assert _hex_outcome(duality.graph_duality_residual, expr, (0.5, 0.5), "h3-to-h3") == \
+            _hex_outcome(jet_graph_duality_residual, expr, (0.5, 0.5), "h3-to-h3")
+
+    def test_one_kernel_per_space_and_order(self):
+        for key in ("ruled-6.7", "translational-6.3", "cylinder-7.4-2", "horosphere"):
+            for chart in _redeclared(key):
+                for run in (duality.polar_chart(chart).evaluator.jet,
+                            lambda u, v: duality.polar_of_polar_minkowski(chart, (u, v))):
+                    _hex_outcome(run, *_past_edges(chart, 1, np.random.default_rng(1))[0])
+        assert len(duality._KERNELS) <= 3 * 2 + len(duality.DIRECTIONS)
+
+
+class TestBranchTest:
+    def test_closed_form_det_keeps_every_branch_flag(self):
+        # polar_variety's branch test on det II in closed form decides as
+        # the LU determinant did, at every zoo point: on the vertical plane
+        # and the cylinder det II is 0 (polar_variety raises there first).
+        rng = np.random.default_rng(53)
+        compared = near = 0
+        for key in zoo.family_keys():
+            chart = zoo.make_surface(key)
+            for p in chart.interior_points(300, rng, margin_frac=0.02):
+                try:
+                    bundle = forms.forms_at(chart, p)
+                except GaussformError:
+                    continue
+                det = abs(np.linalg.det(bundle.second))
+                assert (abs(forms._det(bundle.second)) < duality.BRANCH_DET_TOL) == \
+                    (det < duality.BRANCH_DET_TOL), (key, p)
+                flag = (abs(bundle.gauss_curvature - chart.ambient.curvature)
+                        < duality.BRANCH_K_TOL or det < duality.BRANCH_DET_TOL)
+                try:
+                    assert duality.polar_variety(chart, p).branch_flag == flag, (key, p)
+                except GaussformError:
+                    pass
+                compared += 1
+                near += det < 1e-8
+        assert compared >= 9000 and near >= 600, (compared, near)
+
+
+class TestGraphComponentTrees:
+    def test_built_once(self, rng):
+        chart = zoo.make_surface("translational-6.3")
+        first, second = chart.evaluator.component_asts, chart.evaluator.component_asts
+        assert all(a is b for a, b in zip(first, second))
+        pts = chart.interior_points(20, rng)
+        duality.polar_positions(chart, pts)
+        kept = set(calc._KERNELS)
+        duality.polar_positions(chart, pts)
+        assert set(calc._KERNELS) == kept

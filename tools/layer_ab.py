@@ -11,7 +11,13 @@ REPEAT timed passes, and reports the best pass in microseconds per call:
 * ``forms_at``, ``polar_variety`` and ``polar_position``, and ``forms_at`` on
   ``polar_chart``, at a 4 x 4 grid of points (10 % margins) on each of
   POLAR_FAMILIES;
-* ``polar_of_polar_minkowski`` at the same points;
+* ``polar_of_polar_minkowski`` and ``polar_chart_jet`` (the polar chart's
+  jet, without its chart checks and forms) at the same points;
+* ``polar_kernel_build``: the first dual-chart jet and the first double
+  polar of a chart in each space (``translational-6.6``,
+  ``translational-6.3``, ``ruled-7.4-3``), the polar-map kernel memo
+  cleared before each call on a tree that has one (so a call builds the
+  kernel of its space and order);
 * ``jet2_eval`` at a 4 x 4 grid of points on each of the 13 charts of the
   ``forms-grid`` benchmark workload (its ten families and three graphs);
 * ``third_order_jet`` of each component tree of POLAR_FAMILIES at their
@@ -56,6 +62,7 @@ import time
 POLAR_FAMILIES = ("translational-6.6", "ruled-6.7", "ruled-6.8", "ruled-7.4-3",
                   "ruled-7.4-4", "translational-6.3", "corollary-6", "control-bowl")
 FIT_FAMILIES = ("translational-6.6", "ruled-6.7", "ruled-6.8")
+POLAR_KERNEL_FAMILIES = ("translational-6.6", "translational-6.3", "ruled-7.4-3")   # H3, dS3, dS3 time-like
 GRAPH_DUALITY = (("horosphere", "h3-to-ds3"), ("equidistant-plane", "h3-to-ds3"),
                  ("translational-6.3", "ds3-to-h3"), ("translational-6.3-minus", "ds3-to-h3"),
                  ("corollary-6", "ds3-to-h3"), ("translational-7.3-1-plus", "ds3-timelike"),
@@ -69,7 +76,7 @@ GRID = 4
 ROUNDS = 10
 REPEAT = 5
 LAYERS = ("forms_at", "polar_variety", "polar_position", "polar_forms",
-          "polar_of_polar_minkowski", "jet2_eval", "third_order_jet", "kernel_build",
+          "polar_of_polar_minkowski", "polar_chart_jet", "polar_kernel_build", "jet2_eval", "third_order_jet", "kernel_build",
           "fit_family_pairing", "make_surface",
           "polar_cloud", "fit_isometry", "graph_duality_residual", "radial_test_pair",
           "recovered_gauss_map",
@@ -106,6 +113,7 @@ def layer_calls():
             calls["polar_forms"].append(guarded(forms.forms_at, dual, p))
             calls["polar_of_polar_minkowski"].append(
                 guarded(duality.polar_of_polar_minkowski, chart, p))
+            calls["polar_chart_jet"].append(guarded(dual.evaluator.jet, *p))
             calls["third_order_jet"] += [guarded(calculus.third_order_jet, tree, *p)
                                          for tree in chart.evaluator.component_asts]
     for chart in forms_grid_charts():
@@ -121,6 +129,18 @@ def layer_calls():
             calculus._jet_eval(tree, 0.5 * (u0 + u1), 0.5 * (v0 + v1))
     calls["kernel_build"] = [guarded(first_jets, zoo.make_surface(key))
                              for key in zoo.family_keys()]
+    polar_kernels = getattr(duality, "_KERNELS", None)  # the polar-map memo, where the tree has one
+
+    def cold(run, *args):
+        if polar_kernels is not None:
+            polar_kernels.clear()
+        run(*args)
+    for key in POLAR_KERNEL_FAMILIES:
+        chart = zoo.make_surface(key)
+        p = grid_points(chart)[5]
+        calls["polar_kernel_build"] += [
+            guarded(cold, duality.polar_chart(chart).evaluator.jet, *p),
+            guarded(cold, duality.polar_of_polar_minkowski, chart, p)]
     for key, direction in GRAPH_DUALITY:
         expr = zoo.family_graph_expr(key)
         calls["graph_duality_residual"] += [
