@@ -5,23 +5,25 @@ The unit normal of a surface, parallel translated to the origin of Minkowski
 space and vice versa (time-like de Sitter surfaces stay on the de Sitter
 quadric).  This module computes that dual point through one polar-map code
 path, with the normal and checks of ``forms.frame_normal``, that runs on
-floats, on arrays (so a fit's cloud of polar points is one pass, with the
-float path's bits and its checks as masks) and, traced once per space and
-order, as a straight-line jet kernel (so the dual chart has exact
-derivatives and double polarity can be checked at full precision; its
-checks and sign choices are calls to the float path's own functions), the
-curvature and volume transfer laws, the graph-level duality
-between the two fully nonlinear graph PDEs, and the isometry fitting used to
-match dual families (a damped Gauss-Newton fit of a horizontal translation at
-one rotation angle, on numpy arrays over all points, with no solver library;
-a pairing's sign choices in the order of their start gaps until one closes).
-The polar map and the graph-level duality read the causal case from the
-source space's curvature c and normal sign eps_N; a direction string of the
-graph-level duality only names its source space and the partner PDE.
+floats, on arrays (so a fit's cloud of polar points, from rows of the
+chart's float kernel, is one pass with the float path's bits and its checks
+as masks) and, traced once per space and order, as a straight-line jet
+kernel (so the dual chart has exact derivatives and double polarity can be
+checked at full precision; its checks and sign choices are calls to the
+float path's own functions), the curvature and volume transfer laws, the
+graph-level duality between the two fully nonlinear graph PDEs, and the
+isometry fitting used to match dual families (a damped Gauss-Newton fit of
+a horizontal translation at one rotation angle, on numpy arrays over all
+points, with no solver library; a pairing's sign choices in the order of
+their start gaps until one closes).  The polar map and the graph-level
+duality read the causal case from the source space's curvature c and normal
+sign eps_N; a direction string of the graph-level duality only names its
+source space and the partner PDE.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,8 +33,7 @@ from . import ambient as amb
 from . import calculus as calc
 from . import forms
 from . import zoo
-from .errors import (BranchPoint, CausalityViolation, DomainError, EquatorialNormal,
-                     NonPositiveHeight)
+from .errors import BranchPoint, CausalityViolation, EquatorialNormal, NonPositiveHeight
 
 H3_TO_DS3 = "h3-to-ds3"
 DS3_TO_H3 = "ds3-to-h3"
@@ -189,35 +190,37 @@ def polar_position(chart: calc.SurfaceChart, p) -> amb.HalfSpacePoint:
 def polar_positions(chart: calc.SurfaceChart, points) -> np.ndarray:
     """``[polar_position(chart, p).coords for p in points]`` as an (N, 3)
     array, bit for bit and with the same first error, for a chart with
-    component expressions.  One pass over arrays runs the float path's
-    operations and ANDs the predicates of its checks with the finiteness of
-    every value; the points that fail run through ``polar_position`` in
-    order, so the first that fails raises its own error.  An orientation
+    component expressions.  The chart's float kernel gives each point's jet
+    coefficients; one pass over arrays runs the float path's operations and
+    ANDs the predicates of its checks with the positions' finiteness.  The
+    points that fail run through ``polar_position`` in order, so the first
+    that fails raises its own error; a kernel error or an orientation
     override sends every point there."""
     pts = np.asarray(points, dtype=float)
     out, ok = np.empty((len(pts), 3)), np.zeros(len(pts), dtype=bool)
     if chart.orientation is None:
         with np.errstate(all="ignore"):
             try:
-                out, ok = _polar_cloud(chart, pts[:, 0].copy(), pts[:, 1].copy())
-            except (ArithmeticError, DomainError):    # a rule fails on a constant
+                out, ok = _polar_cloud(chart, pts)
+            except Exception:       # noqa: BLE001 - the float path reruns and raises
                 pass
     for i in np.flatnonzero(~ok):
         out[i] = polar_position(chart, pts[i]).coords
     return out
 
 
-def _polar_cloud(chart: calc.SurfaceChart, u, v):
-    """Polar positions at the arrays u, v, and where every check passes."""
+def _polar_cloud(chart: calc.SurfaceChart, pts):
+    """Polar positions at the (N, 2) points, and where every check passes."""
     space = chart.ambient
-    jets = [calc._jet_eval(a, u, v) for a in chart.evaluator.component_asts]
-    x, du, h = [j[0] for j in jets], [j[1:3] for j in jets], jets[-1][0]
+    row = calc.chart_kernels(chart.evaluator.component_asts)[1]
+    rows = np.fromiter(itertools.chain.from_iterable(map(row, *pts.T.tolist())), float)
+    jets = rows.reshape(len(pts), -1).T.reshape(-1, 6, len(pts))
+    x, du, h = jets[:, 0], jets[:, 1:3], jets[-1, 0]
     eta, ok = forms.frame_normals(space, h, du)
     _, pos = _dual_point(space, amb.minkowski_coords(space, x), eta)
-    ok &= (chart.contains(u, v) & calc.chart_ok(space, h, du) & ~_on_equator(eta[2])
-           & (pos[2] > 0.0))
-    values = np.broadcast_arrays(*pos, *[c for j in jets for c in j])
-    return np.column_stack(values[:3]), ok & np.isfinite(values).all(axis=0)
+    ok &= (chart.contains(pts[:, 0], pts[:, 1]) & calc.chart_ok(space, h, du)
+           & ~_on_equator(eta[2]) & (pos[2] > 0.0))
+    return np.column_stack(pos), ok & np.isfinite(pos).all(axis=0)
 
 
 def polar_variety(chart: calc.SurfaceChart, p) -> PolarPoint:
@@ -248,18 +251,18 @@ def polar_variety(chart: calc.SurfaceChart, p) -> PolarPoint:
 def polar_chart(chart: calc.SurfaceChart) -> calc.SurfaceChart:
     """The polar variety as a chart over the source parameters.
 
-    The polar map is differentiated by running it on second-order jets: one
-    third-order jet per component expression of the source chart gives
-    second-order jets of x, x_u and x_v.  The point path's checks run in its
-    order: the chart checks of ``calc.jet2_eval`` on the jets' values, then
-    those of ``_polar_map``.  The map runs as one kernel per space (see
-    ``_kernel``).  Building the chart does no symbolic work.
+    The polar map is differentiated by running it on second-order jets: the
+    source chart's order-three kernel gives second-order jets of x, x_u and
+    x_v.  The point path's checks run in its order: the chart checks of
+    ``calc.jet2_eval`` on the jets' values, then those of ``_polar_map``.
+    The map runs as one kernel per space (see ``_kernel``).  Building the
+    chart does no symbolic work.
     """
     asts = chart.evaluator.component_asts
     space = chart.ambient
 
     def jet_fn(u, v):
-        return _kernel(space, 2)([calc.third_order_jet(a, u, v) for a in asts], u, v,
+        return _kernel(space, 2)(calc.third_order_jet(asts, u, v), u, v,
                                  chart.orientation_at((u, v)))
 
     return calc.SurfaceChart(chart.domain, calc.ClosedFormEvaluator(jet_fn=jet_fn),
@@ -293,7 +296,8 @@ _KERNELS = {}       # (dim, c, eps_N, order) of a space, or a direction -> kerne
 def _kernel(source, order=2):
     """``_polar_map`` of a chart in the space ``source``, or for a direction
     ``graph_dualize``, traced once per process into a kernel: of order two
-    (the order-three coefficients of each component, u, v, orientation) ->
+    (the order-three coefficients of the components in one row, u, v,
+    orientation) ->
     (x, du, duu) of the dual point; of order one (x, du, duu of the source,
     orientation) -> (x, du, the value of V0 - V3); for a direction (those
     of f, u, v) -> (x, du, duu)."""
@@ -309,7 +313,8 @@ def _kernel(source, order=2):
 
 
 def _traced_chart(e, space):
-    comps = [e.unpack(f"jets[{i}]", 10) for i in range(space.dim)]
+    row = e.unpack("jets", 10 * space.dim)
+    comps = [row[i:i + 10] for i in range(0, len(row), 10)]
     x, xu, xv = ([e.operand([c[i] for i in slots]) for c in comps] for slots in calc.PARTIALS)
     du = tuple(zip(xu, xv))
     calc.read(calc.check_chart_jet, space, e.operand("u"), e.operand("v"), x, du)

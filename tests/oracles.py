@@ -21,8 +21,9 @@ bits.  The printer
 sympy oracles; the package never prints a tree.  The tree walker
 (``walk_jet``, with ``jet_call``, ``jet_pow`` and the order-three jet
 ``Jet3``) evaluates a tree's jets by one jet object per operation, as the
-package did before it compiled each tree into a kernel; the kernels must
-give its bits and its errors.  The polar map as it ran on that jet class
+package did before it compiled its trees into kernels; a tree's kernel,
+and a chart's, tree by tree in component order, must give its bits and
+its errors.  The polar map as it ran on that jet class
 (``jet_polar_chart_jet``, ``jet_polar_of_polar_minkowski`` and
 ``jet_graph_duality_residual``, on ``_Jet`` with ``jet_partials`` and
 ``first_order_jet``, the checks and sign choices written inline) is the
@@ -659,11 +660,8 @@ class Jet3(_Jet):
 
 def jet_call(fn, x):
     """A function of the grammar applied to a jet: its rule at x.val,
-    composed by x.chain; order three adds f'''.  On an array jet
-    the rule runs at each entry, NaN where it raises."""
+    composed by x.chain; order three adds f'''."""
     v = x.val
-    if not isinstance(v, float):
-        return x.chain(*calculus._each(calculus._rule(fn), 3, v))
     f0, f1, f2 = calculus._rule(fn)(v)
     if type(x) is _Jet:
         return x.chain(f0, f1, f2)
@@ -671,14 +669,7 @@ def jet_call(fn, x):
 
 
 def jet_pow(x, o):
-    """x ** o for a jet x and a float or jet o; on arrays the float rule at
-    each entry, NaN where it raises or an argument is not finite."""
-    if not isinstance(x.val, float) or type(o) is _Jet and not isinstance(o.val, float):
-        exponent = coefficients(o) if isinstance(o, _Jet) else (o,)
-        return _Jet(*calculus._each(
-            lambda *c: coefficients(jet_pow(_Jet(*c[:6]),
-                                            _Jet(*c[6:]) if c[7:] else c[6])),
-            6, *coefficients(x), *exponent, all_finite=True))
+    """x ** o for a jet x and a float or jet o."""
     if isinstance(o, _Jet):
         if any(coefficients(o)[1:]):
             if x.val <= 0.0:
@@ -709,18 +700,6 @@ def jet_pow(x, o):
                    else (6.0 if o == 3 else 0.0))
 
 
-def array_reciprocal(x):
-    """1 / x of an order-two jet of arrays, by the rule of ``_Jet``: an
-    array's zeros give inf, and NaN below."""
-    inv = 1.0 / x.val
-    inv3 = calculus.power(inv, 3)
-    gu, gv = x.gu, x.gv
-    return _Jet(inv, -gu * inv * inv, -gv * inv * inv,
-                         -x.huu * inv * inv + 2.0 * (gu * gu) * inv3,
-                         -x.huv * inv * inv + 2.0 * (gu * gv) * inv3,
-                         -x.hvv * inv * inv + 2.0 * (gv * gv) * inv3)
-
-
 def walk_jet(node, u, v, jet=_Jet):
     """Jet of a tree at (u, v), of the order of the jet class ``jet``, by a
     recursive walk that dispatches every node at every point.
@@ -728,10 +707,9 @@ def walk_jet(node, u, v, jet=_Jet):
     Constant subtrees stay floats and enter the jet rules as plain operands;
     a float is lifted into a jet only where a rule needs one of its own: the
     base of a power, the argument of a function, and an operation between
-    two floats.  On (N,) arrays u, v an order-two array jet is left
-    unchecked for its caller.
+    two floats.
     """
-    if (type(u) is not float or type(v) is not float) and not getattr(u, "ndim", 0):
+    if type(u) is not float or type(v) is not float:
         u, v = float(u), float(v)
     ju, jv = jet(u, 1.0), jet(v, 0.0, 1.0)
 
@@ -752,8 +730,6 @@ def walk_jet(node, u, v, jet=_Jet):
             if op == "*":
                 return a * b
             if op == "/":
-                if type(b) is jet and not isinstance(b.val, float):
-                    return a * array_reciprocal(b)
                 return a / b
             if type(a) is not jet:
                 return a.pow(b)         # a float: the AttributeError of an unknown op
@@ -772,7 +748,7 @@ def walk_jet(node, u, v, jet=_Jet):
     out = rec(node)
     if type(out) is not jet:
         out = jet(out)
-    if isinstance(u, float) and not all(map(math.isfinite, coefficients(out))):
+    if not all(map(math.isfinite, coefficients(out))):
         raise EvaluationError("expression jet produced a non-finite value")
     return out
 

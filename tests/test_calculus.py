@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from gaussform import ambient as amb
 from gaussform import calculus as calc
 from gaussform import zoo
-from gaussform.errors import (DomainError, GaussformError, HeightViolation, NonImmersed,
-                              OutsideDomain, ParseError)
+from gaussform.errors import (DomainError, HeightViolation, NonImmersed, OutsideDomain,
+                              ParseError)
 from oracles import Jet3, NumericEvaluator, coefficients, unparse, walk_jet
 from test_cli import GRAPH_EXPRS
 
@@ -426,127 +426,63 @@ class TestNonFiniteAndDeep:
         assert expr.jet(0.5, 0.0)[0] == 0.5 * calc.MAX_DEPTH
 
 
-# Entries that reach the float rules' errors: zeros (abs, division, log),
-# negatives (sqrt, log, non-integer powers), underflowing and overflowing
-# magnitudes, and ordinary values.
-ARRAY_U = np.array([0.0, -0.0, 0.5, -1.5, 2.0, 1e-200, 3.0, -710.0, 0.25, 800.0])
-ARRAY_V = np.array([0.0, 1.0, -0.5, 0.0, 2.0, 1e200, -3.0, 0.1, 0.25, -2.5])
-
-
-def _float_jet(ast, u, v):
-    try:
-        return calc._jet_eval(ast, u, v)
-    except (GaussformError, ArithmeticError):
-        return None
-
-
-def _rule_raises(fn, u):
-    try:
-        calc._rule(fn)(u)
-    except (ArithmeticError, DomainError):
-        return True
-    return False
-
-
-class TestArrayJets:
-    """An array jet has the float jets' bits wherever its entries are finite,
-    and a non-finite entry wherever the float path raises."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(text=GRAPH_EXPRS)
-    @example(text="(1)/((u)-(u))")
-    @example(text="((1)/((u)-(u)))^(0)")
-    @example(text="abs(u)*log(v)+sqrt(u)")
-    @example(text="(u)^(v)+(1e-320)/(v)")
-    def test_array_jet_matches_float_jets(self, text):
-        ast = calc.parse_graph_expr(text).ast
-        try:
-            with np.errstate(all="ignore"):
-                jet = calc._jet_eval(ast, ARRAY_U, ARRAY_V)
-        except (GaussformError, ArithmeticError):
-            jet = None          # a rule failed on a constant: every point fails
-        rows = zip(*(np.broadcast_to(c, ARRAY_U.shape).tolist()
-                     for c in jet)) if jet else [None] * len(ARRAY_U)
-        for u, v, got in zip(ARRAY_U.tolist(), ARRAY_V.tolist(), rows):
-            want = _float_jet(ast, u, v)
-            if got is None:
-                assert want is None, (u, v)
-            elif all(map(math.isfinite, got)):
-                assert want is not None, (u, v)
-                assert list(map(float.hex, got)) == list(map(float.hex, want)), (u, v)
-            # a non-finite entry is rerun by the float path, which decides
-
-    # Signed zeros, subnormals, huge and non-finite values, and the edges of
-    # the rules' domains and of their overflow.
-    EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300,
-                   -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan, 1.0, -1.0,
-                   709.782712893384, 709.79, -745.2, 710.47, -710.47, 711.0, 19.0,
-                   -19.0, math.pi / 2, math.pi, 1e16, 1e308]
-
-    @pytest.mark.parametrize("fn", calc.FUNCTIONS)
-    def test_function_rules_have_the_float_bits(self, fn):
-        tree = calc.Call(fn, calc.Var("u"))
-        us = np.array(self.EDGE_VALUES)
-        with np.errstate(all="ignore"):
-            jet = calc._jet_eval(tree, us, np.zeros_like(us))
-        coefficients = np.broadcast_arrays(*jet)
-        for i, u in enumerate(self.EDGE_VALUES):
-            got = [float(c[i]) for c in coefficients]
-            want = _float_jet(tree, u, 0.0)
-            if want is not None:
-                # Also at infinite arguments where the float rule has a
-                # finite value (tanh at infinities, exp at -inf).
-                assert list(map(float.hex, got)) == list(map(float.hex, want)), (fn, u)
-            elif _rule_raises(fn, u):
-                assert all(map(math.isnan, got)), (fn, u)
-            else:       # the float path's final check raises
-                assert not all(map(math.isfinite, got)), (fn, u)
-
-    def test_entries_of_both_kinds(self):
-        # One tree gives finite and non-finite entries at once, so the
-        # property above checks both of its branches on it.
-        ast = calc.parse_graph_expr("abs(u)*log(v)+sqrt(u)").ast
-        with np.errstate(all="ignore"):
-            jet = calc._jet_eval(ast, ARRAY_U, ARRAY_V)
-        finite = np.isfinite(np.broadcast_arrays(*jet)).all(axis=0)
-        assert finite.any() and not finite.all()
+# Signed zeros, subnormals, huge and non-finite values, and the edges of the
+# rules' domains and of their overflow.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300,
+               -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan, 1.0, -1.0,
+               709.782712893384, 709.79, -745.2, 710.47, -710.47, 711.0, 19.0,
+               -19.0, math.pi / 2, math.pi, 1e16, 1e308]
 
 
 def _outcome(fn, *args):
     """Each coefficient that ``fn(tree, u, v, ...)`` returns, as its type and
-    the bits of its entries (broadcast to the points), or the class and
-    message of the error it raises."""
+    its bits, or the class and message of the error it raises."""
     try:
-        with np.errstate(all="ignore"):
-            out = fn(*args)
+        out = fn(*args)
     except Exception as exc:        # every error: compared by class and message
         return type(exc).__name__, str(exc)
     if not isinstance(out, tuple):
         out = coefficients(out)
-    return [(type(c).__name__,
-             list(map(float.hex, np.broadcast_to(c, np.shape(args[1])).ravel().tolist())))
-            for c in out]
+    return [(type(c).__name__, float(c).hex()) for c in out]
+
+
+def _walked(trees, u, v, *jet):
+    """The walker's coefficients of each tree in turn, as one row."""
+    return tuple(c for tree in trees for c in coefficients(walk_jet(tree, u, v, *jet)))
 
 
 def _pinned(tree, points):
-    """Assert that the tree's kernels give the walker's outcome: order two
-    and three at each float point, and order two on the points as arrays
-    and on ARRAY_U, ARRAY_V."""
+    """Assert that the tree's kernels give the walker's outcome, of order
+    two and three at each point."""
     for u, v in points:
         assert _outcome(calc._jet_eval, tree, u, v) == _outcome(walk_jet, tree, u, v), (u, v)
         assert _outcome(calc._jet_eval, tree, u, v, 3) == \
             _outcome(walk_jet, tree, u, v, Jet3), (u, v)
-    us, vs = np.array(points).T.copy()
-    for u, v in ((us, vs), (ARRAY_U, ARRAY_V)):
-        assert _outcome(calc._jet_eval, tree, u, v) == _outcome(walk_jet, tree, u, v)
+
+
+def _pinned_chart(trees, points):
+    """Assert that the kernels of a tuple of component trees give the
+    walker's outcome of each tree in turn: the row, of order two and three,
+    and the (x, du, duu) of order two."""
+    for u, v in points:
+        assert _outcome(calc._jet_eval, trees, u, v) == _outcome(_walked, trees, u, v), (u, v)
+        assert _outcome(calc.third_order_jet, trees, u, v) == \
+            _outcome(_walked, trees, u, v, Jet3), (u, v)
+        nested = _outcome(lambda: tuple(
+            c for x, du, duu in zip(*calc.chart_kernels(trees)[2](u, v))
+            for c in (x, *du, *duu[0], *duu[1])))
+        walked = _outcome(lambda: tuple(
+            c for j in [walk_jet(tree, u, v) for tree in trees]
+            for c in (j.val, j.gu, j.gv, j.huu, j.huv, j.huv, j.hvv)))
+        assert nested == walked, (u, v)
 
 
 class TestKernelPin:
-    """A tree's kernel has the bits and the errors of the tree walker that
-    tests/oracles.py keeps, of order two and three on floats and of order
-    two on arrays, signed zeros included."""
+    """A kernel has the bits and the errors of the tree walker that
+    tests/oracles.py keeps, of order two and three, signed zeros included:
+    a tree's, and a chart's, tree by tree in component order."""
 
-    EDGE = TestArrayJets.EDGE_VALUES
+    EDGE = EDGE_VALUES
     POINTS = [*np.random.default_rng(7).uniform(-2.0, 2.0, (6, 2)).tolist(),
               *zip(EDGE, EDGE[::-1]), *zip(EDGE[5:] + EDGE[:5], EDGE)]
 
@@ -570,6 +506,7 @@ class TestKernelPin:
         points = chart.interior_points(8, np.random.default_rng(3)).tolist()
         for tree in chart.evaluator.component_asts:
             _pinned(tree, points + self.POINTS[:10])
+        _pinned_chart(chart.evaluator.component_asts, points + self.POINTS[:10])
 
     def test_programmatic_trees(self):
         u, v = calc.Var("u"), calc.Var("v")
@@ -587,6 +524,10 @@ class TestKernelPin:
                       calc.Call("exp", num), calc.Bin("^", calc.Bin("+", u, num), v)]
         for tree in trees:
             _pinned(tree, self.POINTS)
+        # Both components fail at u = 800: the first one's screen raises
+        # EvaluationError before the second raises its DomainError.
+        _pinned_chart((calc.Bin("*", u, calc.Num(1e308)), calc.Call("log", calc.Neg(u))),
+                      [(800.0, 0.5)] + self.POINTS)
 
     def test_building_never_raises(self):
         # The build evaluates nothing, so a kernel raises when called, in
@@ -595,8 +536,8 @@ class TestKernelPin:
                  ("log(-1)+u", "u+1/0", "2^(1e308*10)", "sin(1e308*10)*u", "(-1)^0.5")]
         trees += [calc.Call("foo", calc.Var("u")), calc.Const("i"), object()]
         for tree in trees:
-            for order, arrays in ((2, False), (3, False), (2, True)):
-                calc._remember(tree, order, arrays)
+            for order in (2, 3):
+                calc.chart_kernels(tree, order)
             _pinned(tree, self.POINTS[:4])
         chart = calc.SurfaceChart((0.0, 1.0, 0.0, 1.0),
                                   calc.GraphEvaluator(calc.parse_graph_expr("log(-1)+u")), H3)
@@ -611,10 +552,11 @@ class TestKernelPin:
         name = "sin); import os; (sin"
         tree = calc.Bin("+", calc.Call(name, calc.Var("u")),
                         calc.Bin("^", calc.Num(12345.678), calc.Const("pi")))
-        for order, arrays in ((2, False), (3, False), (2, True)):
-            code = calc._remember(tree, order, arrays)[1].__code__
-            assert 12345.678 not in code.co_consts and math.pi not in code.co_consts
-            assert not {name, "os", "pi", "sin"} & {*code.co_names, *code.co_consts}
+        for trees, order in ((tree, 2), (tree, 3), ((tree,), 2), ((tree,), 3)):
+            for kernel in filter(None, calc.chart_kernels(trees, order)[1:]):
+                code = kernel.__code__
+                assert 12345.678 not in code.co_consts and math.pi not in code.co_consts
+                assert not {name, "os", "pi", "sin"} & {*code.co_names, *code.co_consts}
         assert _outcome(calc._jet_eval, tree, 0.5, 0.5) == ("TypeError",
                                                             f"unknown function {name!r}")
 
@@ -625,7 +567,7 @@ class TestKernelPin:
         for tree in trees:
             calc._jet_eval(tree, 0.5, 0.25)
         assert len(calc._KERNELS) <= calc.KERNEL_MEMO
-        assert (id(first), 2, False) not in calc._KERNELS      # the oldest went
+        assert (id(first), 2) not in calc._KERNELS      # the oldest went
         kept = [entry for key, entry in calc._KERNELS.items() if key[0] == id(trees[-1])]
         assert kept and kept[0][0] is trees[-1]                 # kept with its tree
         assert calc._jet_eval(first, 0.5, 0.25) == want

@@ -414,10 +414,17 @@ class TestPolarPositions:
         assert good_cloud == _cloud_outcome(lambda: _scalar_cloud(chart, good))
 
     def test_first_point_in_order_decides_the_error(self):
-        chart = _graph_chart("u")
-        height, outside = (-0.5, 0.5), (2.0, 0.5)
-        for pts, error in (([(0.5, 0.5), height, outside], HeightViolation),
-                           ([(0.5, 0.5), outside, height], OutsideDomain)):
+        height, outside, log_negative = (-0.5, 0.5), (2.0, 0.5), (-0.5, 0.5)
+        # A kernel error at any point sends the cloud through the float path
+        # in order: an unknown function fails at every point, log(u) at one.
+        unknown = calc.SurfaceChart((-1.0, 1.0, -1.0, 1.0), calc.GraphEvaluator(calc.GraphExpr(
+            calc.Bin("+", calc.Call("foo", calc.Var("u")), calc.Num(2.0)))), H3)
+        for chart, pts, error in (
+                (_graph_chart("u"), [(0.5, 0.5), height, outside], HeightViolation),
+                (_graph_chart("u"), [(0.5, 0.5), outside, height], OutsideDomain),
+                (unknown, [outside, (0.5, 0.5)], OutsideDomain),
+                (_graph_chart("log(u)+3"), [(0.5, 0.5), outside, log_negative], OutsideDomain),
+                (_graph_chart("log(u)+3"), [(0.5, 0.5), log_negative, outside], DomainError)):
             got = _cloud_outcome(lambda: duality.polar_positions(chart, pts))
             assert got == _cloud_outcome(lambda: _scalar_cloud(chart, pts))
             assert got[0] is error

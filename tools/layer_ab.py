@@ -20,17 +20,20 @@ REPEAT timed passes, and reports the best pass in microseconds per call:
   kernel of its space and order);
 * ``jet2_eval`` at a 4 x 4 grid of points on each of the 13 charts of the
   ``forms-grid`` benchmark workload (its ten families and three graphs);
-* ``third_order_jet`` of each component tree of POLAR_FAMILIES at their
-  grid points;
-* ``kernel_build``: one jet of each component tree of every zoo family at
-  the centre of its chart, the kernel memo cleared before each family on a
-  tree that has one (so a call builds the family's kernels), the chart
-  built beforehand;
+* ``third_order_jet``: the order-three jets of all component trees of each
+  of POLAR_FAMILIES at its grid points, the input of ``polar_chart_jet``
+  (one call on the tuple of trees where the tree builds one kernel per
+  chart, else one call per tree);
+* ``kernel_build``: the first jet of the chart of every zoo family at the
+  centre of its rectangle, the kernel memo cleared before each family on a
+  tree that has one (so a call builds the kernels of the family's point
+  path, of one chart or of each tree), the chart built beforehand;
 * ``fit_family_pairing`` on the three families with a recorded partner
   (100 points, seed 0), and three of its parts on the same families:
   ``make_surface`` (the chart build with its domain scan, the chart memo
   cleared before each call on a tree that has one), ``polar_cloud``
-  (``polar_positions`` at the pairing's 100 points) and ``fit_isometry``
+  (``polar_positions`` at the pairing's 100 points: the chart's jets at
+  every point, then the polar map on arrays) and ``fit_isometry``
   (the fits under every sign choice of the pairing, on the pairing's cloud
   of polar points);
 * ``graph_duality_residual`` at the same grid of points on each graph
@@ -102,6 +105,12 @@ def layer_calls():
                  v0 + (v1 - v0) * (0.1 + 0.8 * j / (GRID - 1)))
                 for i in range(GRID) for j in range(GRID)]
 
+    def component_jets(chart, p):
+        trees = chart.evaluator.component_asts
+        if hasattr(calculus, "chart_kernels"):      # one kernel per chart
+            return calculus.third_order_jet(trees, *p)
+        return [calculus.third_order_jet(tree, *p) for tree in trees]
+
     calls = {name: [] for name in LAYERS}
     for key in POLAR_FAMILIES:
         chart = zoo.make_surface(key)
@@ -114,20 +123,18 @@ def layer_calls():
             calls["polar_of_polar_minkowski"].append(
                 guarded(duality.polar_of_polar_minkowski, chart, p))
             calls["polar_chart_jet"].append(guarded(dual.evaluator.jet, *p))
-            calls["third_order_jet"] += [guarded(calculus.third_order_jet, tree, *p)
-                                         for tree in chart.evaluator.component_asts]
+            calls["third_order_jet"].append(guarded(component_jets, chart, p))
     for chart in forms_grid_charts():
         calls["jet2_eval"] += [guarded(calculus.jet2_eval, chart, p)
                                for p in grid_points(chart)]
     kernels = getattr(calculus, "_KERNELS", None)     # the kernel memo, where the tree has one
 
-    def first_jets(chart):
+    def first_jet(chart):
         if kernels is not None:
             kernels.clear()
         u0, u1, v0, v1 = chart.domain
-        for tree in chart.evaluator.component_asts:
-            calculus._jet_eval(tree, 0.5 * (u0 + u1), 0.5 * (v0 + v1))
-    calls["kernel_build"] = [guarded(first_jets, zoo.make_surface(key))
+        chart.evaluator.jet(0.5 * (u0 + u1), 0.5 * (v0 + v1))
+    calls["kernel_build"] = [guarded(first_jet, zoo.make_surface(key))
                              for key in zoo.family_keys()]
     polar_kernels = getattr(duality, "_KERNELS", None)  # the polar-map memo, where the tree has one
 
